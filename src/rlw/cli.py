@@ -224,9 +224,7 @@ def cmd_validate(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     notes: List[str] = []
     model = _build_model(config, data, notes)
-    projector = model.ground_projector()
-    residual = float(np.linalg.norm((projector @ projector - projector).matrix))
-    dim = model.ground_dim(tol=max(config.tol, 1e-9))
+    dim, residual = model.ground_dim_residual(tol=max(config.tol, 1e-9))
     body = {
         "hilbert_dim": model.space().dim,
         "ground_dim": dim,

@@ -6,7 +6,9 @@ scalars gamma, the fusion multiplicities delta, and the modified 6j
 symbols N.  Two providers implement the same interface: closed-form
 built-in families and file-backed finite tables.  A recording wrapper
 captures the slice of a provider actually used by a computation so it
-can be exported and replayed from a table.
+can be exported and replayed from a table.  `BlockCache` is the one
+cached, degree-blocked read path that the validator and the plaquette
+walk share.
 
 Conventions baked into the interface:
 
@@ -24,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "BuiltinFamily",
     "TableData",
     "RecordingData",
+    "BlockCache",
     "parse_family_spec",
     "load_data",
     "data_from_config",
@@ -169,7 +172,13 @@ class LWData:
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
         """N over labels(g1)x..xlabels(g6) and four branching axes of
-        size mult_bound (1-based index n stored at position n-1)."""
+        size mult_bound (1-based index n stored at position n-1).
+
+        Table blocks are unmasked: `TableData` returns a stored entry
+        even outside the delta support, where `sixj` reads 0, so that the
+        validator can see it.  Readers that need pointwise semantics
+        mask with `BlockCache.support` or, like the plaquette walk, read
+        the values at the block's nonzero entries through `sixj`."""
         ls = [self.labels(g) for g in degs]
         m = self.mult_bound
         out = np.zeros(tuple(map(len, ls)) + (m,) * 4, dtype=complex)
@@ -784,6 +793,74 @@ class RecordingData(LWData):
             self._rec_gamma,
             self._rec_sixj,
         )
+
+
+# delta-support conditions (j1 j2 j3* a1), (j3 j4 j5* a2), (j5 j6* j1* a3),
+# (j6 j4* j2* a4) over the 6j block axes j1..j6, a1..a4
+_SUPPORT_SPEC = "abcd,cefg,fhai,hebj->abcefhdgij"
+
+
+class BlockCache:
+    """Degree blocks of one provider, each fetched once and kept.
+
+    Keys are degree tuples; values are the provider's `*_block`,
+    `dual_perm` and `scalar_vectors` arrays, unchanged.  The validator
+    and the plaquette walk both read the data through one of these.
+    """
+
+    def __init__(self, data: LWData):
+        self.data = data
+        self._delta: dict = {}
+        self._gamma: dict = {}
+        self._sixj: dict = {}
+        self._perm: dict = {}
+        self._scalars: dict = {}
+
+    def delta(self, g1, g2, g3) -> np.ndarray:
+        key = (g1, g2, g3)
+        if key not in self._delta:
+            self._delta[key] = self.data.delta_block(g1, g2, g3)
+        return self._delta[key]
+
+    def gamma(self, g1, g2, g3) -> np.ndarray:
+        key = (g1, g2, g3)
+        if key not in self._gamma:
+            self._gamma[key] = self.data.gamma_block(g1, g2, g3)
+        return self._gamma[key]
+
+    def sixj(self, degs: Tuple[GroupElement, ...]) -> np.ndarray:
+        if degs not in self._sixj:
+            self._sixj[degs] = self.data.sixj_block(degs)
+        return self._sixj[degs]
+
+    def perm(self, g: GroupElement) -> np.ndarray:
+        if g not in self._perm:
+            self._perm[g] = self.data.dual_perm(g)
+        return self._perm[g]
+
+    def scalars(self, g: GroupElement):
+        if g not in self._scalars:
+            self._scalars[g] = self.data.scalar_vectors(g)
+        return self._scalars[g]
+
+    def support(self, degs: Sequence[GroupElement]) -> np.ndarray:
+        """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4."""
+        g1, g2, g3, g4, g5, g6 = degs
+        rng = np.arange(1, self.data.mult_bound + 1)
+        b1 = np.take(self.delta(g1, g2, -g3), self.perm(g3), axis=2)
+        b2 = np.take(self.delta(g3, g4, -g5), self.perm(g5), axis=2)
+        b3 = np.take(
+            np.take(self.delta(g5, -g6, -g1), self.perm(g6), axis=1),
+            self.perm(g1),
+            axis=2,
+        )
+        b4 = np.take(
+            np.take(self.delta(g6, -g4, -g2), self.perm(g4), axis=1),
+            self.perm(g2),
+            axis=2,
+        )
+        conds = [(rng <= b[..., None]).astype(int) for b in (b1, b2, b3, b4)]
+        return np.einsum(_SUPPORT_SPEC, *conds) > 0
 
 
 def parse_family_spec(spec: str) -> BuiltinFamily:

@@ -17,6 +17,21 @@ edge contributes whichever of its old or new labels has the degree the
 corner needs; the mismatch of old and new degrees (by deg(s), nonzero
 for generic s) makes the choice unambiguous.
 
+The six label degrees at every corner depend on the coloring and g,
+not on the basis state, so each corner reads one 6j block per degree
+tuple through the model's `BlockCache` (valued at its nonzero entries
+by the pointwise `sixj`, so stored off-support table entries stay
+zero), with labels as integer indices: duals via `dual_perm`,
+d-weights via `scalar_vectors`.  For multiplicity-free data the walk runs
+breadth-first over every string s of degree g and every source column
+at once: a frontier of numpy arrays (string, column, chosen label
+indices, amplitude) grows by one walk position per step, takes in the
+corners whose labels are complete, and sheds its zero amplitudes; the
+survivors are scattered into the matrix.  Data with a branching bound
+above 1 (`mult_bound > 1`) instead takes `_dfs_general`, a depth-first
+search per column that reads 6j symbols pointwise and contracts the
+branching slots with einsum at each leaf.
+
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
 and is a projector independent of the probe.  The Hamiltonian counts
@@ -27,11 +42,11 @@ jointly splitting the space along the commuting family.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .data import LWData, Label
+from .data import BlockCache, LWData
 from .errors import (
     AdmissibilityError,
     DataFormatError,
@@ -164,6 +179,8 @@ class StringNetModel:
         self._probe = probe
         self._spaces = {}
         self._walks = {}
+        self.blocks = BlockCache(data)
+        self._tables = {}
         self._bg_cache = {}
         self._b_cache = {}
 
@@ -201,24 +218,7 @@ class StringNetModel:
         diag = np.array([1.0 if st[1][v] >= 1 else 0.0 for st in space.basis])
         return LinearOperator(space, space, np.diag(diag).astype(complex))
 
-    # -- half-plaquette moves ----------------------------------------------------
-
-    def plaquette_Bs(
-        self, p: Union[int, Plaquette], s: Label, coloring: Optional[Coloring] = None
-    ) -> LinearOperator:
-        p = self._plaquette(p)
-        col = coloring or self.coloring
-        src = self.space(col)
-        target = gauge_shift(col, p, -s.degree)
-        if not is_admissible(target, self.data.singular):
-            raise GaugeAdmissibilityError(
-                f"gauge shift by {-s.degree} at plaquette {p.index}"
-                " hits a singular degree"
-            )
-        dst = self.space(target)
-        matrix = np.zeros((dst.dim, src.dim), dtype=complex)
-        self._accumulate_Bs(p, s, src, dst, matrix, 1.0)
-        return LinearOperator(src, dst, matrix)
+    # -- plaquette moves --------------------------------------------------------
 
     def plaquette_Bg(
         self,
@@ -240,8 +240,7 @@ class StringNetModel:
             )
         dst = self.space(target)
         matrix = np.zeros((dst.dim, src.dim), dtype=complex)
-        for s in self.data.labels(g):
-            self._accumulate_Bs(p, s, src, dst, matrix, s.b)
+        self._accumulate_Bg(p, g, src, dst, matrix)
         op = LinearOperator(src, dst, matrix)
         self._bg_cache[key] = op
         return op
@@ -268,12 +267,12 @@ class StringNetModel:
 
     # -- the walk algorithm -----------------------------------------------------
 
-    def _accumulate_Bs(self, p, s, src, dst, matrix, weight):
-        """Add weight * B_p^s to matrix, column by column."""
+    def _accumulate_Bg(self, p, g, src, dst, matrix):
+        """Add the sum over labels s of degree g of b(s) B_p^s to matrix."""
         data = self.data
         walk = self._walk(p)
         n = len(walk.darts)
-        sdeg = s.degree
+        strings = data.labels(g)  # first: a singular g stays a DomainError
         col_values = src.coloring.values
 
         # degree bookkeeping is choice-independent: input-at-visit and
@@ -285,8 +284,8 @@ class StringNetModel:
                 o_deg[i] = v if t % 2 == 0 else -v
         for i in range(n):
             if walk.first[i] != i:
-                o_deg[i] = sdeg - o_deg[walk.first[i]]
-        n_deg = [phi - sdeg for phi in o_deg]
+                o_deg[i] = g - o_deg[walk.first[i]]
+        n_deg = [phi - g for phi in o_deg]
         try:
             candidates = [data.labels(d) for d in n_deg]
         except DomainError as exc:
@@ -323,9 +322,166 @@ class StringNetModel:
         for i in range(n):
             ready_at[max(deps[i])].append(i)
 
-        general = data.mult_bound > 1
-        walk_vs = walk.vertices
+        if data.mult_bound > 1:
+            for s in strings:
+                self._dfs_general(
+                    s, src, dst, matrix, walk, candidates, ready_at, leg_uses_new
+                )
+            return
+        self._contract(
+            g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+        )
+
+    def _contract(
+        self, g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+    ):
+        """Multiplicity-free walk over every string and source column at once.
+
+        The frontier holds one row per live partial labeling: the string
+        index, the source column, the label index chosen at each position
+        so far, and the amplitude.  Step j extends every row by each
+        candidate at position j, multiplies in the corners whose labels
+        are then all known, and drops the rows whose amplitude vanished.
+        """
+        blocks = self.blocks
+        n = len(walk.darts)
+        col_values = src.coloring.values
+        labels = src.label_array
+
+        def along(h):  # per source column: label index read along dart h
+            x = labels[:, h // 2]
+            return x if h % 2 == 0 else blocks.perm(col_values[h // 2])[x]
+
+        try:
+            first_old = {
+                i: along(t) for i, t in enumerate(walk.darts) if walk.first[i] == i
+            }
+            fixed_leg = {c.pos: along(c.leg) for c in walk.corners if c.leg_pos is None}
+            perm_old = [blocks.perm(d) for d in o_deg]
+            perm_new = [blocks.perm(d) for d in n_deg]
+            d_new = [blocks.scalars(d)[0] for d in n_deg]
+            b = blocks.scalars(g)[1]
+            tables = []
+            for c in walk.corners:
+                i = c.pos
+                nxt = (i + 1) % n
+                if c.leg_pos is None:
+                    leg_deg = col_values[c.leg // 2]
+                    leg_deg = leg_deg if c.leg % 2 == 0 else -leg_deg
+                else:  # the degree `leg_uses_new` was chosen to match
+                    leg_deg = o_deg[i] - o_deg[nxt]
+                degs = (n_deg[i], g, o_deg[i], -o_deg[nxt], leg_deg, -n_deg[nxt])
+                tables.append(self._corner_table(degs))
+        except DomainError as exc:
+            raise GaugeAdmissibilityError(str(exc)) from exc
+
+        live = np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1))
+        string = np.repeat(np.arange(len(b)), len(live))
+        col = np.tile(live, len(b))
+        amp = np.ones(len(col), dtype=complex)
+        chosen = []
+
+        def old(i):
+            f = walk.first[i]
+            return first_old[i][col] if f == i else perm_new[f][chosen[f]]
+
+        for j in range(n):
+            k = len(candidates[j])
+            string, col, amp = (np.repeat(x, k) for x in (string, col, amp))
+            chosen = [np.repeat(x, k) for x in chosen]
+            chosen.append(np.tile(np.arange(k), len(amp) // k))
+            for i in ready_at[j]:
+                c = walk.corners[i]
+                nxt = (i + 1) % n
+                m = c.leg_pos
+                if m is None:
+                    leg = fixed_leg[i][col]
+                elif leg_uses_new[i]:
+                    leg = chosen[m] if c.leg_direct else perm_new[m][chosen[m]]
+                else:
+                    leg = old(m) if c.leg_direct else perm_old[m][old(m)]
+                vals = tables[i][
+                    chosen[i], string, old(i), perm_old[nxt][old(nxt)], leg,
+                    perm_new[nxt][chosen[nxt]],
+                ]
+                amp = amp * (d_new[i][chosen[i]] * vals)
+            keep = np.flatnonzero(amp)
+            if len(keep) < len(amp):
+                string, col, amp = string[keep], col[keep], amp[keep]
+                chosen = [x[keep] for x in chosen]
+
+        # an edge's final label comes from its last visit
+        last = {e: i for i, e in enumerate(walk.edges)}
+        out = labels[col]
+        for i, t in enumerate(walk.darts):
+            if last[t // 2] == i:
+                out[:, t // 2] = chosen[i] if t % 2 == 0 else perm_new[i][chosen[i]]
+        slots = src.slot_array[col]
+        slots[:, walk.vertices] = 1
+        rows = [
+            dst.index.get(state)
+            for state in zip(map(tuple, out.tolist()), map(tuple, slots.tolist()))
+        ]
+        if None in rows:
+            raise InstabilityError("plaquette move left the target space")
+        np.add.at(matrix, (np.array(rows, dtype=np.intp), col), b[string] * amp)
+
+    def _corner_table(self, degs):
+        """Multiplicity-free 6j over the six label axes of one corner.
+
+        The block gives the nonzero pattern and pointwise `sixj` gives the
+        values, so an entry a table stores outside the delta support
+        reads as zero here, as it does pointwise.
+        """
+        table = self._tables.get(degs)
+        if table is None:
+            block = self.blocks.sixj(degs)[..., 0, 0, 0, 0]
+            labels = [self.data.labels(d) for d in degs]
+            table = np.zeros_like(block)
+            for idx in zip(*np.nonzero(block)):
+                js = [ls[x] for ls, x in zip(labels, idx)]
+                table[idx] = self.data.sixj(js, (1, 1, 1, 1))
+            self._tables[degs] = table
+        return table
+
+    def _dfs_general(
+        self, s, src, dst, matrix, walk, candidates, ready_at, leg_uses_new
+    ):
+        """Slot-multiplicity walk: a depth-first search per source column
+        that contracts the corner blocks at each leaf.
+
+        The A slots chain cyclically around the walk and the C slots chain
+        per vertex across its visits; first-visit C slots are sliced at the
+        stored value and last-visit ones stay free as the output axes.
+        """
+        data = self.data
+        n = len(walk.darts)
+        mb = data.mult_bound
         chosen = [None] * n
+        pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        a_letter = [next(pool) for _ in range(n)]
+        link_letter = {}
+        out_letter = {}
+        for v in walk.vertices:
+            seq = walk.visits[v]
+            for r in range(len(seq) - 1):
+                link_letter[seq[r], "out"] = link_letter[seq[r + 1], "in"] = next(pool)
+            out_letter[v] = next(pool)
+
+        subs, first_visit = [], set()
+        for c in walk.corners:
+            i = c.pos
+            seq = walk.visits[c.vertex]
+            sub = a_letter[i]
+            if i == seq[0]:
+                first_visit.add(i)
+            else:
+                sub += link_letter[i, "in"]
+            sub += out_letter[c.vertex] if i == seq[-1] else link_letter[i, "out"]
+            sub += a_letter[(i + 1) % n]
+            subs.append(sub)
+        spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
+        last = {e: i for i, e in enumerate(walk.edges)}
 
         def o_label(i, state):
             if walk.first[i] == i:
@@ -339,10 +495,10 @@ class StringNetModel:
             lab = chosen[m] if leg_uses_new[c.pos] else o_label(m, state)
             return lab if c.leg_direct else data.dual(lab)
 
-        def corner_labels(c, state):
+        def block(c, state):
             i = c.pos
             nxt = (i + 1) % n
-            return (
+            js = (
                 chosen[i],
                 s,
                 o_label(i, state),
@@ -350,139 +506,57 @@ class StringNetModel:
                 leg_label(c, state),
                 data.dual(chosen[nxt]),
             )
-
-        last = {e: i for i, e in enumerate(walk.edges)}
-
-        def out_state(state):
-            labels = list(state[0])
-            for i, t in enumerate(walk.darts):
-                if last[t // 2] != i:
-                    continue  # an edge's final label comes from its last visit
-                lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
-                labels[t // 2] = data.label_index(lab)
-            return tuple(labels)
-
-        for col_idx, state in enumerate(src.basis):
-            slots = state[1]
-            if any(slots[v] == 0 for v in walk_vs):
-                continue
-            if general:
-                self._dfs_general(
-                    p, s, src, dst, matrix, weight, walk, state, col_idx,
-                    candidates, ready_at, chosen, corner_labels, out_state,
-                )
-                continue
-
-            def rec(j, amp):
-                if j == n:
-                    out_labels = out_state(state)
-                    out_slots = tuple(
-                        1 if v in walk.visits else slots[v]
-                        for v in range(len(slots))
-                    )
-                    row = dst.index.get((out_labels, out_slots))
-                    if row is None:
-                        raise InstabilityError(
-                            "plaquette move left the target space"
-                        )
-                    matrix[row, col_idx] += weight * amp
-                    return
-                for lab in candidates[j]:
-                    chosen[j] = lab
-                    branch = amp
-                    for ci in ready_at[j]:
-                        c = walk.corners[ci]
-                        val = data.sixj(corner_labels(c, state), (1, 1, 1, 1))
-                        if val == 0:
-                            branch = 0
-                            break
-                        branch *= chosen[ci].d * val
-                    if branch != 0:
-                        rec(j + 1, branch)
-
-            rec(0, 1.0 + 0j)
-
-    def _dfs_general(
-        self, p, s, src, dst, matrix, weight, walk, state, col_idx,
-        candidates, ready_at, chosen, corner_labels, out_state,
-    ):
-        """Slot-multiplicity version: contract the corner blocks at each leaf.
-
-        The A slots chain cyclically around the walk and the C slots chain
-        per vertex across its visits; first-visit C slots are sliced at the
-        stored value and last-visit ones stay free as the output axes.
-        """
-        data = self.data
-        n = len(walk.darts)
-        mb = data.mult_bound
-        slots = state[1]
-        pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-        a_letter = [next(pool) for _ in range(n)]
-        link_letter = {}
-        out_letter = {}
-        for v in walk.vertices:
-            seq = walk.visits[v]
-            for r in range(len(seq) - 1):
-                link_letter[seq[r], "out"] = link_letter[seq[r + 1], "in"] = next(pool)
-            out_letter[v] = next(pool)
-
-        subs, fixed_in = [], {}
-        for c in walk.corners:
-            i = c.pos
-            seq = walk.visits[c.vertex]
-            sub = a_letter[i]
-            if i == seq[0]:
-                fixed_in[i] = slots[c.vertex] - 1
-            else:
-                sub += link_letter[i, "in"]
-            sub += out_letter[c.vertex] if i == seq[-1] else link_letter[i, "out"]
-            sub += a_letter[(i + 1) % n]
-            subs.append(sub)
-        spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
-
-        def block(c):
-            js = corner_labels(c, state)
             arr = np.zeros((mb,) * 4, dtype=complex)
             for idx in np.ndindex(arr.shape):
                 arr[idx] = data.sixj(js, tuple(a + 1 for a in idx))
-            arr *= chosen[c.pos].d
-            if c.pos in fixed_in:
-                arr = arr[:, fixed_in[c.pos], :, :]
+            arr *= chosen[i].d
+            if i in first_visit:
+                arr = arr[:, state[1][c.vertex] - 1, :, :]
             return arr
 
-        def rec(j, acc):
+        def out_labels(state):
+            labels = list(state[0])
+            for i, t in enumerate(walk.darts):
+                if last[t // 2] == i:
+                    lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
+                    labels[t // 2] = data.label_index(lab)
+            return tuple(labels)
+
+        def rec(j, acc, state, col_idx):
             if j == n:
                 ordered = [arr for _, arr in sorted(acc, key=lambda t: t[0])]
                 amps = np.einsum(spec, *ordered)
-                out_labels = out_state(state)
+                labels = out_labels(state)
                 for idx in np.ndindex(amps.shape):
                     amp = amps[idx]
                     if amp == 0:
                         continue
-                    out_slots = list(slots)
+                    out_slots = list(state[1])
                     for v, a in zip(walk.vertices, idx):
                         out_slots[v] = a + 1
-                    row = dst.index.get((out_labels, tuple(out_slots)))
+                    row = dst.index.get((labels, tuple(out_slots)))
                     if row is None:
                         raise InstabilityError(
                             "plaquette move left the target space"
                         )
-                    matrix[row, col_idx] += weight * amp
+                    matrix[row, col_idx] += s.b * amp
                 return
             for lab in candidates[j]:
                 chosen[j] = lab
                 grown = acc
                 dead = False
                 for ci in ready_at[j]:
-                    arr = block(walk.corners[ci])
+                    arr = block(walk.corners[ci], state)
                     if not arr.any():
                         dead = True
                         break
                     grown = grown + [(ci, arr)]
                 if not dead:
-                    rec(j + 1, grown)
+                    rec(j + 1, grown, state, col_idx)
 
-        rec(0, [])
+        for col_idx, state in enumerate(src.basis):
+            if all(state[1][v] > 0 for v in walk.vertices):
+                rec(0, [], state, col_idx)
 
     # -- assembled model ---------------------------------------------------------
 
@@ -510,8 +584,15 @@ class StringNetModel:
     def ground_dim(
         self, coloring: Optional[Coloring] = None, tol: float = 1e-9
     ) -> int:
+        return self.ground_dim_residual(coloring, tol)[0]
+
+    def ground_dim_residual(
+        self, coloring: Optional[Coloring] = None, tol: float = 1e-9
+    ) -> Tuple[int, float]:
+        """Ground dimension and idempotency residual ||P P - P|| of the
+        ground projector P, formed once."""
         proj = self.ground_projector(coloring)
-        residual = np.linalg.norm((proj @ proj - proj).matrix)
+        residual = float(np.linalg.norm((proj @ proj - proj).matrix))
         if residual > tol * max(1.0, np.linalg.norm(proj.matrix)):
             raise InstabilityError(
                 f"ground projector is not idempotent (residual {residual:.3e})"
@@ -520,7 +601,7 @@ class StringNetModel:
         dim = round(trace.real)
         if abs(trace - dim) > max(tol, 1e-7 * max(1, abs(trace))):
             raise InstabilityError(f"projector trace {trace} is not near an integer")
-        return int(dim)
+        return int(dim), residual
 
     def spectrum(
         self, coloring: Optional[Coloring] = None, tol: float = 1e-8

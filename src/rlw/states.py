@@ -123,6 +123,13 @@ class StateSpace:
         self.basis = tuple(basis)
         self.dim = len(basis)
         self.index = {state: i for i, state in enumerate(self.basis)}
+        # the basis as integer arrays: label index per edge, slot per vertex
+        self.label_array = np.array(
+            [st[0] for st in basis], dtype=np.intp
+        ).reshape(self.dim, graph.num_edges)
+        self.slot_array = np.array(
+            [st[1] for st in basis], dtype=np.intp
+        ).reshape(self.dim, graph.num_vertices)
         self.eta = np.array(etas, dtype=float)
         if self.dim and not np.all(self.eta):
             raise DataFormatError("eta is singular: some d, beta or gamma is zero")
@@ -223,9 +230,6 @@ class LinearOperator:
         """Adjoint for the indefinite pairings of source and target."""
         mat = self.src.eta[:, None] * self.matrix.conj().T / self.dst.eta[None, :]
         return LinearOperator(self.dst, self.src, mat)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2)) if self.matrix.size else 0.0
 
     def __repr__(self):
         return f"LinearOperator({self.src.dim} -> {self.dst.dim})"

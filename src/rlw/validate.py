@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import LWData
+from .data import BlockCache, LWData
 from .errors import DomainError, MissingDataError
 from .group import GroupElement
 
@@ -84,18 +84,13 @@ def _subscripts(operands: Sequence[Sequence[str]], out: Sequence[str]) -> str:
     return spec + "->" + encode(out)
 
 
-class _Slice:
-    """Cached block views of the data over a closed degree sample."""
+class _Slice(BlockCache):
+    """The block cache of one validation run and its closed degree sample."""
 
     def __init__(self, data: LWData, degrees: Sequence[GroupElement], cap: int):
-        self.data = data
+        super().__init__(data)
         self.degrees = list(degrees)
         self.cap = cap
-        self._delta: dict = {}
-        self._gamma: dict = {}
-        self._sixj: dict = {}
-        self._perm: dict = {}
-        self._scalars: dict = {}
 
     def generic(self, g: GroupElement) -> bool:
         return self.data.singular.is_generic(g)
@@ -107,65 +102,6 @@ class _Slice:
         for t, combo in enumerate(itertools.product(self.degrees, repeat=arity)):
             if t % stride == 0:
                 yield combo
-
-    def delta(self, g1, g2, g3) -> np.ndarray:
-        key = (g1, g2, g3)
-        if key not in self._delta:
-            self._delta[key] = self.data.delta_block(g1, g2, g3)
-        return self._delta[key]
-
-    def gamma(self, g1, g2, g3) -> np.ndarray:
-        key = (g1, g2, g3)
-        if key not in self._gamma:
-            self._gamma[key] = self.data.gamma_block(g1, g2, g3)
-        return self._gamma[key]
-
-    def sixj(self, degs: Tuple[GroupElement, ...]) -> np.ndarray:
-        if degs not in self._sixj:
-            self._sixj[degs] = self.data.sixj_block(degs)
-        return self._sixj[degs]
-
-    def perm(self, g) -> np.ndarray:
-        if g not in self._perm:
-            self._perm[g] = self.data.dual_perm(g)
-        return self._perm[g]
-
-    def scalars(self, g):
-        if g not in self._scalars:
-            self._scalars[g] = self.data.scalar_vectors(g)
-        return self._scalars[g]
-
-    def support(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4."""
-        g1, g2, g3, g4, g5, g6 = degs
-        m = self.data.mult_bound
-        rng = np.arange(1, m + 1)
-        b1 = np.take(self.delta(g1, g2, -g3), self.perm(g3), axis=2)
-        b2 = np.take(self.delta(g3, g4, -g5), self.perm(g5), axis=2)
-        b3 = np.take(
-            np.take(self.delta(g5, -g6, -g1), self.perm(g6), axis=1),
-            self.perm(g1),
-            axis=2,
-        )
-        b4 = np.take(
-            np.take(self.delta(g6, -g4, -g2), self.perm(g4), axis=1),
-            self.perm(g2),
-            axis=2,
-        )
-        conds = [
-            (rng <= b[..., None]).astype(int)
-            for b in (b1, b2, b3, b4)
-        ]
-        spec = _subscripts(
-            [
-                ["j1", "j2", "j3", "a1"],
-                ["j3", "j4", "j5", "a2"],
-                ["j5", "j6", "j1", "a3"],
-                ["j6", "j4", "j2", "a4"],
-            ],
-            ["j1", "j2", "j3", "j4", "j5", "j6", "a1", "a2", "a3", "a4"],
-        )
-        return np.einsum(spec, *conds) > 0
 
 
 class _Runner:

@@ -59,6 +59,24 @@ class TestGroundDim:
         assert "edge" in report["error"]
         assert "1/2" in report["error"]
 
+    def test_projector_formed_once(self, capsys, monkeypatch):
+        from rlw.operators import StringNetModel
+
+        calls = []
+        original = StringNetModel.ground_projector
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StringNetModel, "ground_projector", counted)
+        code, report, _ = run(
+            capsys, "ground-dim", "--family", "P:2:1",
+            "--surface", "torus:theta", "--holonomy", "1/5,2/5",
+        )
+        assert code == 0 and report["ground_dim"] == 4
+        assert len(calls) == 1
+
     def test_bad_surface_exits_two(self, capsys):
         code, _, _ = run(
             capsys, "ground-dim", "--family", "P:2:1",

@@ -1,5 +1,6 @@
 """Plaquette operators, the Hamiltonian, and its spectrum."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,11 @@ from rlw import (
     AdmissibilityError,
     BuiltinFamily,
     GaugeAdmissibilityError,
+    LWData,
     ProbeSearchError,
     QMODZ,
     RecordingData,
+    TableData,
     build_genus,
     build_torus,
     coloring_from_holonomy,
@@ -32,6 +35,44 @@ FAMILIES = {
     "M21": BuiltinFamily("M", 2, 1.0),
     "F212": BuiltinFamily("F", 2, 1.0, 2.0),
 }
+
+
+class ForcedMultiplicity(LWData):
+    """Multiplicity-free data that reports a branching bound of 2.
+
+    The bound alone selects the plaquette walk's multiplicity path, so
+    that path can be checked against the multiplicity-free one.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.signature = base.signature
+        self.singular = base.singular
+
+    @property
+    def mult_bound(self):
+        return 2
+
+    def labels(self, g):
+        return self.base.labels(g)
+
+    def label_index(self, label):
+        return self.base.label_index(label)
+
+    def dual(self, label):
+        return self.base.dual(label)
+
+    def delta(self, i, j, k):
+        return self.base.delta(i, j, k)
+
+    def gamma(self, i, j, k, n):
+        return self.base.gamma(i, j, k, n)
+
+    def sixj(self, js, a):
+        return self.base.sixj(js, a)
+
+    def probe_degrees(self):
+        return self.base.probe_degrees()
 
 
 @pytest.fixture
@@ -114,6 +155,45 @@ class TestPlaquetteAlgebra:
                 assert np.linalg.norm((left @ right - right @ left).matrix) <= 1e-12
             for diag in qs:
                 assert np.linalg.norm((left @ diag - diag @ left).matrix) <= 1e-12
+
+
+class TestWalkPaths:
+    @pytest.mark.parametrize("name", FAMILIES, ids=FAMILIES)
+    def test_multiplicity_path_matches(self, name, theta_coloring):
+        fam = FAMILIES[name]
+        plain = StringNetModel(fam, theta_coloring)
+        forced = StringNetModel(ForcedMultiplicity(fam), theta_coloring)
+        assert forced.space().basis == plain.space().basis
+        for p in plain.graph.plaquettes:
+            diff = forced.plaquette_B(p).matrix - plain.plaquette_B(p).matrix
+            assert np.abs(diff).max() <= 1e-12
+        assert forced.ground_dim() == plain.ground_dim()
+
+    def test_off_support_table_entries_are_ignored(self, theta_coloring):
+        # stored 6j entries outside the delta support read as zero.  Every
+        # walk branch through one off-support corner dies at another
+        # corner, so a single planted entry would never show; plant all
+        # of them in the blocks the walk reads.
+        rec = RecordingData(FAMILIES["P21"])
+        model = StringNetModel(rec, theta_coloring)
+        want = [model.plaquette_B(p).matrix for p in model.graph.plaquettes]
+        clean = rec.export_table()
+        by_id = {l.id: l for g in clean.degrees() for l in clean.labels(g)}
+        planted = clean.to_dict()
+        blocks = {tuple(by_id[i].degree for i in e["j"]) for e in planted["sixj"]}
+        for degs in sorted(blocks, key=str):
+            for js in itertools.product(*(clean.labels(g) for g in degs)):
+                if not clean.sixj_support(js, (1, 1, 1, 1)):
+                    planted["sixj"].append(
+                        {"j": [j.id for j in js], "a": [1, 1, 1, 1], "re": 5.0, "im": 0.0}
+                    )
+        table = TableData.from_dict(planted)
+        # blocks stay unmasked, so the validator's support check sees them
+        assert all((table.sixj_block(degs) == 5.0).any() for degs in blocks)
+        for data in (clean, table):
+            replay = StringNetModel(data, theta_coloring, probe=model.probe)
+            for p, matrix in zip(replay.graph.plaquettes, want):
+                assert np.array_equal(replay.plaquette_B(p).matrix, matrix)
 
 
 class TestExactForms:
