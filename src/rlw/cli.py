@@ -8,10 +8,9 @@ pass, 1 a check failed or the run hit an inadmissible/unstable input,
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -67,26 +66,7 @@ class RunConfig:
     strict_fusion: bool = False
     max_tuples: int = 4096
     seed: int = 0
-    threads: Optional[int] = None
     out: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "family": self.family,
-            "data": self.data,
-            "degrees": list(self.degrees),
-            "surface": self.surface,
-            "holonomy": list(self.holonomy),
-            "probe": self.probe,
-            "tol": self.tol,
-            "dim_cap": self.dim_cap,
-            "strict_fusion": self.strict_fusion,
-            "max_tuples": self.max_tuples,
-            "seed": self.seed,
-            "threads": self.threads,
-            "out": self.out,
-        }
 
 
 def _split_csv(text: str) -> List[str]:
@@ -113,7 +93,6 @@ def _parser() -> argparse.ArgumentParser:
         source.add_argument("--data", help="path to a JSON data table")
         sub.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
         sub.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        sub.add_argument("--threads", type=int, default=None, help="worker cap (or env RLW_THREADS)")
         sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
     def add_surface(sub):
@@ -153,20 +132,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> Tuple[RunConfig, LWData]:
-    threads = args.threads
-    if threads is None and os.environ.get("RLW_THREADS"):
-        threads = int(os.environ["RLW_THREADS"])
     config = RunConfig(
         command=args.command,
         family=args.family,
         data=args.data,
         tol=args.tol,
         seed=args.seed,
-        threads=threads,
         out=args.out,
     )
-    if config.threads is not None and config.threads < 1:
-        raise DataFormatError("--threads must be at least 1")
     if args.command == "validate":
         config.degrees = _split_csv(args.degrees)
         config.max_tuples = args.max_tuples
@@ -464,14 +437,10 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.threads is not None:
-        # advisory: BLAS pools read these at startup, workers respect them
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(config.threads))
     envelope = {
         "command": config.command,
         "version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
     }
     started = time.perf_counter()
     try:
@@ -487,7 +456,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    envelope["config"] = config.to_dict()  # pick up resolved fallbacks
+    envelope["config"] = asdict(config)  # pick up resolved fallbacks
     envelope.update(body)
     _emit(envelope, config.out)
     status = "ok" if ok else "FAILED"

@@ -161,7 +161,8 @@ class LWData:
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
         """gamma over labels(g1..g3) and n in 1..mult_bound, zero-padded
         outside the delta range (the pad is only ever multiplied against
-        6j entries that vanish there)."""
+        6j entries that vanish there).  An entry inside the delta range
+        that the data lacks raises `MissingDataError`, as `gamma` does."""
         ls = [self.labels(g) for g in (g1, g2, g3)]
         m = self.mult_bound
         out = np.zeros(tuple(map(len, ls)) + (m,))
@@ -195,9 +196,6 @@ class LWData:
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         """Candidate degrees for plaquette probes, most preferred first."""
-        raise NotImplementedError
-
-    def describe(self) -> dict:
         raise NotImplementedError
 
 
@@ -381,12 +379,6 @@ class BuiltinFamily(LWData):
                     if self.singular.is_generic(g):
                         yield g
 
-    def describe(self) -> dict:
-        out = {"family": self.kind, "N": self.N, "c": self.c}
-        if self.kind == "F":
-            out["gamma0"] = self.gamma0
-        return out
-
     def __repr__(self):
         extra = f",{self.gamma0}" if self.kind == "F" else ""
         return f"BuiltinFamily({self.kind}:{self.N}:{self.c}{extra})"
@@ -554,8 +546,19 @@ class TableData(LWData):
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
         ls = [self.labels(g) for g in (g1, g2, g3)]
         out = np.zeros(tuple(map(len, ls)) + (self.mult_bound,))
+        stored = np.zeros(out.shape, dtype=bool)
         for i, j, k, n, v in self._gamma_buckets.get((g1, g2, g3), ()):
-            out[self._index[i], self._index[j], self._index[k], n - 1] = v
+            idx = (self._index[i], self._index[j], self._index[k], n - 1)
+            out[idx], stored[idx] = v, True
+        bounds = self.delta_block(g1, g2, g3)
+        in_range = np.arange(1, out.shape[3] + 1) <= bounds[..., None]
+        missing = np.argwhere(in_range & ~stored)
+        if len(missing):
+            x, y, z, n = missing[0]
+            raise MissingDataError(
+                f"gamma missing for ({ls[0][x].id},{ls[1][y].id},{ls[2][z].id})"
+                f" at n={n + 1} inside delta range {bounds[x, y, z]}"
+            )
         return out
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
@@ -569,16 +572,6 @@ class TableData(LWData):
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         return iter(self.degrees())
-
-    def describe(self) -> dict:
-        out = {
-            "source": "table",
-            "label_count": len(self._by_id),
-            "degree_count": len(self._by_degree),
-        }
-        if self.source:
-            out["path"] = self.source
-        return out
 
     # -- (de)serialization -------------------------------------------------
 
@@ -775,9 +768,6 @@ class RecordingData(LWData):
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         return self.base.probe_degrees()
-
-    def describe(self) -> dict:
-        return dict(self.base.describe(), recording=True)
 
     def export_table(self) -> TableData:
         degrees = set(self._degrees)

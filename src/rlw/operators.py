@@ -27,10 +27,12 @@ breadth-first over every string s of degree g and every source column
 at once: a frontier of numpy arrays (string, column, chosen label
 indices, amplitude) grows by one walk position per step, takes in the
 corners whose labels are complete, and sheds its zero amplitudes; the
-survivors are scattered into the matrix.  Data with a branching bound
-above 1 (`mult_bound > 1`) instead takes `_dfs_general`, a depth-first
-search per column that reads 6j symbols pointwise and contracts the
-branching slots with einsum at each leaf.
+survivors are located in the target basis by `StateSpace.rows` and
+scattered into the matrix.  Data with a branching bound above 1
+(`mult_bound > 1`) instead takes `_dfs_general`, a depth-first search
+per column that reads labels, duals and 6j symbols pointwise and
+contracts the branching slots with einsum at each leaf.  Both read the
+basis from the spaces' `label_array`/`slot_array`.
 
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
@@ -215,7 +217,7 @@ class StringNetModel:
         self, v: int, coloring: Optional[Coloring] = None
     ) -> LinearOperator:
         space = self.space(coloring)
-        diag = np.array([1.0 if st[1][v] >= 1 else 0.0 for st in space.basis])
+        diag = (space.slot_array[:, v] >= 1).astype(float)
         return LinearOperator(space, space, np.diag(diag).astype(complex))
 
     # -- plaquette moves --------------------------------------------------------
@@ -418,13 +420,10 @@ class StringNetModel:
                 out[:, t // 2] = chosen[i] if t % 2 == 0 else perm_new[i][chosen[i]]
         slots = src.slot_array[col]
         slots[:, walk.vertices] = 1
-        rows = [
-            dst.index.get(state)
-            for state in zip(map(tuple, out.tolist()), map(tuple, slots.tolist()))
-        ]
-        if None in rows:
+        rows = dst.rows(out, slots)
+        if (rows < 0).any():
             raise InstabilityError("plaquette move left the target space")
-        np.add.at(matrix, (np.array(rows, dtype=np.intp), col), b[string] * amp)
+        np.add.at(matrix, (rows, col), b[string] * amp)
 
     def _corner_table(self, degs):
         """Multiplicity-free 6j over the six label axes of one corner.
@@ -483,27 +482,33 @@ class StringNetModel:
         spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
         last = {e: i for i, e in enumerate(walk.edges)}
 
-        def o_label(i, state):
+        values = src.coloring.values
+
+        def along(h, col):  # label read along dart h in source column col
+            lab = data.labels(values[h // 2])[src.label_array[col, h // 2]]
+            return lab if h % 2 == 0 else data.dual(lab)
+
+        def o_label(i, col):
             if walk.first[i] == i:
-                return src.label_along(state, walk.darts[i])
+                return along(walk.darts[i], col)
             return data.dual(chosen[walk.first[i]])
 
-        def leg_label(c, state):
+        def leg_label(c, col):
             if c.leg_pos is None:
-                return src.label_along(state, c.leg)
+                return along(c.leg, col)
             m = c.leg_pos
-            lab = chosen[m] if leg_uses_new[c.pos] else o_label(m, state)
+            lab = chosen[m] if leg_uses_new[c.pos] else o_label(m, col)
             return lab if c.leg_direct else data.dual(lab)
 
-        def block(c, state):
+        def block(c, col):
             i = c.pos
             nxt = (i + 1) % n
             js = (
                 chosen[i],
                 s,
-                o_label(i, state),
-                data.dual(o_label(nxt, state)),
-                leg_label(c, state),
+                o_label(i, col),
+                data.dual(o_label(nxt, col)),
+                leg_label(c, col),
                 data.dual(chosen[nxt]),
             )
             arr = np.zeros((mb,) * 4, dtype=complex)
@@ -511,52 +516,50 @@ class StringNetModel:
                 arr[idx] = data.sixj(js, tuple(a + 1 for a in idx))
             arr *= chosen[i].d
             if i in first_visit:
-                arr = arr[:, state[1][c.vertex] - 1, :, :]
+                arr = arr[:, src.slot_array[col, c.vertex] - 1, :, :]
             return arr
 
-        def out_labels(state):
-            labels = list(state[0])
+        def out_labels(col):
+            labels = src.label_array[col].copy()
             for i, t in enumerate(walk.darts):
                 if last[t // 2] == i:
                     lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
                     labels[t // 2] = data.label_index(lab)
-            return tuple(labels)
+            return labels
 
-        def rec(j, acc, state, col_idx):
+        def rec(j, acc, col):
             if j == n:
                 ordered = [arr for _, arr in sorted(acc, key=lambda t: t[0])]
                 amps = np.einsum(spec, *ordered)
-                labels = out_labels(state)
+                labels = out_labels(col)
                 for idx in np.ndindex(amps.shape):
                     amp = amps[idx]
                     if amp == 0:
                         continue
-                    out_slots = list(state[1])
-                    for v, a in zip(walk.vertices, idx):
-                        out_slots[v] = a + 1
-                    row = dst.index.get((labels, tuple(out_slots)))
-                    if row is None:
+                    out_slots = src.slot_array[col].copy()
+                    out_slots[walk.vertices] = np.array(idx) + 1
+                    row = dst.rows(labels[None], out_slots[None])[0]
+                    if row < 0:
                         raise InstabilityError(
                             "plaquette move left the target space"
                         )
-                    matrix[row, col_idx] += s.b * amp
+                    matrix[row, col] += s.b * amp
                 return
             for lab in candidates[j]:
                 chosen[j] = lab
                 grown = acc
                 dead = False
                 for ci in ready_at[j]:
-                    arr = block(walk.corners[ci], state)
+                    arr = block(walk.corners[ci], col)
                     if not arr.any():
                         dead = True
                         break
                     grown = grown + [(ci, arr)]
                 if not dead:
-                    rec(j + 1, grown, state, col_idx)
+                    rec(j + 1, grown, col)
 
-        for col_idx, state in enumerate(src.basis):
-            if all(state[1][v] > 0 for v in walk.vertices):
-                rec(0, [], state, col_idx)
+        for col in np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1)):
+            rec(0, [], col)
 
     # -- assembled model ---------------------------------------------------------
 

@@ -9,6 +9,17 @@ the vertex projector annihilates.  Strict spaces keep only slot 1 of
 admissible labelings and are available when every branching number is
 at most one.
 
+The basis is integer arrays, one row per state: `label_array[r, e]`
+indexes labels(Phi(e)) and `slot_array[r, v]` is the slot at v.  Rows
+run in lexicographic order of (labels, slots), which `rows` searches.
+Enumeration grows the labelings breadth-first over the edges in order,
+reading the branching number of each vertex from one delta block per
+inward-degree triple as soon as its last edge is labeled (inward labels
+on even darts are dualized with `dual_perm`).  It grows a chunk of rows
+at a time, so a space far over its cap fails before its frontier is
+built.  eta is read from the `scalar_vectors` and `gamma` blocks; a
+space queries its data only through its own `BlockCache`.
+
 The natural pairing is indefinite: <psi|phi> = <psi| eta^{-1} |phi>_+
 with eta the diagonal operator built from edge d/beta weights and
 vertex gamma weights.  Adjoints of operators between such spaces are
@@ -17,16 +28,26 @@ taken with respect to this pairing.
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional, Sequence
+import math
 
 import numpy as np
 
-from .data import Label, LWData
+from .data import BlockCache, LWData
 from .errors import DataFormatError, DimensionCapError
 from .surface import Coloring
 
 __all__ = ["StateSpace", "LinearOperator"]
+
+# labelings grown at once: bounds the frontier of a space far over its cap
+_CHUNK = 1024
+
+
+def _records(arr: np.ndarray) -> np.ndarray:
+    """Each row of an integer array as one record; records order
+    lexicographically, field by field."""
+    arr = np.ascontiguousarray(arr, dtype=np.intp)
+    fields = [(f"f{i}", np.intp) for i in range(arr.shape[1])]
+    return arr.view(np.dtype(fields)).reshape(len(arr))
 
 
 class StateSpace:
@@ -46,117 +67,99 @@ class StateSpace:
             )
         self.data = data
         self.coloring = coloring
-        self.graph = coloring.graph
+        self.graph = graph = coloring.graph
         self.strict = strict
-        self.edge_labels = tuple(
-            tuple(data.labels(v)) for v in coloring.values
-        )
-        graph = self.graph
-        self._triples = tuple(
-            graph.canonical_vertex_triple(v) for v in range(graph.num_vertices)
-        )
-
-        counts = [len(labs) for labs in self.edge_labels]
-        total = 1
-        for c in counts:
-            total *= c
+        values = coloring.values
+        nv = graph.num_vertices
+        counts = [len(data.labels(v)) for v in values]
+        total = math.prod(counts)
         if not strict and total > dim_cap:
             raise DimensionCapError(
                 f"at least {total} states (cap {dim_cap}); "
                 "raise the cap or use a strict space"
             )
-
+        blocks = BlockCache(data)
+        triples = [graph.canonical_vertex_triple(v) for v in range(nv)]
         # vertices become checkable once their last edge is assigned
-        finished_at = [[] for _ in range(graph.num_edges)]
-        for v in range(graph.num_vertices):
-            last = max(h // 2 for h in self._triples[v])
-            finished_at[last].append(v)
+        finished_at = [[] for _ in values]
+        for v, triple in enumerate(triples):
+            finished_at[max(h // 2 for h in triple)].append(v)
 
-        basis = []
-        etas = []
-        labeling = [0] * graph.num_edges
-        deltas = [0] * graph.num_vertices
+        def inward(lab, h):  # degree and label indices carried toward h's vertex
+            val, x = values[h // 2], lab[:, h // 2]
+            return (val, x) if h % 2 else (-val, blocks.perm(val)[x])
 
-        def emit():
-            weight = 1.0
-            gammas = []
-            for e, idx in enumerate(labeling):
-                lab = self.edge_labels[e][idx]
-                weight *= lab.d / lab.beta
-            for v in range(graph.num_vertices):
-                dv = deltas[v]
-                i, j, k = (self._inward(labeling, h) for h in self._triples[v])
-                col = [1.0] + [data.gamma(i, j, k, n) for n in range(1, dv + 1)]
-                gammas.append(col)
-            labels = tuple(labeling)
-            slot_ranges = [
-                range(1, deltas[v] + 1) if strict else range(deltas[v] + 1)
-                for v in range(graph.num_vertices)
-            ]
-            for slots in itertools.product(*slot_ranges):
-                g = 1.0
-                for v, s in enumerate(slots):
-                    g *= gammas[v][s]
-                basis.append((labels, slots))
-                etas.append(weight / g)
-                if len(basis) > dim_cap:
-                    raise DimensionCapError(
-                        f"more than {dim_cap} states; raise the cap"
-                    )
+        def inward_block(block, lab, v):
+            (g1, x1), (g2, x2), (g3, x3) = (inward(lab, h) for h in triples[v])
+            return block(g1, g2, g3)[x1, x2, x3]
 
-        def walk(e: int):
-            if e == graph.num_edges:
-                emit()
+        def grow(lab):
+            """Labelings extending the rows of `lab`, in order; strict
+            spaces drop a row once one of its vertices has delta 0."""
+            e = lab.shape[1]
+            if e == len(values):
+                yield lab
                 return
-            for idx in range(counts[e]):
-                labeling[e] = idx
-                ok = True
-                for v in finished_at[e]:
-                    deltas[v] = self._vertex_delta(labeling, v)
-                    if strict and deltas[v] < 1:
-                        ok = False
-                        break
-                if ok:
-                    walk(e + 1)
+            k = counts[e]
+            for lo in range(0, len(lab), _CHUNK):
+                part = lab[lo : lo + _CHUNK]
+                sub = np.column_stack(
+                    [np.repeat(part, k, axis=0), np.tile(np.arange(k), len(part))]
+                )
+                if strict:
+                    for v in finished_at[e]:
+                        sub = sub[inward_block(blocks.delta, sub, v) >= 1]
+                yield from grow(sub)
 
-        walk(0)
-        self.basis = tuple(basis)
-        self.dim = len(basis)
-        self.index = {state: i for i, state in enumerate(self.basis)}
-        # the basis as integer arrays: label index per edge, slot per vertex
-        self.label_array = np.array(
-            [st[0] for st in basis], dtype=np.intp
-        ).reshape(self.dim, graph.num_edges)
-        self.slot_array = np.array(
-            [st[1] for st in basis], dtype=np.intp
-        ).reshape(self.dim, graph.num_vertices)
-        self.eta = np.array(etas, dtype=float)
-        if self.dim and not np.all(self.eta):
+        labs = [np.zeros((0, len(values)), np.intp)]
+        degs = [np.zeros((0, nv), np.intp)]
+        dim = 0
+        for lab in grow(np.zeros((1, 0), np.intp)):
+            deg = np.array([inward_block(blocks.delta, lab, v) for v in range(nv)]).T
+            dim += int(np.prod(deg if strict else deg + 1, axis=1).sum())
+            if dim > dim_cap:
+                raise DimensionCapError(f"more than {dim_cap} states; raise the cap")
+            labs.append(lab)
+            degs.append(deg)
+        lab = np.concatenate(labs)
+        nslots = np.concatenate(degs) + (not strict)
+
+        # slots vary fastest, vertex 0 slowest: expand one vertex at a time
+        rep = np.arange(len(lab))
+        slots = np.zeros((len(lab), 0), np.intp)
+        for v in range(nv):
+            n = nslots[rep, v]
+            start = np.repeat(np.cumsum(n) - n, n)
+            rep, slots = np.repeat(rep, n), np.repeat(slots, n, axis=0)
+            slots = np.column_stack([slots, np.arange(len(rep)) - start + strict])
+
+        weight = np.ones(len(lab))
+        for e, val in enumerate(values):
+            d, _, beta = blocks.scalars(val)
+            weight = weight * (d / beta)[lab[:, e]]
+        lab = lab[rep]
+        gamma = np.ones(len(lab))
+        for v in range(nv):
+            s = slots[:, v]  # slot 0 reads gamma at n = m, and discards it
+            fused = inward_block(blocks.gamma, lab, v)[np.arange(len(s)), s - 1]
+            gamma = gamma * np.where(s > 0, fused, 1.0)
+
+        self.dim = len(lab)
+        self._basis = np.hstack([lab, slots])
+        self.label_array = self._basis[:, : len(values)]
+        self.slot_array = self._basis[:, len(values) :]
+        self.eta = weight[rep] / gamma
+        if not (np.isfinite(self.eta) & (self.eta != 0)).all():
             raise DataFormatError("eta is singular: some d, beta or gamma is zero")
 
-    # -- labeling helpers --------------------------------------------------
-
-    def _inward(self, labeling: Sequence[int], h: int) -> Label:
-        """Label carried toward the vertex holding dart h."""
-        lab = self.edge_labels[h // 2][labeling[h // 2]]
-        return self.data.dual(lab) if h % 2 == 0 else lab
-
-    def _vertex_delta(self, labeling: Sequence[int], v: int) -> int:
-        i, j, k = (self._inward(labeling, h) for h in self._triples[v])
-        return self.data.delta(i, j, k)
-
-    def label(self, state: tuple, e: int) -> Label:
-        return self.edge_labels[e][state[0][e]]
-
-    def label_along(self, state: tuple, h: int) -> Label:
-        lab = self.label(state, h // 2)
-        return lab if h % 2 == 0 else self.data.dual(lab)
-
-    def vertex_delta(self, state: tuple, v: int) -> int:
-        return self._vertex_delta(state[0], v)
-
-    def vertex_triple(self, v: int) -> tuple:
-        return self._triples[v]
+    def rows(self, labels: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Basis row of each state (labels[r], slots[r]); -1 where absent."""
+        keys = _records(np.hstack([labels, slots]))
+        basis = _records(self._basis)
+        pos = np.searchsorted(basis, keys)
+        hit = pos < self.dim
+        hit[hit] = basis[pos[hit]] == keys[hit]
+        return np.where(hit, pos, -1)
 
     def basis_vector(self, i: int) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)

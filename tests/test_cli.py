@@ -206,14 +206,6 @@ class TestPlumbing:
         assert report["config"]["tol"] == 1e-8
         assert report["config"]["holonomy"] == ["1/5", "2/5"]
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("RLW_THREADS", "2")
-        _, report, _ = run(
-            capsys, "ground-dim", "--family", "P:2:1",
-            "--surface", "torus:theta", "--holonomy", "1/5,2/5",
-        )
-        assert report["config"]["threads"] == 2
-
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as info:
             main(["ground-dim", "--family", "P:2:1", "--surface", "torus:theta"])

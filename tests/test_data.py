@@ -230,6 +230,16 @@ class TestTableData:
         with pytest.raises(MissingDataError):
             table.gamma(i2, j2, k2, 1)
 
+    def test_gamma_block_missing_in_range(self):
+        # the block keeps gamma's contract instead of zero-filling
+        fam = BuiltinFamily("P", 2, 1.0)
+        rec = RecordingData(fam)
+        i, j, k = _triple(fam)
+        rec.delta(i, j, k)
+        table = rec.export_table()
+        with pytest.raises(MissingDataError, match="inside delta range 1"):
+            table.gamma_block(i.degree, j.degree, k.degree)
+
     def test_malformed_tables(self):
         base = {
             "group": {"type": "product", "factors": [{"type": "QmodZ"}]},
