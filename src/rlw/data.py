@@ -419,7 +419,6 @@ class TableData(LWData):
         delta: dict,
         gamma: dict,
         sixj: dict,
-        source: Optional[str] = None,
     ):
         self.signature = signature
         self.singular = singular
@@ -455,7 +454,6 @@ class TableData(LWData):
         self._gamma = dict(gamma)
         self._sixj = dict(sixj)
         self._mult = max(self._delta.values(), default=0)
-        self.source = source
         # degree-bucketed views so block assembly touches only stored entries
         self._delta_buckets: dict = {}
         for (i, j, k), v in self._delta.items():
@@ -576,7 +574,7 @@ class TableData(LWData):
     # -- (de)serialization -------------------------------------------------
 
     @classmethod
-    def from_dict(cls, obj: dict, source: Optional[str] = None) -> "TableData":
+    def from_dict(cls, obj: dict) -> "TableData":
         _require(isinstance(obj, dict), "data table must be a JSON object")
         for key in ("group", "singular", "labels"):
             _require(key in obj, f"data table lacks {key!r}")
@@ -615,16 +613,7 @@ class TableData(LWData):
             sixj[key] = complex(
                 _real(row.get("re", 0), "sixj re"), _real(row.get("im", 0), "sixj im")
             )
-        return cls(signature, singular, labels, delta, gamma, sixj, source=source)
-
-    @classmethod
-    def from_file(cls, path: str) -> "TableData":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(obj, source=path)
+        return cls(signature, singular, labels, delta, gamma, sixj)
 
     def to_dict(self) -> dict:
         labels = []
@@ -871,7 +860,7 @@ def parse_family_spec(spec: str) -> BuiltinFamily:
     return BuiltinFamily(kind, N, c, gamma0)
 
 
-def data_from_config(obj: dict, source: Optional[str] = None) -> LWData:
+def data_from_config(obj: dict) -> LWData:
     if "family" in obj:
         kind = str(obj["family"])
         gamma0 = obj.get("gamma0")
@@ -881,7 +870,7 @@ def data_from_config(obj: dict, source: Optional[str] = None) -> LWData:
             float(obj.get("c", 1.0)),
             float(gamma0) if gamma0 is not None else None,
         )
-    return TableData.from_dict(obj, source=source)
+    return TableData.from_dict(obj)
 
 
 def load_data(path: str) -> LWData:
@@ -890,4 +879,4 @@ def load_data(path: str) -> LWData:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return data_from_config(obj, source=path)
+    return data_from_config(obj)

@@ -22,17 +22,17 @@ not on the basis state, so each corner reads one 6j block per degree
 tuple through the model's `BlockCache` (valued at its nonzero entries
 by the pointwise `sixj`, so stored off-support table entries stay
 zero), with labels as integer indices: duals via `dual_perm`,
-d-weights via `scalar_vectors`.  For multiplicity-free data the walk runs
+d-weights via `scalar_vectors`.  One walk serves all data: it runs
 breadth-first over every string s of degree g and every source column
-at once: a frontier of numpy arrays (string, column, chosen label
-indices, amplitude) grows by one walk position per step, takes in the
-corners whose labels are complete, and sheds its zero amplitudes; the
-survivors are located in the target basis by `StateSpace.rows` and
-scattered into the matrix.  Data with a branching bound above 1
-(`mult_bound > 1`) instead takes `_dfs_general`, a depth-first search
-per column that reads labels, duals and 6j symbols pointwise and
-contracts the branching slots with einsum at each leaf.  Both read the
-basis from the spaces' `label_array`/`slot_array`.
+at once.  A frontier of numpy arrays (string, column, chosen label
+indices, amplitude) grows by one walk position per step, contracts in
+the corners whose labels are complete, and sheds its zero amplitudes.
+Each amplitude is a tensor over the branching slots still open: the
+slots chain around the walk and across each vertex's visits, and only
+the output slot of each vertex survives to the end.  For
+multiplicity-free data every slot axis has size 1.  The survivors are
+located in the target basis by `StateSpace.rows` and scattered into
+the matrix.
 
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
@@ -43,7 +43,9 @@ jointly splitting the space along the commuting family.
 
 from __future__ import annotations
 
+import collections
 import itertools
+from string import ascii_letters
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -96,6 +98,15 @@ def choose_probe(data: LWData, coloring: Coloring) -> GroupElement:
     raise ProbeSearchError(
         "no probe degree keeps all shifted edge degrees generic"
     )
+
+
+def _subscripts(*groups) -> str:
+    """einsum subscripts "in,...->out" for groups of slot names, the last
+    group the output; each call names its own slots from the 52 letters."""
+    names = dict.fromkeys(itertools.chain(*groups))
+    letters = {s: ascii_letters[k] for k, s in enumerate(names)}
+    subs = ["".join(letters[s] for s in group) for group in groups]
+    return ",".join(subs[:-1]) + "->" + subs[-1]
 
 
 class _Corner:
@@ -274,7 +285,7 @@ class StringNetModel:
         data = self.data
         walk = self._walk(p)
         n = len(walk.darts)
-        strings = data.labels(g)  # first: a singular g stays a DomainError
+        data.labels(g)  # first: a singular g stays a DomainError
         col_values = src.coloring.values
 
         # degree bookkeeping is choice-independent: input-at-visit and
@@ -289,7 +300,7 @@ class StringNetModel:
                 o_deg[i] = g - o_deg[walk.first[i]]
         n_deg = [phi - g for phi in o_deg]
         try:
-            candidates = [data.labels(d) for d in n_deg]
+            candidates = [len(data.labels(d)) for d in n_deg]
         except DomainError as exc:
             # stored degrees can survive a shift (an edge walked both ways)
             # while the walk labels still pass through a singular degree
@@ -324,12 +335,6 @@ class StringNetModel:
         for i in range(n):
             ready_at[max(deps[i])].append(i)
 
-        if data.mult_bound > 1:
-            for s in strings:
-                self._dfs_general(
-                    s, src, dst, matrix, walk, candidates, ready_at, leg_uses_new
-                )
-            return
         self._contract(
             g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
         )
@@ -337,13 +342,14 @@ class StringNetModel:
     def _contract(
         self, g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
     ):
-        """Multiplicity-free walk over every string and source column at once.
+        """Breadth-first walk over every string and source column at once.
 
         The frontier holds one row per live partial labeling: the string
         index, the source column, the label index chosen at each position
-        so far, and the amplitude.  Step j extends every row by each
-        candidate at position j, multiplies in the corners whose labels
-        are then all known, and drops the rows whose amplitude vanished.
+        so far, and the amplitude, a tensor over the branching slots still
+        open.  Step j extends every row by each of the `candidates[j]`
+        labels at position j, contracts in the corners whose labels are
+        then all known, and drops the rows whose tensor vanished.
         """
         blocks = self.blocks
         n = len(walk.darts)
@@ -377,10 +383,27 @@ class StringNetModel:
         except DomainError as exc:
             raise GaugeAdmissibilityError(str(exc)) from exc
 
+        # branching slots of each corner, (a_i, c_in, c_out, a_i+1): the a
+        # slots chain around the walk and the c slots per vertex across its
+        # visits, (v, r) joining visits r and r+1.  A vertex's first c_in is
+        # its stored slot (None) and its last c_out, (v, visits - 1), is an
+        # output; every other slot is shared by two corners.
+        corner_slots = []
+        for c in walk.corners:
+            r = walk.visits[c.vertex].index(c.pos)
+            c_in = (c.vertex, r - 1) if r else None
+            a_in, a_out = ("a", c.pos), ("a", (c.pos + 1) % n)
+            corner_slots.append((a_in, c_in, (c.vertex, r), a_out))
+        outputs = [(v, len(walk.visits[v]) - 1) for v in walk.vertices]
+        uses = collections.Counter(outputs)
+        for ins in corner_slots:
+            uses.update(s for s in ins if s is not None)
+
         live = np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1))
         string = np.repeat(np.arange(len(b)), len(live))
         col = np.tile(live, len(b))
         amp = np.ones(len(col), dtype=complex)
+        axes = []  # the open slot of each amplitude axis after the row axis
         chosen = []
 
         def old(i):
@@ -388,8 +411,8 @@ class StringNetModel:
             return first_old[i][col] if f == i else perm_new[f][chosen[f]]
 
         for j in range(n):
-            k = len(candidates[j])
-            string, col, amp = (np.repeat(x, k) for x in (string, col, amp))
+            k = candidates[j]
+            string, col, amp = (np.repeat(x, k, axis=0) for x in (string, col, amp))
             chosen = [np.repeat(x, k) for x in chosen]
             chosen.append(np.tile(np.arange(k), len(amp) // k))
             for i in ready_at[j]:
@@ -402,16 +425,34 @@ class StringNetModel:
                     leg = chosen[m] if c.leg_direct else perm_new[m][chosen[m]]
                 else:
                     leg = old(m) if c.leg_direct else perm_old[m][old(m)]
-                vals = tables[i][
+                idx = (
                     chosen[i], string, old(i), perm_old[nxt][old(nxt)], leg,
                     perm_new[nxt][chosen[nxt]],
-                ]
-                amp = amp * (d_new[i][chosen[i]] * vals)
-            keep = np.flatnonzero(amp)
+                )
+                ins = corner_slots[i]
+                if ins[1] is None:
+                    # first visit: c_in at the stored slot; the slice splits
+                    # the advanced indices, so numpy puts the row axis first
+                    idx += (slice(None), src.slot_array[col, c.vertex] - 1)
+                    ins = ins[:1] + ins[2:]
+                vals = tables[i][idx]
+                d = d_new[i][chosen[i]].reshape((-1,) + (1,) * len(ins))
+                uses.subtract(ins)
+                kept = [s for s in dict.fromkeys(axes + list(ins)) if uses[s] > 0]
+                spec = _subscripts(["row"] + axes, ["row", *ins], ["row"] + kept)
+                amp = np.einsum(spec, amp, d * vals)
+                axes = kept
+            keep = np.flatnonzero(amp.reshape(len(amp), -1).any(axis=1))
             if len(keep) < len(amp):
                 string, col, amp = string[keep], col[keep], amp[keep]
                 chosen = [x[keep] for x in chosen]
 
+        # the open slots are the outputs: put them in vertex order and
+        # scatter every nonzero (row, output slots) entry
+        amp = amp.transpose([0] + [1 + axes.index(s) for s in outputs])
+        nz = np.nonzero(amp)
+        string, col = string[nz[0]], col[nz[0]]
+        chosen = [x[nz[0]] for x in chosen]
         # an edge's final label comes from its last visit
         last = {e: i for i, e in enumerate(walk.edges)}
         out = labels[col]
@@ -419,14 +460,14 @@ class StringNetModel:
             if last[t // 2] == i:
                 out[:, t // 2] = chosen[i] if t % 2 == 0 else perm_new[i][chosen[i]]
         slots = src.slot_array[col]
-        slots[:, walk.vertices] = 1
+        slots[:, walk.vertices] = np.column_stack(nz[1:]) + 1
         rows = dst.rows(out, slots)
         if (rows < 0).any():
             raise InstabilityError("plaquette move left the target space")
-        np.add.at(matrix, (rows, col), b[string] * amp)
+        np.add.at(matrix, (rows, col), b[string] * amp[nz])
 
     def _corner_table(self, degs):
-        """Multiplicity-free 6j over the six label axes of one corner.
+        """6j over the six label axes and four branching axes of one corner.
 
         The block gives the nonzero pattern and pointwise `sixj` gives the
         values, so an entry a table stores outside the delta support
@@ -434,132 +475,14 @@ class StringNetModel:
         """
         table = self._tables.get(degs)
         if table is None:
-            block = self.blocks.sixj(degs)[..., 0, 0, 0, 0]
+            block = self.blocks.sixj(degs)
             labels = [self.data.labels(d) for d in degs]
             table = np.zeros_like(block)
             for idx in zip(*np.nonzero(block)):
                 js = [ls[x] for ls, x in zip(labels, idx)]
-                table[idx] = self.data.sixj(js, (1, 1, 1, 1))
+                table[idx] = self.data.sixj(js, tuple(int(a) + 1 for a in idx[6:]))
             self._tables[degs] = table
         return table
-
-    def _dfs_general(
-        self, s, src, dst, matrix, walk, candidates, ready_at, leg_uses_new
-    ):
-        """Slot-multiplicity walk: a depth-first search per source column
-        that contracts the corner blocks at each leaf.
-
-        The A slots chain cyclically around the walk and the C slots chain
-        per vertex across its visits; first-visit C slots are sliced at the
-        stored value and last-visit ones stay free as the output axes.
-        """
-        data = self.data
-        n = len(walk.darts)
-        mb = data.mult_bound
-        chosen = [None] * n
-        pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-        a_letter = [next(pool) for _ in range(n)]
-        link_letter = {}
-        out_letter = {}
-        for v in walk.vertices:
-            seq = walk.visits[v]
-            for r in range(len(seq) - 1):
-                link_letter[seq[r], "out"] = link_letter[seq[r + 1], "in"] = next(pool)
-            out_letter[v] = next(pool)
-
-        subs, first_visit = [], set()
-        for c in walk.corners:
-            i = c.pos
-            seq = walk.visits[c.vertex]
-            sub = a_letter[i]
-            if i == seq[0]:
-                first_visit.add(i)
-            else:
-                sub += link_letter[i, "in"]
-            sub += out_letter[c.vertex] if i == seq[-1] else link_letter[i, "out"]
-            sub += a_letter[(i + 1) % n]
-            subs.append(sub)
-        spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
-        last = {e: i for i, e in enumerate(walk.edges)}
-
-        values = src.coloring.values
-
-        def along(h, col):  # label read along dart h in source column col
-            lab = data.labels(values[h // 2])[src.label_array[col, h // 2]]
-            return lab if h % 2 == 0 else data.dual(lab)
-
-        def o_label(i, col):
-            if walk.first[i] == i:
-                return along(walk.darts[i], col)
-            return data.dual(chosen[walk.first[i]])
-
-        def leg_label(c, col):
-            if c.leg_pos is None:
-                return along(c.leg, col)
-            m = c.leg_pos
-            lab = chosen[m] if leg_uses_new[c.pos] else o_label(m, col)
-            return lab if c.leg_direct else data.dual(lab)
-
-        def block(c, col):
-            i = c.pos
-            nxt = (i + 1) % n
-            js = (
-                chosen[i],
-                s,
-                o_label(i, col),
-                data.dual(o_label(nxt, col)),
-                leg_label(c, col),
-                data.dual(chosen[nxt]),
-            )
-            arr = np.zeros((mb,) * 4, dtype=complex)
-            for idx in np.ndindex(arr.shape):
-                arr[idx] = data.sixj(js, tuple(a + 1 for a in idx))
-            arr *= chosen[i].d
-            if i in first_visit:
-                arr = arr[:, src.slot_array[col, c.vertex] - 1, :, :]
-            return arr
-
-        def out_labels(col):
-            labels = src.label_array[col].copy()
-            for i, t in enumerate(walk.darts):
-                if last[t // 2] == i:
-                    lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
-                    labels[t // 2] = data.label_index(lab)
-            return labels
-
-        def rec(j, acc, col):
-            if j == n:
-                ordered = [arr for _, arr in sorted(acc, key=lambda t: t[0])]
-                amps = np.einsum(spec, *ordered)
-                labels = out_labels(col)
-                for idx in np.ndindex(amps.shape):
-                    amp = amps[idx]
-                    if amp == 0:
-                        continue
-                    out_slots = src.slot_array[col].copy()
-                    out_slots[walk.vertices] = np.array(idx) + 1
-                    row = dst.rows(labels[None], out_slots[None])[0]
-                    if row < 0:
-                        raise InstabilityError(
-                            "plaquette move left the target space"
-                        )
-                    matrix[row, col] += s.b * amp
-                return
-            for lab in candidates[j]:
-                chosen[j] = lab
-                grown = acc
-                dead = False
-                for ci in ready_at[j]:
-                    arr = block(walk.corners[ci], col)
-                    if not arr.any():
-                        dead = True
-                        break
-                    grown = grown + [(ci, arr)]
-                if not dead:
-                    rec(j + 1, grown, col)
-
-        for col in np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1)):
-            rec(0, [], col)
 
     # -- assembled model ---------------------------------------------------------
 

@@ -203,7 +203,7 @@ class TestTableData:
         table = rec.export_table()
         path = tmp_path / "slice.json"
         table.to_file(str(path))
-        back = TableData.from_file(str(path))
+        back = load_data(str(path))
         assert back.to_dict() == table.to_dict()
         assert back.mult_bound == 1
         lbl = back.labels(F15)[0]

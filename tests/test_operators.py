@@ -1,6 +1,8 @@
 """Plaquette operators, the Hamiltonian, and its spectrum."""
 
 import itertools
+import types
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from rlw import (
     AdmissibilityError,
     BuiltinFamily,
     GaugeAdmissibilityError,
+    InstabilityError,
     LWData,
     ProbeSearchError,
     QMODZ,
@@ -40,8 +43,8 @@ FAMILIES = {
 class ForcedMultiplicity(LWData):
     """Multiplicity-free data that reports a branching bound of 2.
 
-    The bound alone selects the plaquette walk's multiplicity path, so
-    that path can be checked against the multiplicity-free one.
+    The bound alone gives every branching slot axis of the plaquette walk
+    size 2, so that walk can be checked against its size-1 form.
     """
 
     def __init__(self, base):
@@ -73,6 +76,152 @@ class ForcedMultiplicity(LWData):
 
     def probe_degrees(self):
         return self.base.probe_degrees()
+
+
+class DoubledMultiplicity(ForcedMultiplicity):
+    """Data with real branching multiplicity, built from a
+    multiplicity-free family: every delta doubled, gamma at n = 2 copied
+    from n = 1, and each in-range 6j slot tuple scaled by a fixed
+    pseudo-random complex weight.  Its plaquette moves are no projectors;
+    they give the walk nonzero entries on every slot axis to contract.
+    """
+
+    def delta(self, i, j, k):
+        return 2 * self.base.delta(i, j, k)
+
+    def gamma(self, i, j, k, n):
+        return self.base.gamma(i, j, k, 1 if n == 2 else n)
+
+    def sixj(self, js, a):
+        if not self.sixj_support(js, a):
+            return 0j
+        # keyed on ids and ints: repr(np.int64(1)) is not repr(1)
+        key = repr((tuple(j.id for j in js), tuple(int(n) for n in a)))
+        rng = np.random.default_rng(zlib.crc32(key.encode()))
+        weight = complex(*rng.uniform(-1.0, 1.0, 2))
+        return self.base.sixj(js, (1, 1, 1, 1)) * weight
+
+
+def reference_walk(
+    self, g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+):
+    """Depth-first reference for `StringNetModel._contract`, with its
+    signature: one source column and one string at a time, labels, duals
+    and 6j symbols read pointwise, and the branching slots of all corners
+    contracted by one einsum at each leaf.
+
+    The A slots chain cyclically around the walk and the C slots chain
+    per vertex across its visits; first-visit C slots are sliced at the
+    stored value and last-visit ones stay free as the output axes.
+    """
+    data = self.data
+    n = len(walk.darts)
+    mb = data.mult_bound
+    labels_at = [data.labels(d) for d in n_deg]
+    assert [len(ls) for ls in labels_at] == candidates
+    chosen = [None] * n
+    pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    a_letter = [next(pool) for _ in range(n)]
+    link_letter = {}
+    out_letter = {}
+    for v in walk.vertices:
+        seq = walk.visits[v]
+        for r in range(len(seq) - 1):
+            link_letter[seq[r], "out"] = link_letter[seq[r + 1], "in"] = next(pool)
+        out_letter[v] = next(pool)
+
+    subs, first_visit = [], set()
+    for c in walk.corners:
+        i = c.pos
+        seq = walk.visits[c.vertex]
+        sub = a_letter[i]
+        if i == seq[0]:
+            first_visit.add(i)
+        else:
+            sub += link_letter[i, "in"]
+        sub += out_letter[c.vertex] if i == seq[-1] else link_letter[i, "out"]
+        sub += a_letter[(i + 1) % n]
+        subs.append(sub)
+    spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
+    last = {e: i for i, e in enumerate(walk.edges)}
+
+    values = src.coloring.values
+
+    def along(h, col):  # label read along dart h in source column col
+        lab = data.labels(values[h // 2])[src.label_array[col, h // 2]]
+        return lab if h % 2 == 0 else data.dual(lab)
+
+    def o_label(i, col):
+        if walk.first[i] == i:
+            return along(walk.darts[i], col)
+        return data.dual(chosen[walk.first[i]])
+
+    def leg_label(c, col):
+        if c.leg_pos is None:
+            return along(c.leg, col)
+        m = c.leg_pos
+        lab = chosen[m] if leg_uses_new[c.pos] else o_label(m, col)
+        return lab if c.leg_direct else data.dual(lab)
+
+    def block(s, c, col):
+        i = c.pos
+        nxt = (i + 1) % n
+        js = (
+            chosen[i],
+            s,
+            o_label(i, col),
+            data.dual(o_label(nxt, col)),
+            leg_label(c, col),
+            data.dual(chosen[nxt]),
+        )
+        arr = np.zeros((mb,) * 4, dtype=complex)
+        for idx in np.ndindex(arr.shape):
+            arr[idx] = data.sixj(js, tuple(a + 1 for a in idx))
+        arr *= chosen[i].d
+        if i in first_visit:
+            arr = arr[:, src.slot_array[col, c.vertex] - 1, :, :]
+        return arr
+
+    def out_labels(col):
+        labels = src.label_array[col].copy()
+        for i, t in enumerate(walk.darts):
+            if last[t // 2] == i:
+                lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
+                labels[t // 2] = data.label_index(lab)
+        return labels
+
+    def rec(s, j, acc, col):
+        if j == n:
+            ordered = [arr for _, arr in sorted(acc, key=lambda t: t[0])]
+            amps = np.einsum(spec, *ordered)
+            labels = out_labels(col)
+            for idx in np.ndindex(amps.shape):
+                amp = amps[idx]
+                if amp == 0:
+                    continue
+                out_slots = src.slot_array[col].copy()
+                out_slots[walk.vertices] = np.array(idx) + 1
+                row = dst.rows(labels[None], out_slots[None])[0]
+                if row < 0:
+                    raise InstabilityError("plaquette move left the target space")
+                matrix[row, col] += s.b * amp
+            return
+        for lab in labels_at[j]:
+            chosen[j] = lab
+            grown = acc
+            dead = False
+            for ci in ready_at[j]:
+                arr = block(s, walk.corners[ci], col)
+                if not arr.any():
+                    dead = True
+                    break
+                grown = grown + [(ci, arr)]
+            if not dead:
+                rec(s, j + 1, grown, col)
+
+    for s in data.labels(g):
+        for col in np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1)):
+            rec(s, 0, [], col)
 
 
 @pytest.fixture
@@ -170,6 +319,35 @@ class TestWalkPaths:
             assert np.abs(diff).max() <= 1e-12
         assert forced.ground_dim() == plain.ground_dim()
 
+    @pytest.mark.parametrize("name", ["P21", "F212"])
+    def test_real_multiplicity_matches_reference(self, name, theta_coloring):
+        data = DoubledMultiplicity(FAMILIES[name])
+        model = StringNetModel(data, theta_coloring)
+        ref = StringNetModel(data, theta_coloring, probe=model.probe)
+        ref._contract = types.MethodType(reference_walk, ref)
+        p = model.graph.plaquettes[0]
+        g = model.probe
+        for h, col in ((-g, theta_coloring), (g, gauge_shift(theta_coloring, p, g))):
+            got = model.plaquette_Bg(p, h, col)
+            want = ref.plaquette_Bg(p, h, col).matrix
+            assert np.abs(got.matrix - want).max() <= 1e-12 * np.abs(want).max()
+            # the move connects slot-2 states, so every slot axis is live
+            rows, cols = np.nonzero(got.matrix)
+            assert (got.dst.slot_array[rows] == 2).any()
+            assert (got.src.slot_array[cols] == 2).any()
+
+    def test_forced_multiplicity_genus_two(self):
+        # the inclusive genus-2 space, dim 5840, with size-2 slot axes
+        holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
+        col = coloring_from_holonomy(build_genus(2), holonomy)
+        plain = StringNetModel(FAMILIES["P21"], col)
+        forced = StringNetModel(ForcedMultiplicity(FAMILIES["P21"]), col)
+        assert plain.space().dim == 5840
+        g = plain.probe
+        assert np.array_equal(
+            forced.plaquette_Bg(0, g).matrix, plain.plaquette_Bg(0, g).matrix
+        )
+
     def test_off_support_table_entries_are_ignored(self, theta_coloring):
         # stored 6j entries outside the delta support read as zero.  Every
         # walk branch through one off-support corner dies at another
@@ -205,15 +383,17 @@ class TestExactForms:
         want = np.diag((space.slot_array == 1).all(axis=1).astype(float)).astype(complex)
         assert np.array_equal(model.plaquette_B(0).matrix, want)
 
-    def test_genus_two_single_face(self):
-        holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
-        col = coloring_from_holonomy(build_genus(2), holonomy)
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_genus_two_single_face(self, genus):
+        holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"), q("1/11"), q("2/11"))
+        col = coloring_from_holonomy(build_genus(genus), holonomy[: 2 * genus])
         model = StringNetModel(FAMILIES["P21"], col, strict=True)
         dim = model.space().dim
-        assert dim == 16
-        # the 18-corner walk around the unique face collapses to the identity
+        assert dim == 2 ** (2 * genus)
+        # the walk around the unique face (18 corners at genus 2, 30 at
+        # genus 3) collapses to the identity
         assert np.array_equal(model.plaquette_B(0).matrix, np.eye(dim))
-        assert model.ground_dim() == 16
+        assert model.ground_dim() == dim
 
     def test_vertex_projector_diagonal(self, theta_coloring):
         model = StringNetModel(FAMILIES["P32"], theta_coloring)
