@@ -7,8 +7,8 @@ symbols N.  Two providers implement the same interface: closed-form
 built-in families and file-backed finite tables.  A recording wrapper
 captures the slice of a provider actually used by a computation so it
 can be exported and replayed from a table.  `BlockCache` is the one
-cached, degree-blocked read path that the validator and the plaquette
-walk share.
+cached, degree-blocked read path (interned degrees, read-only blocks)
+that the validator, the plaquette walk and the state spaces share.
 
 Conventions baked into the interface:
 
@@ -246,6 +246,7 @@ class BuiltinFamily(LWData):
         self._label_cache: dict = {}
         self._apart_cache: dict = {}
         self._dual_cache: dict = {}
+        self._blocks: dict = {}
 
     @property
     def mult_bound(self) -> int:
@@ -329,7 +330,8 @@ class BuiltinFamily(LWData):
             return 0j
         return self._sixj_val
 
-    # vectorized blocks: delta support over a-parts via modular sums
+    # vectorized blocks: the delta support over a-parts depends on no
+    # degree, so every call returns one of a few shared read-only blocks
 
     def _apart_grid(self, k: int):
         return [
@@ -337,39 +339,54 @@ class BuiltinFamily(LWData):
             for i in range(k)
         ]
 
+    def _values(self, degs) -> list:
+        for g in degs:
+            if self._degkey(g) not in self._label_cache:
+                self.labels(g)  # checks the degree, once
+        return [g.values[0] for g in degs]
+
+    def _shared(self, kind: str, meets: bool = True) -> np.ndarray:
+        """The one "delta" or "sixj" block of every degree tuple that meets
+        the degree constraint, the one zero block of every tuple that does
+        not, or the one "perm"."""
+        block = self._blocks.get((kind, meets))
+        if block is None:
+            n = self.N
+            if not meets:
+                block = np.zeros_like(self._shared(kind))
+            elif kind == "perm":
+                block = (-np.arange(n)) % n
+            elif kind == "sixj":
+                x1, x2, x3, x4, x5, x6 = self._apart_grid(6)
+                support = (
+                    ((x1 + x2 - x3) % n == 0)
+                    & ((x3 + x4 - x5) % n == 0)
+                    & ((x5 - x6 - x1) % n == 0)
+                    & ((x6 - x4 - x2) % n == 0)
+                )
+                block = (self._sixj_val * support).reshape((n,) * 6 + (1,) * 4)
+            else:
+                x1, x2, x3 = self._apart_grid(3)
+                block = ((x1 + x2 + x3) % n == 0).astype(int)
+            block.flags.writeable = False
+            self._blocks[kind, meets] = block
+        return block
+
     def delta_block(self, g1, g2, g3) -> np.ndarray:
-        for g in (g1, g2, g3):
-            self.check_degree(g)
-        if not (g1 + g2 + g3).is_zero:
-            return np.zeros((self.N,) * 3, dtype=int)
-        x1, x2, x3 = self._apart_grid(3)
-        return ((x1 + x2 + x3) % self.N == 0).astype(int)
+        v1, v2, v3 = self._values((g1, g2, g3))
+        return self._shared("delta", (v1 + v2 + v3).denominator == 1)
 
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
         return (self._gamma * self.delta_block(g1, g2, g3)).astype(float)[..., None]
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        g1, g2, g3, g4, g5, g6 = [self.check_degree(g) for g in degs]
-        shape = (self.N,) * 6 + (1,) * 4
-        if not (
-            (g1 + g2 - g3).is_zero
-            and (g3 + g4 - g5).is_zero
-            and (g5 - g6 - g1).is_zero
-            and (g6 - g4 - g2).is_zero
-        ):
-            return np.zeros(shape, dtype=complex)
-        x1, x2, x3, x4, x5, x6 = self._apart_grid(6)
-        support = (
-            ((x1 + x2 - x3) % self.N == 0)
-            & ((x3 + x4 - x5) % self.N == 0)
-            & ((x5 - x6 - x1) % self.N == 0)
-            & ((x6 - x4 - x2) % self.N == 0)
-        )
-        return (self._sixj_val * support).reshape(shape)
+        v1, v2, v3, v4, v5, v6 = self._values(degs)
+        sums = (v1 + v2 - v3, v3 + v4 - v5, v5 - v6 - v1, v6 - v4 - v2)
+        return self._shared("sixj", all(s.denominator == 1 for s in sums))
 
     def dual_perm(self, g: GroupElement) -> np.ndarray:
-        self.check_degree(g)
-        return (-np.arange(self.N)) % self.N
+        self._values((g,))
+        return self._shared("perm")
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         for den in itertools.count(2):
@@ -780,65 +797,90 @@ _SUPPORT_SPEC = "abcd,cefg,fhai,hebj->abcefhdgij"
 
 
 class BlockCache:
-    """Degree blocks of one provider, each fetched once and kept.
+    """Degree blocks of one provider, each fetched once and kept read-only.
 
-    Keys are degree tuples; values are the provider's `*_block`,
-    `dual_perm` and `scalar_vectors` arrays, unchanged.  The validator
-    and the plaquette walk both read the data through one of these.
+    Degrees are interned as small ints: `id(g)` and `element(i)` map
+    between them, `add` and `neg` are memoized and `generic[i]` is the
+    singular-set test of id i, made once.  Block accessors take ids; the
+    provider's `*_block`, `dual_perm` and `scalar_vectors` are called with
+    the degrees once per distinct key.  The validator, the plaquette walk
+    and the state spaces all read the data through one of these.
     """
 
     def __init__(self, data: LWData):
         self.data = data
-        self._delta: dict = {}
-        self._gamma: dict = {}
-        self._sixj: dict = {}
-        self._perm: dict = {}
-        self._scalars: dict = {}
+        self._ids: dict = {}
+        self._elements: list = []
+        self.generic: list = []
+        self._add: dict = {}
+        self._neg: dict = {}
+        self._blocks: dict = {}  # (accessor, ids) -> the provider's arrays
 
-    def delta(self, g1, g2, g3) -> np.ndarray:
-        key = (g1, g2, g3)
-        if key not in self._delta:
-            self._delta[key] = self.data.delta_block(g1, g2, g3)
-        return self._delta[key]
+    def id(self, g: GroupElement) -> int:
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self._elements)
+            self._elements.append(g)
+            self.generic.append(self.data.singular.is_generic(g))
+        return i
 
-    def gamma(self, g1, g2, g3) -> np.ndarray:
-        key = (g1, g2, g3)
-        if key not in self._gamma:
-            self._gamma[key] = self.data.gamma_block(g1, g2, g3)
-        return self._gamma[key]
+    def element(self, i: int) -> GroupElement:
+        return self._elements[i]
 
-    def sixj(self, degs: Tuple[GroupElement, ...]) -> np.ndarray:
-        if degs not in self._sixj:
-            self._sixj[degs] = self.data.sixj_block(degs)
-        return self._sixj[degs]
+    def add(self, i: int, j: int) -> int:
+        k = self._add.get((i, j))
+        if k is None:
+            k = self._add[i, j] = self.id(self._elements[i] + self._elements[j])
+        return k
 
-    def perm(self, g: GroupElement) -> np.ndarray:
-        if g not in self._perm:
-            self._perm[g] = self.data.dual_perm(g)
-        return self._perm[g]
+    def neg(self, i: int) -> int:
+        k = self._neg.get(i)
+        if k is None:
+            k = self._neg[i] = self.id(-self._elements[i])
+        return k
 
-    def scalars(self, g: GroupElement):
-        if g not in self._scalars:
-            self._scalars[g] = self.data.scalar_vectors(g)
-        return self._scalars[g]
+    def _fetch(self, name: str, ids: tuple, read):
+        value = self._blocks.get((name, ids))
+        if value is None:
+            value = read(*map(self._elements.__getitem__, ids))
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            self._blocks[name, ids] = value
+        return value
 
-    def support(self, degs: Sequence[GroupElement]) -> np.ndarray:
+    def delta(self, i: int, j: int, k: int) -> np.ndarray:
+        return self._fetch("delta", (i, j, k), self.data.delta_block)
+
+    def gamma(self, i: int, j: int, k: int) -> np.ndarray:
+        return self._fetch("gamma", (i, j, k), self.data.gamma_block)
+
+    def sixj(self, *ids: int) -> np.ndarray:
+        return self._fetch("sixj", ids, lambda *degs: self.data.sixj_block(degs))
+
+    def perm(self, i: int) -> np.ndarray:
+        return self._fetch("perm", (i,), self.data.dual_perm)
+
+    def scalars(self, i: int):
+        return self._fetch("scalars", (i,), self.data.scalar_vectors)
+
+    def dualized(self, read, ids: Sequence[int], dual: Sequence[int]) -> np.ndarray:
+        """Block `read` (delta, gamma or sixj) at the degrees `ids`, those
+        at the positions in `dual` negated: a dual axis is re-indexed by
+        labels(g) through `perm`, so its index x reads the dual of label x."""
+        block = read(*(self.neg(g) if k in dual else g for k, g in enumerate(ids)))
+        for k in dual:
+            block = np.take(block, self.perm(ids[k]), axis=k)
+        return block
+
+    def support(self, ids: Sequence[int]) -> np.ndarray:
         """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4."""
-        g1, g2, g3, g4, g5, g6 = degs
+        g1, g2, g3, g4, g5, g6 = ids
         rng = np.arange(1, self.data.mult_bound + 1)
-        b1 = np.take(self.delta(g1, g2, -g3), self.perm(g3), axis=2)
-        b2 = np.take(self.delta(g3, g4, -g5), self.perm(g5), axis=2)
-        b3 = np.take(
-            np.take(self.delta(g5, -g6, -g1), self.perm(g6), axis=1),
-            self.perm(g1),
-            axis=2,
-        )
-        b4 = np.take(
-            np.take(self.delta(g6, -g4, -g2), self.perm(g4), axis=1),
-            self.perm(g2),
-            axis=2,
-        )
-        conds = [(rng <= b[..., None]).astype(int) for b in (b1, b2, b3, b4)]
+        triples = ((g1, g2, g3), (g3, g4, g5), (g5, g6, g1), (g6, g4, g2))
+        conds = [
+            (rng <= self.dualized(self.delta, t, dual)[..., None]).astype(int)
+            for t, dual in zip(triples, ((2,), (2,), (1, 2), (1, 2)))
+        ]
         return np.einsum(_SUPPORT_SPEC, *conds) > 0
 
 

@@ -282,25 +282,27 @@ class StringNetModel:
 
     def _accumulate_Bg(self, p, g, src, dst, matrix):
         """Add the sum over labels s of degree g of b(s) B_p^s to matrix."""
-        data = self.data
+        data, blocks = self.data, self.blocks
+        add, neg = blocks.add, blocks.neg
         walk = self._walk(p)
         n = len(walk.darts)
         data.labels(g)  # first: a singular g stays a DomainError
-        col_values = src.coloring.values
+        col_ids = [blocks.id(v) for v in src.coloring.values]
+        gid = blocks.id(g)
 
-        # degree bookkeeping is choice-independent: input-at-visit and
-        # output degrees per position, then the old/new call per leg
+        # degree bookkeeping (interned) is choice-independent: input-at-visit
+        # and output degrees per position, then the old/new call per leg
         o_deg = [None] * n
         for i, t in enumerate(walk.darts):
             if walk.first[i] == i:
-                v = col_values[t // 2]
-                o_deg[i] = v if t % 2 == 0 else -v
+                v = col_ids[t // 2]
+                o_deg[i] = v if t % 2 == 0 else neg(v)
         for i in range(n):
             if walk.first[i] != i:
-                o_deg[i] = g - o_deg[walk.first[i]]
-        n_deg = [phi - g for phi in o_deg]
+                o_deg[i] = add(gid, neg(o_deg[walk.first[i]]))
+        n_deg = [add(phi, neg(gid)) for phi in o_deg]
         try:
-            candidates = [len(data.labels(d)) for d in n_deg]
+            candidates = [len(data.labels(blocks.element(d))) for d in n_deg]
         except DomainError as exc:
             # stored degrees can survive a shift (an edge walked both ways)
             # while the walk labels still pass through a singular degree
@@ -318,12 +320,12 @@ class StringNetModel:
                 deps[i].add(walk.first[i])
             if c.leg_pos is None:
                 continue
-            m, sign = c.leg_pos, (1 if c.leg_direct else -1)
-            need = o_deg[i] - o_deg[nxt]
-            if need == sign * o_deg[m]:
+            m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
+            need = add(o_deg[i], neg(o_deg[nxt]))
+            if need == sign(o_deg[m]):
                 if walk.first[m] != m:
                     deps[i].add(walk.first[m])
-            elif need == sign * n_deg[m]:
+            elif need == sign(n_deg[m]):
                 leg_uses_new[i] = True
                 deps[i].add(m)
             else:
@@ -336,7 +338,7 @@ class StringNetModel:
             ready_at[max(deps[i])].append(i)
 
         self._contract(
-            g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+            gid, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
         )
 
     def _contract(
@@ -349,16 +351,18 @@ class StringNetModel:
         so far, and the amplitude, a tensor over the branching slots still
         open.  Step j extends every row by each of the `candidates[j]`
         labels at position j, contracts in the corners whose labels are
-        then all known, and drops the rows whose tensor vanished.
+        then all known, and drops the rows whose tensor vanished.  The
+        degrees g, `o_deg` and `n_deg` are ids of the model's `BlockCache`.
         """
         blocks = self.blocks
+        neg = blocks.neg
         n = len(walk.darts)
-        col_values = src.coloring.values
+        col_ids = [blocks.id(v) for v in src.coloring.values]
         labels = src.label_array
 
         def along(h):  # per source column: label index read along dart h
             x = labels[:, h // 2]
-            return x if h % 2 == 0 else blocks.perm(col_values[h // 2])[x]
+            return x if h % 2 == 0 else blocks.perm(col_ids[h // 2])[x]
 
         try:
             first_old = {
@@ -374,11 +378,11 @@ class StringNetModel:
                 i = c.pos
                 nxt = (i + 1) % n
                 if c.leg_pos is None:
-                    leg_deg = col_values[c.leg // 2]
-                    leg_deg = leg_deg if c.leg % 2 == 0 else -leg_deg
+                    leg_deg = col_ids[c.leg // 2]
+                    leg_deg = leg_deg if c.leg % 2 == 0 else neg(leg_deg)
                 else:  # the degree `leg_uses_new` was chosen to match
-                    leg_deg = o_deg[i] - o_deg[nxt]
-                degs = (n_deg[i], g, o_deg[i], -o_deg[nxt], leg_deg, -n_deg[nxt])
+                    leg_deg = blocks.add(o_deg[i], neg(o_deg[nxt]))
+                degs = (n_deg[i], g, o_deg[i], neg(o_deg[nxt]), leg_deg, neg(n_deg[nxt]))
                 tables.append(self._corner_table(degs))
         except DomainError as exc:
             raise GaugeAdmissibilityError(str(exc)) from exc
@@ -475,8 +479,8 @@ class StringNetModel:
         """
         table = self._tables.get(degs)
         if table is None:
-            block = self.blocks.sixj(degs)
-            labels = [self.data.labels(d) for d in degs]
+            block = self.blocks.sixj(*degs)
+            labels = [self.data.labels(self.blocks.element(d)) for d in degs]
             table = np.zeros_like(block)
             for idx in zip(*np.nonzero(block)):
                 js = [ls[x] for ls, x in zip(labels, idx)]

@@ -79,6 +79,7 @@ class StateSpace:
                 "raise the cap or use a strict space"
             )
         blocks = BlockCache(data)
+        ids = [blocks.id(v) for v in values]
         triples = [graph.canonical_vertex_triple(v) for v in range(nv)]
         # vertices become checkable once their last edge is assigned
         finished_at = [[] for _ in values]
@@ -86,8 +87,8 @@ class StateSpace:
             finished_at[max(h // 2 for h in triple)].append(v)
 
         def inward(lab, h):  # degree and label indices carried toward h's vertex
-            val, x = values[h // 2], lab[:, h // 2]
-            return (val, x) if h % 2 else (-val, blocks.perm(val)[x])
+            val, x = ids[h // 2], lab[:, h // 2]
+            return (val, x) if h % 2 else (blocks.neg(val), blocks.perm(val)[x])
 
         def inward_block(block, lab, v):
             (g1, x1), (g2, x2), (g3, x3) = (inward(lab, h) for h in triples[v])
@@ -134,7 +135,7 @@ class StateSpace:
             slots = np.column_stack([slots, np.arange(len(rep)) - start + strict])
 
         weight = np.ones(len(lab))
-        for e, val in enumerate(values):
+        for e, val in enumerate(ids):
             d, _, beta = blocks.scalars(val)
             weight = weight * (d / beta)[lab[:, e]]
         lab = lab[rep]

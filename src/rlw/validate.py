@@ -5,7 +5,8 @@ certify a slice: the caller supplies sample degrees, the validator closes
 them under negation and walks every tuple whose derived degrees (pairwise
 sums as each equation requires) stay generic.  All checks are evaluated
 blockwise, one degree tuple at a time, so a run over k samples touches
-every label and branching index exhaustively at those degrees.
+every label and branching index exhaustively at those degrees.  Degrees
+are `BlockCache` ids, derived by its `add`/`neg` and tested by `generic`.
 """
 
 import itertools
@@ -89,13 +90,16 @@ class _Slice(BlockCache):
 
     def __init__(self, data: LWData, degrees: Sequence[GroupElement], cap: int):
         super().__init__(data)
-        self.degrees = list(degrees)
+        self.degrees = [self.id(g) for g in degrees]
         self.cap = cap
 
-    def generic(self, g: GroupElement) -> bool:
-        return self.data.singular.is_generic(g)
+    def names(self, ids: Sequence[int]) -> List[str]:
+        return [str(self.element(i)) for i in ids]
 
-    def tuples(self, arity: int) -> Iterator[Tuple[GroupElement, ...]]:
+    def label_at(self, g: int, diff: np.ndarray) -> str:
+        return str(self.data.labels(self.element(g))[int(np.argmax(diff))].id)
+
+    def tuples(self, arity: int) -> Iterator[Tuple[int, ...]]:
         # deterministic stride keeps runs over large closures bounded
         total = len(self.degrees) ** arity
         stride = max(1, math.ceil(total / self.cap))
@@ -156,15 +160,15 @@ def _argmax_entry(diff: np.ndarray) -> list:
 
 def _check_dual_involution(sl: _Slice, tol: float) -> CheckResult:
     run = _Runner("dual_involution", tol)
-    for g in sl.degrees:
+    for g, name in zip(sl.degrees, sl.names(sl.degrees)):
         try:
-            labels = sl.data.labels(g)
+            labels = sl.data.labels(sl.element(g))
             for lbl in labels:
                 dual = sl.data.dual(lbl)
-                ok = dual.degree == -g and sl.data.dual(dual).id == lbl.id
+                ok = sl.id(dual.degree) == sl.neg(g) and sl.data.dual(dual).id == lbl.id
                 run.record(
                     0.0 if ok else 1.0,
-                    lambda lbl=lbl, g=g: {"degree": str(g), "label": str(lbl.id)},
+                    lambda lbl=lbl, name=name: {"degree": name, "label": str(lbl.id)},
                 )
         except MissingDataError as exc:
             run.skip_missing(exc)
@@ -178,16 +182,16 @@ def _check_scalar_reality_duality(sl: _Slice, tol: float) -> CheckResult:
     for g in sl.degrees:
         try:
             here = sl.scalars(g)
-            there = sl.scalars(-g)
+            there = sl.scalars(sl.neg(g))
             perm = sl.perm(g)
             for name, a, b in zip("dbB", here, there):
                 diff = np.abs(a - b[perm])
                 run.record(
                     float(diff.max()),
                     lambda g=g, name=name, diff=diff: {
-                        "degree": str(g),
+                        "degree": str(sl.element(g)),
                         "scalar": {"d": "d", "b": "b", "B": "beta"}[name],
-                        "label": str(sl.data.labels(g)[int(np.argmax(diff))].id),
+                        "label": sl.label_at(g, diff),
                     },
                 )
         except MissingDataError as exc:
@@ -200,26 +204,26 @@ def _check_delta_symmetry(sl: _Slice, tol: float) -> CheckResult:
     for g1, g2, g3 in sl.tuples(3):
         try:
             block = sl.delta(g1, g2, g3)
-            if not (g1 + g2 + g3).is_zero:
+            if sl.add(g1, g2) != sl.neg(g3):
                 diff = np.abs(block).astype(float)
                 run.record(
                     float(diff.max()) if diff.size else 0.0,
                     lambda g1=g1, g2=g2, g3=g3, diff=diff: {
-                        "degrees": [str(g1), str(g2), str(g3)],
+                        "degrees": sl.names((g1, g2, g3)),
                         "law": "degree constraint",
                         "entry": _argmax_entry(diff),
                     },
                 )
                 continue
             cyclic = np.transpose(sl.delta(g2, g3, g1), (2, 0, 1))
-            sel = np.ix_(sl.perm(g3), sl.perm(g2), sl.perm(g1))
-            dual = np.transpose(sl.delta(-g3, -g2, -g1)[sel], (2, 1, 0))
+            dual = sl.dualized(sl.delta, (g3, g2, g1), (0, 1, 2))
+            dual = np.transpose(dual, (2, 1, 0))
             for law, other in (("cyclic", cyclic), ("dual reversal", dual)):
                 diff = np.abs(block - other).astype(float)
                 run.record(
                     float(diff.max()),
                     lambda g1=g1, g2=g2, g3=g3, law=law, diff=diff: {
-                        "degrees": [str(g1), str(g2), str(g3)],
+                        "degrees": sl.names((g1, g2, g3)),
                         "law": law,
                         "entry": _argmax_entry(diff),
                     },
@@ -232,22 +236,22 @@ def _check_delta_symmetry(sl: _Slice, tol: float) -> CheckResult:
 def _check_b_recursion(sl: _Slice, tol: float) -> CheckResult:
     run = _Runner("b_recursion", tol)
     for g1, g2 in sl.tuples(2):
-        g = g1 + g2
-        if not sl.generic(g):
+        g = sl.add(g1, g2)
+        if not sl.generic[g]:
             continue
         try:
             b = sl.scalars(g)[1]
             b1 = sl.scalars(g1)[1]
             b2 = sl.scalars(g2)[1]
             # delta(j*, j1, j2) with the first axis re-indexed by j
-            dual_delta = np.take(sl.delta(-g, g1, g2), sl.perm(g), axis=0)
+            dual_delta = sl.dualized(sl.delta, (g, g1, g2), (0,))
             rhs = np.einsum("iab,a,b->i", dual_delta, b1, b2)
             diff = np.abs(b - rhs)
             run.record(
                 float(diff.max()),
                 lambda g=g, g1=g1, g2=g2, diff=diff: {
-                    "degrees": [str(g1), str(g2)],
-                    "label": str(sl.data.labels(g)[int(np.argmax(diff))].id),
+                    "degrees": sl.names((g1, g2)),
+                    "label": sl.label_at(g, diff),
                 },
             )
         except MissingDataError as exc:
@@ -260,14 +264,14 @@ def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
     m = sl.data.mult_bound
     rng = np.arange(1, m + 1)
     for g1, g2 in sl.tuples(2):
-        g3 = -g1 - g2
-        if not sl.generic(g3):
+        g3 = sl.neg(sl.add(g1, g2))
+        if not sl.generic[g3]:
             continue
         try:
             bounds = sl.delta(g1, g2, g3)
             forward = sl.gamma(g1, g2, g3)
-            sel = np.ix_(sl.perm(g3), sl.perm(g2), sl.perm(g1))
-            reverse = np.transpose(sl.gamma(-g3, -g2, -g1)[sel], (2, 1, 0, 3))
+            reverse = sl.dualized(sl.gamma, (g3, g2, g1), (0, 1, 2))
+            reverse = np.transpose(reverse, (2, 1, 0, 3))
             betas = [sl.scalars(g)[2] for g in (g1, g2, g3)]
             beta = np.einsum("a,b,c->abc", *betas)
             product = forward * reverse * beta[..., None]
@@ -279,7 +283,7 @@ def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
             run.record(
                 float(diff.max()),
                 lambda g1=g1, g2=g2, g3=g3, diff=diff: {
-                    "degrees": [str(g1), str(g2), str(g3)],
+                    "degrees": sl.names((g1, g2, g3)),
                     "entry": _argmax_entry(diff),
                 },
             )
@@ -291,10 +295,10 @@ def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
 def _sextuple_roots(sl: _Slice):
     """Degree sextuples (g1..g6) built from three free roots."""
     for g1, g2, g4 in sl.tuples(3):
-        g3 = g1 + g2
-        g5 = g3 + g4
-        g6 = g5 - g1
-        if all(sl.generic(g) for g in (g3, g5, g6)):
+        g3 = sl.add(g1, g2)
+        g5 = sl.add(g3, g4)
+        g6 = sl.add(g5, sl.neg(g1))
+        if all(sl.generic[g] for g in (g3, g5, g6)):
             yield (g1, g2, g3, g4, g5, g6)
 
 
@@ -302,13 +306,13 @@ def _check_sixj_support(sl: _Slice, tol: float) -> CheckResult:
     run = _Runner("sixj_support", tol)
     for degs in _sextuple_roots(sl):
         try:
-            block = sl.sixj(degs)
+            block = sl.sixj(*degs)
             outside = ~sl.support(degs)
             diff = np.where(outside, np.abs(block), 0.0)
             run.record(
                 float(diff.max()),
                 lambda degs=degs, diff=diff: {
-                    "degrees": [str(g) for g in degs],
+                    "degrees": sl.names(degs),
                     "entry": _argmax_entry(diff),
                 },
             )
@@ -322,23 +326,19 @@ def _check_tetrahedral_symmetry(sl: _Slice, tol: float) -> CheckResult:
     for degs in _sextuple_roots(sl):
         g1, g2, g3, g4, g5, g6 = degs
         try:
-            block = sl.sixj(degs)
+            block = sl.sixj(*degs)
             # first identity: labels (j2, j3*, j1*, j5, j6, j4), slots (a1 a3; a4 a2)
-            first = sl.sixj((g2, -g3, -g1, g5, g6, g4))
-            first = np.take(first, sl.perm(g3), axis=1)
-            first = np.take(first, sl.perm(g1), axis=2)
+            first = sl.dualized(sl.sixj, (g2, g3, g1, g5, g6, g4), (1, 2))
             first = np.transpose(first, (2, 0, 1, 5, 3, 4, 6, 9, 7, 8))
             # second identity: labels (j3, j4, j5, j6*, j1, j2*), slots (a2 a3; a1 a4)
-            second = sl.sixj((g3, g4, g5, -g6, g1, -g2))
-            second = np.take(second, sl.perm(g6), axis=3)
-            second = np.take(second, sl.perm(g2), axis=5)
+            second = sl.dualized(sl.sixj, (g3, g4, g5, g6, g1, g2), (3, 5))
             second = np.transpose(second, (4, 5, 0, 1, 2, 3, 8, 6, 7, 9))
             for law, other in (("rotation", first), ("column flip", second)):
                 diff = np.abs(block - other)
                 run.record(
                     float(diff.max()),
                     lambda degs=degs, law=law, diff=diff: {
-                        "degrees": [str(g) for g in degs],
+                        "degrees": sl.names(degs),
                         "law": law,
                         "entry": _argmax_entry(diff),
                     },
@@ -353,38 +353,53 @@ _PENT_T2 = ["x1", "xj", "x6", "x4", "x0", "x7", "c1", "a3", "a0", "c3"]
 _PENT_T3 = ["x2", "x3", "xj", "x4", "x7", "x8", "c2", "c3", "a4", "a5"]
 _PENT_T4 = ["x5", "x3", "x6", "x4", "x0", "x8", "a2", "a3", "c4", "a5"]
 _PENT_T5 = ["x1", "x2", "x5", "x8", "x0", "x7", "a1", "c4", "a0", "a4"]
-_PENT_OUT = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x0"] + [
-    "a0", "a1", "a2", "a3", "a4", "a5",
-]
-_PENT_LHS = _subscripts([_PENT_T1, _PENT_T2, _PENT_T3, ["xj"]], _PENT_OUT)
-_PENT_RHS = _subscripts([_PENT_T4, _PENT_T5], _PENT_OUT)
+_PENT_OUT = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x0"]
+_PENT_OUT += ["a0", "a1", "a2", "a3", "a4", "a5"]
 
 
 def _check_pentagon(sl: _Slice, tol: float) -> CheckResult:
     run = _Runner("pentagon", tol)
+    m = sl.data.mult_bound
+    # size-1 branching axes are left out of the spec, and the contraction
+    # order of the left side is found once, on the first tuple
+    axes = [
+        [a for a in op if m > 1 or a.startswith("x")]
+        for op in (_PENT_T1, _PENT_T2, _PENT_T3, ["xj"], _PENT_T4, _PENT_T5, _PENT_OUT)
+    ]
+    lhs_spec = _subscripts(axes[:4], axes[6])
+    rhs_spec = _subscripts(axes[4:6], axes[6])
+    lhs_path = None
     for g1, g2, g3, g4 in sl.tuples(4):
-        gj = g2 + g3
-        g5 = g1 + g2
-        g6 = g5 + g3
-        g0 = g6 + g4
-        g7 = gj + g4
-        g8 = g3 + g4
-        if not all(sl.generic(g) for g in (gj, g5, g6, g0, g7, g8)):
+        gj = sl.add(g2, g3)
+        g5 = sl.add(g1, g2)
+        g6 = sl.add(g5, g3)
+        g0 = sl.add(g6, g4)
+        g7 = sl.add(gj, g4)
+        g8 = sl.add(g3, g4)
+        if not all(sl.generic[g] for g in (gj, g5, g6, g0, g7, g8)):
             continue
         try:
-            t1 = sl.sixj((g1, g2, g5, g3, g6, gj))
-            t2 = sl.sixj((g1, gj, g6, g4, g0, g7))
-            t3 = sl.sixj((g2, g3, gj, g4, g7, g8))
-            t4 = sl.sixj((g5, g3, g6, g4, g0, g8))
-            t5 = sl.sixj((g1, g2, g5, g8, g0, g7))
-            d = sl.scalars(gj)[0]
-            lhs = np.einsum(_PENT_LHS, t1, t2, t3, d.astype(complex))
-            rhs = np.einsum(_PENT_RHS, t4, t5)
+            t1, t2, t3, t4, t5 = (
+                t.reshape(t.shape[: len(axes[0])])
+                for t in (
+                    sl.sixj(g1, g2, g5, g3, g6, gj),
+                    sl.sixj(g1, gj, g6, g4, g0, g7),
+                    sl.sixj(g2, g3, gj, g4, g7, g8),
+                    sl.sixj(g5, g3, g6, g4, g0, g8),
+                    sl.sixj(g1, g2, g5, g8, g0, g7),
+                )
+            )
+            ops = (t1, t2, t3, sl.scalars(gj)[0].astype(complex))
+            if lhs_path is None:
+                lhs_path = np.einsum_path(lhs_spec, *ops, optimize="optimal")[0]
+            lhs = np.einsum(lhs_spec, *ops, optimize=lhs_path)
+            rhs = np.einsum(rhs_spec, t4, t5)
             diff = np.abs(lhs - rhs)
+            diff = diff.reshape(diff.shape[:9] + (m,) * 6)  # witness: all 15 axes
             run.record(
                 float(diff.max()),
                 lambda g1=g1, g2=g2, g3=g3, g4=g4, diff=diff: {
-                    "degrees": [str(g) for g in (g1, g2, g3, g4)],
+                    "degrees": sl.names((g1, g2, g3, g4)),
                     "entry": _argmax_entry(diff),
                 },
             )
@@ -418,21 +433,20 @@ def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
     rng = np.arange(1, m_bound + 1)
     eye_a = np.eye(m_bound)
     for gi, gj, gl in sl.tuples(3):
-        gp = gi + gj
-        gm = gp + gl
-        gn = gm - gi
-        if not all(sl.generic(g) for g in (gp, gm, gn)):
+        gp = sl.add(gi, gj)
+        gm = sl.add(gp, gl)
+        gn = sl.add(gm, sl.neg(gi))
+        if not all(sl.generic[g] for g in (gp, gm, gn)):
             continue
         try:
-            t1 = sl.sixj((gi, gj, gp, gl, gm, gn))
-            t2 = sl.sixj((gp, -gj, gi, gn, gm, gl))
-            t2 = np.take(t2, sl.perm(gj), axis=1)
+            t1 = sl.sixj(gi, gj, gp, gl, gm, gn)
+            t2 = sl.dualized(sl.sixj, (gp, gj, gi, gn, gm, gl), (1,))
             d_n = sl.scalars(gn)[0]
             d_k = sl.scalars(gp)[0]
             lhs = np.einsum(_ORTHO_LHS, t1, t2, d_n.astype(complex))
             eye_pk = np.eye(len(d_k))
-            top = np.take(sl.delta(gi, gj, -gp), sl.perm(gp), axis=2)
-            bottom = np.take(sl.delta(gp, gl, -gm), sl.perm(gm), axis=2)
+            top = sl.dualized(sl.delta, (gi, gj, gp), (2,))
+            bottom = sl.dualized(sl.delta, (gp, gl, gm), (2,))
             v_top = (rng <= top[..., None]).astype(float)
             v_bottom = (rng <= bottom[..., None]).astype(float)
             rhs = np.einsum(
@@ -444,7 +458,7 @@ def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
             run.record(
                 float(diff.max()),
                 lambda gi=gi, gj=gj, gl=gl, diff=diff: {
-                    "degrees": [str(gi), str(gj), str(gl)],
+                    "degrees": sl.names((gi, gj, gl)),
                     "entry": _argmax_entry(diff),
                 },
             )
@@ -471,32 +485,21 @@ def _check_conjugation(sl: _Slice, tol: float) -> CheckResult:
     for degs in _sextuple_roots(sl):
         g1, g2, g3, g4, g5, g6 = degs
         try:
-            block = sl.sixj(degs)
+            block = sl.sixj(*degs)
             # labels (j2*, j1*, j3*, j5, j4, j6), slots (a1 a2; a4 a3)
-            partner = sl.sixj((-g2, -g1, -g3, g5, g4, g6))
-            partner = np.take(partner, sl.perm(g2), axis=0)
-            partner = np.take(partner, sl.perm(g1), axis=1)
-            partner = np.take(partner, sl.perm(g3), axis=2)
+            partner = sl.dualized(sl.sixj, (g2, g1, g3, g5, g4, g6), (0, 1, 2))
             partner = np.transpose(partner, (1, 0, 2, 4, 3, 5, 6, 7, 9, 8))
-            gam1 = np.take(sl.gamma(g1, g2, -g3), sl.perm(g3), axis=2)
-            gam2 = np.take(sl.gamma(g3, g4, -g5), sl.perm(g5), axis=2)
-            gam3 = np.take(
-                np.take(sl.gamma(-g1, g5, -g6), sl.perm(g1), axis=0),
-                sl.perm(g6),
-                axis=2,
-            )
-            gam4 = np.take(
-                np.take(sl.gamma(-g2, g6, -g4), sl.perm(g2), axis=0),
-                sl.perm(g4),
-                axis=2,
-            )
+            gam1 = sl.dualized(sl.gamma, (g1, g2, g3), (2,))
+            gam2 = sl.dualized(sl.gamma, (g3, g4, g5), (2,))
+            gam3 = sl.dualized(sl.gamma, (g1, g5, g6), (0, 2))
+            gam4 = sl.dualized(sl.gamma, (g2, g6, g4), (0, 2))
             betas = [sl.scalars(g)[2] for g in degs]
             rhs = np.einsum(_CONJ_SPEC, partner, gam1, gam2, gam3, gam4, *betas)
             diff = np.abs(np.conj(block) - rhs)
             run.record(
                 float(diff.max()),
                 lambda degs=degs, diff=diff: {
-                    "degrees": [str(g) for g in degs],
+                    "degrees": sl.names(degs),
                     "entry": _argmax_entry(diff),
                 },
             )

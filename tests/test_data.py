@@ -10,6 +10,7 @@ from rlw import (
     MissingDataError,
 )
 from rlw.data import (
+    BlockCache,
     BuiltinFamily,
     RecordingData,
     TableData,
@@ -281,3 +282,55 @@ class TestTableData:
         bad.write_text("{nope")
         with pytest.raises(DataFormatError):
             load_data(str(bad))
+
+
+class TestBlockCache:
+    def test_interning(self):
+        fam = BuiltinFamily("P", 3, 2.0)
+        blocks = BlockCache(fam)
+        i, j = blocks.id(F15), blocks.id(F25)
+        assert blocks.id(QMODZ.parse("1/5")) == i != j
+        assert blocks.element(i) == F15
+        assert blocks.add(i, j) == blocks.id(F15 + F25) == blocks.add(j, i)
+        assert blocks.element(blocks.neg(i)) == -F15
+        assert blocks.neg(blocks.neg(i)) == i
+        zero = blocks.add(i, blocks.neg(i))
+        assert blocks.generic[i] and not blocks.generic[zero]
+        ids = range(len(blocks.generic))
+        assert blocks.generic == [fam.singular.is_generic(blocks.element(k)) for k in ids]
+
+    def test_blocks_are_read_only(self):
+        fam = BuiltinFamily("P", 3, 2.0)
+        rec = RecordingData(fam)
+        rec.sixj_block(_supported_sextuple())
+        table = rec.export_table()
+        for data in (fam, table):
+            blocks = BlockCache(data)
+            ids = tuple(blocks.id(g) for g in _supported_sextuple())
+            g1, g2, g3 = ids[:3]
+            fetched = [
+                blocks.sixj(*ids),
+                blocks.delta(g1, g2, blocks.neg(g3)),
+                blocks.gamma(g1, g2, blocks.neg(g3)),
+                blocks.perm(g1),
+                *blocks.scalars(g1),
+            ]
+            assert blocks.sixj(*ids) is fetched[0]
+            for block in fetched:
+                with pytest.raises(ValueError):
+                    block[(0,) * block.ndim] = 7
+
+    def test_builtin_blocks_are_shared(self):
+        fam = BuiltinFamily("P", 3, 2.0)
+        other = (F25, F15, F25 + F15, F17, F25 + F15 + F17, F15 + F17)
+        block = fam.sixj_block(_supported_sextuple())
+        assert fam.sixj_block(other) is block
+        assert fam.sixj_block((F15,) * 6) is not block
+        assert not fam.sixj_block((F15,) * 6).any()
+        three = QMODZ.parse("3/5")
+        assert fam.delta_block(F15, F25, three) is fam.delta_block(F25, F15, three)
+        with pytest.raises(ValueError):
+            block[(0,) * block.ndim] = 7
+        assert fam.dual_perm(F15) is fam.dual_perm(F25)
+        with pytest.raises(DomainError):
+            fam.sixj_block((QMODZ.parse("1/2"),) + other[1:])

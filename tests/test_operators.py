@@ -13,7 +13,6 @@ from rlw import (
     BuiltinFamily,
     GaugeAdmissibilityError,
     InstabilityError,
-    LWData,
     ProbeSearchError,
     QMODZ,
     RecordingData,
@@ -26,6 +25,7 @@ from rlw import (
 )
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
 from rlw.states import StateSpace
+from multiplicity import ForcedMultiplicity
 
 
 def q(value):
@@ -38,44 +38,6 @@ FAMILIES = {
     "M21": BuiltinFamily("M", 2, 1.0),
     "F212": BuiltinFamily("F", 2, 1.0, 2.0),
 }
-
-
-class ForcedMultiplicity(LWData):
-    """Multiplicity-free data that reports a branching bound of 2.
-
-    The bound alone gives every branching slot axis of the plaquette walk
-    size 2, so that walk can be checked against its size-1 form.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.signature = base.signature
-        self.singular = base.singular
-
-    @property
-    def mult_bound(self):
-        return 2
-
-    def labels(self, g):
-        return self.base.labels(g)
-
-    def label_index(self, label):
-        return self.base.label_index(label)
-
-    def dual(self, label):
-        return self.base.dual(label)
-
-    def delta(self, i, j, k):
-        return self.base.delta(i, j, k)
-
-    def gamma(self, i, j, k, n):
-        return self.base.gamma(i, j, k, n)
-
-    def sixj(self, js, a):
-        return self.base.sixj(js, a)
-
-    def probe_degrees(self):
-        return self.base.probe_degrees()
 
 
 class DoubledMultiplicity(ForcedMultiplicity):
@@ -117,7 +79,7 @@ def reference_walk(
     data = self.data
     n = len(walk.darts)
     mb = data.mult_bound
-    labels_at = [data.labels(d) for d in n_deg]
+    labels_at = [data.labels(self.blocks.element(d)) for d in n_deg]
     assert [len(ls) for ls in labels_at] == candidates
     chosen = [None] * n
     pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -219,7 +181,7 @@ def reference_walk(
             if not dead:
                 rec(s, j + 1, grown, col)
 
-    for s in data.labels(g):
+    for s in data.labels(self.blocks.element(g)):
         for col in np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1)):
             rec(s, 0, [], col)
 

@@ -20,7 +20,7 @@ from rlw import (
 )
 from rlw import states
 from rlw.states import LinearOperator, StateSpace
-from test_operators import ForcedMultiplicity
+from multiplicity import ForcedMultiplicity
 
 
 def q(value):

@@ -10,6 +10,7 @@ from rlw import BuiltinFamily, QMODZ, RecordingData, TableData
 from rlw.errors import DomainError
 from rlw.group import GroupSignature, SingularSet, _Factor
 from rlw.validate import validate
+from multiplicity import ForcedMultiplicity
 
 CHECK_ORDER = [
     "dual_involution",
@@ -31,6 +32,13 @@ def q(value):
 
 def samples(*values):
     return [q(v) for v in values]
+
+
+FAMILIES = {
+    "P21": BuiltinFamily("P", 2, 1.0),
+    "M21": BuiltinFamily("M", 2, 1.0),
+    "F212": BuiltinFamily("F", 2, 1.0, 2.0),
+}
 
 
 def recorded_table(family, degrees):
@@ -64,6 +72,54 @@ class TestSelfOracle:
         report = validate(BuiltinFamily("P", 2, 1.0), samples("1/5", "2/5"))
         assert all(c.checked > 0 for c in report.checks)
 
+    def test_tuple_counts(self):
+        # interning must neither drop nor duplicate a tuple
+        report = validate(BuiltinFamily("P", 3, 2.0), samples("1/7", "2/5", "1/13"))
+        checked = [c.checked for c in report.checks]
+        assert checked == [18, 18, 216, 30, 30, 150, 300, 726, 150, 150]
+        assert sum(checked) == 1788
+
+
+class ForcedWithPlantedSlot(ForcedMultiplicity):
+    """Forced multiplicity with one nonzero 6j entry planted at a
+    branching coordinate of one block, outside the delta support."""
+
+    def __init__(self, base, degrees, entry):
+        super().__init__(base)
+        self.degrees = tuple(degrees)
+        self.entry = entry
+
+    def sixj_block(self, degs):
+        block = super().sixj_block(degs)
+        if tuple(degs) == self.degrees:
+            block[self.entry] = 0.5
+        return block
+
+
+class TestMultiplicity:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_forced_multiplicity_passes_exactly(self, name):
+        # every check on size-2 branching axes
+        report = validate(ForcedMultiplicity(FAMILIES[name]), samples("1/5", "2/5"))
+        assert report.passed
+        assert report.max_residual == 0.0
+        assert [c.name for c in report.checks] == CHECK_ORDER
+        assert all(c.checked > 0 for c in report.checks)
+
+    def test_slot_two_entry_fails_support(self):
+        # the first sextuple walked over the closure {1/5, 2/5, 3/5, 4/5}
+        degrees = samples("1/5", "1/5", "2/5", "1/5", "3/5", "2/5")
+        entry = (1, 1, 0, 1, 1, 0) + (0, 1, 0, 0)  # branching index a2 = 2
+        data = ForcedWithPlantedSlot(FAMILIES["P21"], degrees, entry)
+        report = validate(data, samples("1/5", "2/5"))
+        support = next(c for c in report.checks if c.name == "sixj_support")
+        assert not support.passed
+        assert support.residual == 0.5
+        assert support.witness == {
+            "degrees": [str(g) for g in degrees],
+            "entry": list(entry),
+        }
+
 
 class TestCorruption:
     def test_pentagon_rejects_positive_sixj(self):
@@ -77,6 +133,11 @@ class TestCorruption:
         assert not pentagon.passed
         assert pentagon.witness is not None
         assert "degrees" in pentagon.witness
+        # witness degrees name the closure or sums of its elements
+        closure = report.degrees
+        names = {str(g) for g in closure} | {str(g + h) for g in closure for h in closure}
+        assert pentagon.witness["degrees"]
+        assert set(pentagon.witness["degrees"]) <= names
 
     def test_dihedral_violation_detected(self):
         table = recorded_table(BuiltinFamily("P", 3, 2.0), samples("1/5", "2/5"))
