@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -409,6 +410,8 @@ def _require(cond: bool, msg: str):
 def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataFormatError(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise DataFormatError(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
@@ -789,6 +792,15 @@ class RecordingData(LWData):
             self._rec_gamma,
             self._rec_sixj,
         )
+
+
+def _subscripts(*groups) -> str:
+    """einsum subscripts "in,...->out" for groups of slot names, the last
+    group the output; each call names its own slots from the 52 letters."""
+    names = dict.fromkeys(itertools.chain(*groups))
+    letters = {s: string.ascii_letters[k] for k, s in enumerate(names)}
+    subs = ["".join(letters[s] for s in group) for group in groups]
+    return ",".join(subs[:-1]) + "->" + subs[-1]
 
 
 # delta-support conditions (j1 j2 j3* a1), (j3 j4 j5* a2), (j5 j6* j1* a3),

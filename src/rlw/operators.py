@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import collections
 import itertools
-from string import ascii_letters
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .data import BlockCache, LWData
+from .data import BlockCache, LWData, _subscripts
 from .errors import (
     AdmissibilityError,
     DataFormatError,
@@ -98,15 +97,6 @@ def choose_probe(data: LWData, coloring: Coloring) -> GroupElement:
     raise ProbeSearchError(
         "no probe degree keeps all shifted edge degrees generic"
     )
-
-
-def _subscripts(*groups) -> str:
-    """einsum subscripts "in,...->out" for groups of slot names, the last
-    group the output; each call names its own slots from the 52 letters."""
-    names = dict.fromkeys(itertools.chain(*groups))
-    letters = {s: ascii_letters[k] for k, s in enumerate(names)}
-    subs = ["".join(letters[s] for s in group) for group in groups]
-    return ",".join(subs[:-1]) + "->" + subs[-1]
 
 
 class _Corner:

@@ -3,21 +3,22 @@
 The equations quantify over all generic degrees, so a finite run can only
 certify a slice: the caller supplies sample degrees, the validator closes
 them under negation and walks every tuple whose derived degrees (pairwise
-sums as each equation requires) stay generic.  All checks are evaluated
-blockwise, one degree tuple at a time, so a run over k samples touches
-every label and branching index exhaustively at those degrees.  Degrees
-are `BlockCache` ids, derived by its `add`/`neg` and tested by `generic`.
+sums as each equation requires) stay generic.  Every check is evaluated
+blockwise, so a run over k samples touches every label and branching
+index exhaustively at those degrees; degrees are `BlockCache` ids.  The
+pentagon multiplies only the nonzero entries of its operands, by an index
+plan built once per nonzero pattern, and evaluates the tuples that share
+a plan together in bounded batches; the other checks run tuple by tuple.
 """
 
 import itertools
 import math
-import string
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import BlockCache, LWData
+from .data import BlockCache, LWData, _subscripts
 from .errors import DomainError, MissingDataError
 from .group import GroupElement
 
@@ -72,19 +73,6 @@ class ValidationReport:
         }
 
 
-def _subscripts(operands: Sequence[Sequence[str]], out: Sequence[str]) -> str:
-    """einsum spec from named axes; shared names contract or align."""
-    letters: Dict[str, str] = {}
-
-    def encode(axes):
-        return "".join(
-            letters.setdefault(a, string.ascii_lowercase[len(letters)]) for a in axes
-        )
-
-    spec = ",".join(encode(op) for op in operands)
-    return spec + "->" + encode(out)
-
-
 class _Slice(BlockCache):
     """The block cache of one validation run and its closed degree sample."""
 
@@ -122,6 +110,8 @@ class _Runner:
 
     def record(self, residual: float, witness: Callable[[], dict]):
         self.checked += 1
+        if not math.isfinite(residual):
+            residual = math.inf  # NaN compares false: count it as the worst
         if residual > self.residual:
             self.residual = float(residual)
             if residual > self.tol:
@@ -355,20 +345,118 @@ _PENT_T4 = ["x5", "x3", "x6", "x4", "x0", "x8", "a2", "a3", "c4", "a5"]
 _PENT_T5 = ["x1", "x2", "x5", "x8", "x0", "x7", "a1", "c4", "a0", "a4"]
 _PENT_OUT = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x0"]
 _PENT_OUT += ["a0", "a1", "a2", "a3", "a4", "a5"]
+_PENT_LOAD = 1 << 14  # product terms and output slots evaluated at once
+
+
+def _key(coords: dict, axes: Sequence[str], sizes: dict, count: int) -> np.ndarray:
+    """Row-major index of `count` coordinates over the named axes."""
+    key = np.zeros(count, np.int64)
+    for a in axes:
+        key = key * sizes[a] + coords[a]
+    return key
+
+
+def _join(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with a[i] == b[j], ordered by i, then by j."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    counts = np.searchsorted(b[order], a, "right") - lo
+    i = np.repeat(np.arange(len(a)), counts)
+    start = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return i, order[start + np.arange(len(i))]
+
+
+def _sparse_terms(ops, names, sizes: dict):
+    """The nonzero terms of the product of `ops` (axes named by `names`):
+    per term, the flat entry it reads in each operand, and the row-major
+    index of the `_PENT_OUT` entry it adds to (other axes are summed)."""
+    coords, reads, count = {}, [], 1
+    for op, axes in zip(ops, names):
+        nz = np.nonzero(op)
+        mine = dict(zip(axes, nz))
+        shared = [a for a in axes if a in coords]
+        i, j = _join(
+            _key(coords, shared, sizes, count), _key(mine, shared, sizes, len(nz[0]))
+        )
+        coords = {a: c[i] for a, c in coords.items()}
+        coords.update((a, c[j]) for a, c in mine.items())
+        reads = [r[i] for r in reads] + [np.ravel_multi_index(nz, op.shape)[j]]
+        count = len(i)
+    return reads, _key(coords, _PENT_OUT, sizes, count)
+
+
+class _PentagonPlan:
+    """The sparse pentagon of one nonzero pattern of its operands
+    (t1, t2, t3, d(j), t4, t5): the entries each nonzero product term of
+    the left (t1 t2 t3 d) and right (t4 t5) side reads, and the output
+    slot it adds to.  The slots are the union of both sides' supports in
+    row-major order, then one padding slot; all else is 0 on both sides."""
+
+    def __init__(self, ops: Sequence[np.ndarray]):
+        names = (_PENT_T1, _PENT_T2, _PENT_T3, ["xj"], _PENT_T4, _PENT_T5)
+        sizes = {a: n for op, axes in zip(ops, names) for a, n in zip(axes, op.shape)}
+        lhs_reads, lhs_keys = _sparse_terms(ops[:4], names[:4], sizes)
+        rhs_reads, rhs_keys = _sparse_terms(ops[4:], names[4:], sizes)
+        self.reads = lhs_reads + rhs_reads
+        keys = np.sort(np.concatenate([lhs_keys, rhs_keys]))
+        self.keys = np.append(keys[np.diff(keys, prepend=-1) != 0], 0)
+        self.lhs_at = np.searchsorted(self.keys[:-1], lhs_keys)
+        self.rhs_at = np.searchsorted(self.keys[:-1], rhs_keys)
+        self.shape = tuple(sizes[a] for a in _PENT_OUT)
+        self.load = len(lhs_keys) + len(rhs_keys) + len(self.keys)
+
+    def residuals(self, batch: Sequence[Sequence[np.ndarray]]):
+        """Per operand tuple: max |lhs - rhs|, and its first output index."""
+        t1, t2, t3, d, t4, t5 = (
+            np.stack([ops[k].take(read) for ops in batch])
+            for k, read in enumerate(self.reads)
+        )
+        lhs, rhs = np.zeros((2, len(batch), len(self.keys)), complex)
+        # the left side multiplies in the order of the dense einsum it replaced
+        np.add.at(lhs, (slice(None), self.lhs_at), (t1 * t2) * (t3 * d))
+        np.add.at(rhs, (slice(None), self.rhs_at), t4 * t5)
+        diff = np.abs(lhs - rhs)
+        arg = diff.argmax(axis=1)
+        return diff[np.arange(len(batch)), arg], self.keys[arg]
 
 
 def _check_pentagon(sl: _Slice, tol: float) -> CheckResult:
     run = _Runner("pentagon", tol)
-    m = sl.data.mult_bound
-    # size-1 branching axes are left out of the spec, and the contraction
-    # order of the left side is found once, on the first tuple
-    axes = [
-        [a for a in op if m > 1 or a.startswith("x")]
-        for op in (_PENT_T1, _PENT_T2, _PENT_T3, ["xj"], _PENT_T4, _PENT_T5, _PENT_OUT)
-    ]
-    lhs_spec = _subscripts(axes[:4], axes[6])
-    rhs_spec = _subscripts(axes[4:6], axes[6])
-    lhs_path = None
+    plans: Dict[tuple, _PentagonPlan] = {}  # keyed on the operands' patterns
+    patterns: dict = {}  # id(array) -> (array, shape and nonzero entries)
+    pending: list = []  # per tuple: (degrees, plan, operands) or its MissingDataError
+
+    def pattern(block: np.ndarray) -> tuple:
+        # once per array; holding the array keeps its id from being reused
+        if id(block) not in patterns:
+            nonzero = np.flatnonzero(block).tobytes()
+            patterns[id(block)] = (block, (block.shape, nonzero))
+        return patterns[id(block)][1]
+
+    def flush():
+        # evaluate the tuples of each plan together, then record in order
+        groups: Dict[_PentagonPlan, List[int]] = {}
+        for k, item in enumerate(pending):
+            if isinstance(item, tuple):
+                groups.setdefault(item[1], []).append(k)
+        found = {}
+        for plan, ks in groups.items():
+            found.update(zip(ks, zip(*plan.residuals([pending[k][2] for k in ks]))))
+        for k, item in enumerate(pending):
+            if not isinstance(item, tuple):
+                run.skip_missing(item)
+                continue
+            res, key = found[k]
+            run.record(
+                res,
+                lambda degs=item[0], key=key, shape=item[1].shape: {
+                    "degrees": sl.names(degs),
+                    "entry": [int(i) for i in np.unravel_index(key, shape)],
+                },
+            )
+        pending.clear()
+
+    load = 0
     for g1, g2, g3, g4 in sl.tuples(4):
         gj = sl.add(g2, g3)
         g5 = sl.add(g1, g2)
@@ -380,49 +468,41 @@ def _check_pentagon(sl: _Slice, tol: float) -> CheckResult:
             continue
         try:
             t1, t2, t3, t4, t5 = (
-                t.reshape(t.shape[: len(axes[0])])
-                for t in (
-                    sl.sixj(g1, g2, g5, g3, g6, gj),
-                    sl.sixj(g1, gj, g6, g4, g0, g7),
-                    sl.sixj(g2, g3, gj, g4, g7, g8),
-                    sl.sixj(g5, g3, g6, g4, g0, g8),
-                    sl.sixj(g1, g2, g5, g8, g0, g7),
-                )
+                sl.sixj(g1, g2, g5, g3, g6, gj),
+                sl.sixj(g1, gj, g6, g4, g0, g7),
+                sl.sixj(g2, g3, gj, g4, g7, g8),
+                sl.sixj(g5, g3, g6, g4, g0, g8),
+                sl.sixj(g1, g2, g5, g8, g0, g7),
             )
-            ops = (t1, t2, t3, sl.scalars(gj)[0].astype(complex))
-            if lhs_path is None:
-                lhs_path = np.einsum_path(lhs_spec, *ops, optimize="optimal")[0]
-            lhs = np.einsum(lhs_spec, *ops, optimize=lhs_path)
-            rhs = np.einsum(rhs_spec, t4, t5)
-            diff = np.abs(lhs - rhs)
-            diff = diff.reshape(diff.shape[:9] + (m,) * 6)  # witness: all 15 axes
-            run.record(
-                float(diff.max()),
-                lambda g1=g1, g2=g2, g3=g3, g4=g4, diff=diff: {
-                    "degrees": sl.names((g1, g2, g3, g4)),
-                    "entry": _argmax_entry(diff),
-                },
-            )
+            ops = (t1, t2, t3, sl.scalars(gj)[0], t4, t5)
         except MissingDataError as exc:
-            run.skip_missing(exc)
+            pending.append(exc)
+            load += 1
+        else:
+            key = tuple(map(pattern, ops))
+            plan = plans.get(key) or plans.setdefault(key, _PentagonPlan(ops))
+            pending.append(((g1, g2, g3, g4), plan, ops))
+            load += plan.load
+        if load >= _PENT_LOAD:
+            flush()
+            load = 0
+    flush()
     return run.result()
 
 
 _ORTHO_T1 = ["i", "j", "p", "l", "m", "n", "a1", "a2", "a3", "a4"]
 _ORTHO_T2 = ["k", "j", "i", "n", "m", "l", "b1", "a3", "b2", "a4"]
 _ORTHO_OUT = ["i", "j", "p", "l", "m", "k", "a1", "a2", "b1", "b2"]
-_ORTHO_LHS = _subscripts([_ORTHO_T1, _ORTHO_T2, ["n"]], _ORTHO_OUT)
+_ORTHO_LHS = _subscripts(_ORTHO_T1, _ORTHO_T2, ["n"], _ORTHO_OUT)
 _ORTHO_RHS = _subscripts(
-    [
-        ["p", "k"],
-        ["a1", "b1"],
-        ["a2", "b2"],
-        ["k"],
-        ["i", "j", "p", "a1"],
-        ["p", "l", "m", "a2"],
-        ["i", "j", "k", "b1"],
-        ["k", "l", "m", "b2"],
-    ],
+    ["p", "k"],
+    ["a1", "b1"],
+    ["a2", "b2"],
+    ["k"],
+    ["i", "j", "p", "a1"],
+    ["p", "l", "m", "a2"],
+    ["i", "j", "k", "b1"],
+    ["k", "l", "m", "b2"],
     _ORTHO_OUT,
 )
 
@@ -468,14 +548,12 @@ def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
 
 
 _CONJ_SPEC = _subscripts(
-    [
-        ["j1", "j2", "j3", "j4", "j5", "j6", "a1", "a2", "a3", "a4"],
-        ["j1", "j2", "j3", "a1"],
-        ["j3", "j4", "j5", "a2"],
-        ["j1", "j5", "j6", "a3"],
-        ["j2", "j6", "j4", "a4"],
-        ["j1"], ["j2"], ["j3"], ["j4"], ["j5"], ["j6"],
-    ],
+    ["j1", "j2", "j3", "j4", "j5", "j6", "a1", "a2", "a3", "a4"],
+    ["j1", "j2", "j3", "a1"],
+    ["j3", "j4", "j5", "a2"],
+    ["j1", "j5", "j6", "a3"],
+    ["j2", "j6", "j4", "a4"],
+    ["j1"], ["j2"], ["j3"], ["j4"], ["j5"], ["j6"],
     ["j1", "j2", "j3", "j4", "j5", "j6", "a1", "a2", "a3", "a4"],
 )
 

@@ -1,5 +1,9 @@
 """Test providers shared by the operator, state-space and validator tests."""
 
+import zlib
+
+import numpy as np
+
 from rlw import LWData
 
 
@@ -40,3 +44,28 @@ class ForcedMultiplicity(LWData):
 
     def probe_degrees(self):
         return self.base.probe_degrees()
+
+
+class DoubledMultiplicity(ForcedMultiplicity):
+    """Data with real branching multiplicity, built from a
+    multiplicity-free family: every delta doubled, gamma at n = 2 copied
+    from n = 1, and each in-range 6j slot tuple scaled by a fixed
+    pseudo-random complex weight.  Its plaquette moves are no projectors
+    and it fails the pentagon; it gives the walk and the validator nonzero
+    entries on every slot axis to contract.
+    """
+
+    def delta(self, i, j, k):
+        return 2 * self.base.delta(i, j, k)
+
+    def gamma(self, i, j, k, n):
+        return self.base.gamma(i, j, k, 1 if n == 2 else n)
+
+    def sixj(self, js, a):
+        if not self.sixj_support(js, a):
+            return 0j
+        # keyed on ids and ints: repr(np.int64(1)) is not repr(1)
+        key = repr((tuple(j.id for j in js), tuple(int(n) for n in a)))
+        rng = np.random.default_rng(zlib.crc32(key.encode()))
+        weight = complex(*rng.uniform(-1.0, 1.0, 2))
+        return self.base.sixj(js, (1, 1, 1, 1)) * weight

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, report shape, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rlw
 from rlw import BuiltinFamily, QMODZ, RecordingData
 from rlw.cli import main
 from rlw.validate import validate
@@ -212,6 +215,8 @@ class TestPlumbing:
         assert info.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the rlw under test, installed or not
+        path = [str(Path(rlw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [
                 sys.executable, "-m", "rlw.cli", "ground-dim",
@@ -219,6 +224,7 @@ class TestPlumbing:
                 "--holonomy", "1/5,2/5",
             ],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ground_dim"] == 4

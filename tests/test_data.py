@@ -210,6 +210,24 @@ class TestTableData:
         lbl = back.labels(F15)[0]
         assert lbl.beta == 2 ** (-2 / 3)
 
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [("sixj", "re", float("nan")), ("sixj", "im", float("inf")),
+         ("labels", "d", float("nan")), ("gamma", "value", float("-inf"))],
+    )
+    def test_non_finite_entry_rejected_at_load(self, tmp_path, field, key, value):
+        rec = RecordingData(BuiltinFamily("P", 2, 1.0))
+        rec.sixj_block(_supported_sextuple())
+        rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
+        table = rec.export_table().to_dict()
+        table[field][0][key] = value
+        path = tmp_path / "slice.json"
+        path.write_text(json.dumps(table))  # json writes NaN and Infinity
+        with pytest.raises(DataFormatError, match="must be finite") as info:
+            load_data(str(path))
+        names = {"re": "sixj re", "im": "sixj im", "d": "d", "value": "gamma"}
+        assert str(info.value).startswith(names[key])
+
     def test_missing_degree(self):
         fam = BuiltinFamily("P", 2, 1.0)
         rec = RecordingData(fam)

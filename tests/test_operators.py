@@ -2,7 +2,6 @@
 
 import itertools
 import types
-import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,7 @@ from rlw import (
 )
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
 from rlw.states import StateSpace
-from multiplicity import ForcedMultiplicity
+from multiplicity import DoubledMultiplicity, ForcedMultiplicity
 
 
 def q(value):
@@ -38,30 +37,6 @@ FAMILIES = {
     "M21": BuiltinFamily("M", 2, 1.0),
     "F212": BuiltinFamily("F", 2, 1.0, 2.0),
 }
-
-
-class DoubledMultiplicity(ForcedMultiplicity):
-    """Data with real branching multiplicity, built from a
-    multiplicity-free family: every delta doubled, gamma at n = 2 copied
-    from n = 1, and each in-range 6j slot tuple scaled by a fixed
-    pseudo-random complex weight.  Its plaquette moves are no projectors;
-    they give the walk nonzero entries on every slot axis to contract.
-    """
-
-    def delta(self, i, j, k):
-        return 2 * self.base.delta(i, j, k)
-
-    def gamma(self, i, j, k, n):
-        return self.base.gamma(i, j, k, 1 if n == 2 else n)
-
-    def sixj(self, js, a):
-        if not self.sixj_support(js, a):
-            return 0j
-        # keyed on ids and ints: repr(np.int64(1)) is not repr(1)
-        key = repr((tuple(j.id for j in js), tuple(int(n) for n in a)))
-        rng = np.random.default_rng(zlib.crc32(key.encode()))
-        weight = complex(*rng.uniform(-1.0, 1.0, 2))
-        return self.base.sixj(js, (1, 1, 1, 1)) * weight
 
 
 def reference_walk(

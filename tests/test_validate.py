@@ -2,15 +2,31 @@
 
 import copy
 import json
+import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rlw import BuiltinFamily, QMODZ, RecordingData, TableData
-from rlw.errors import DomainError
+from rlw.data import _subscripts
+from rlw.errors import DomainError, MissingDataError
 from rlw.group import GroupSignature, SingularSet, _Factor
-from rlw.validate import validate
-from multiplicity import ForcedMultiplicity
+from rlw.validate import (
+    _PENT_OUT,
+    _PENT_T1,
+    _PENT_T2,
+    _PENT_T3,
+    _PENT_T4,
+    _PENT_T5,
+    _Runner,
+    _Slice,
+    _argmax_entry,
+    _check_pentagon,
+    validate,
+)
+from multiplicity import DoubledMultiplicity, ForcedMultiplicity
 
 CHECK_ORDER = [
     "dual_involution",
@@ -121,6 +137,44 @@ class TestMultiplicity:
         }
 
 
+class NaNSixj(BuiltinFamily):
+    """A builtin family whose 6j block at one degree sextuple holds a NaN
+    at its first nonzero entry."""
+
+    def __init__(self, degrees):
+        super().__init__("P", 2, 1.0)
+        self.degrees = tuple(degrees)
+
+    def sixj_block(self, degs):
+        block = super().sixj_block(degs)
+        if tuple(degs) == self.degrees:
+            block = block.copy()
+            block[tuple(np.argwhere(block)[0])] = np.nan
+        return block
+
+
+class TestNonFinite:
+    def test_nan_sixj_fails_the_pentagon(self):
+        # the first sextuple the pentagon reads over {1/5, 2/5, 3/5, 4/5}
+        data = NaNSixj(samples("1/5", "1/5", "2/5", "1/5", "3/5", "2/5"))
+        report = validate(data, samples("1/5", "2/5"))
+        pentagon = next(c for c in report.checks if c.name == "pentagon")
+        assert not pentagon.passed
+        assert pentagon.residual == math.inf
+        assert pentagon.witness["degrees"] == ["1/5"] * 4
+        assert not report.passed
+
+    def test_nan_residual_is_a_failure(self):
+        run = _Runner("check", 1e-9)
+        run.record(float("nan"), lambda: {"at": 1})
+        run.record(0.0, lambda: {"at": 2})
+        result = run.result()
+        assert not result.passed
+        assert result.residual == math.inf
+        assert result.witness == {"at": 1}
+        assert result.checked == 2
+
+
 class TestCorruption:
     def test_pentagon_rejects_positive_sixj(self):
         # with d = -1 the pentagon forces a negative 6j value
@@ -206,3 +260,127 @@ class TestReport:
         pent_capped = next(c for c in capped.checks if c.name == "pentagon")
         assert 0 < pent_capped.checked < pent_full.checked
         assert capped.passed
+
+
+# -- the dense pentagon oracle ---------------------------------------------------
+
+
+def dense_pentagon(sl, tol):
+    """The pentagon as first written, kept as the oracle of the sparse one:
+    per degree tuple, dense N^9 left and right sides by einsum (size-1
+    branching axes dropped, the left side's contraction order found once)."""
+    run = _Runner("pentagon", tol)
+    m = sl.data.mult_bound
+    axes = [
+        [a for a in op if m > 1 or a.startswith("x")]
+        for op in (_PENT_T1, _PENT_T2, _PENT_T3, ["xj"], _PENT_T4, _PENT_T5, _PENT_OUT)
+    ]
+    lhs_spec = _subscripts(*axes[:4], axes[6])
+    rhs_spec = _subscripts(*axes[4:6], axes[6])
+    lhs_path = None
+    for g1, g2, g3, g4 in sl.tuples(4):
+        gj = sl.add(g2, g3)
+        g5 = sl.add(g1, g2)
+        g6 = sl.add(g5, g3)
+        g0 = sl.add(g6, g4)
+        g7 = sl.add(gj, g4)
+        g8 = sl.add(g3, g4)
+        if not all(sl.generic[g] for g in (gj, g5, g6, g0, g7, g8)):
+            continue
+        try:
+            t1, t2, t3, t4, t5 = (
+                t.reshape(t.shape[: len(axes[0])])
+                for t in (
+                    sl.sixj(g1, g2, g5, g3, g6, gj),
+                    sl.sixj(g1, gj, g6, g4, g0, g7),
+                    sl.sixj(g2, g3, gj, g4, g7, g8),
+                    sl.sixj(g5, g3, g6, g4, g0, g8),
+                    sl.sixj(g1, g2, g5, g8, g0, g7),
+                )
+            )
+            ops = (t1, t2, t3, sl.scalars(gj)[0].astype(complex))
+            if lhs_path is None:
+                lhs_path = np.einsum_path(lhs_spec, *ops, optimize="optimal")[0]
+            lhs = np.einsum(lhs_spec, *ops, optimize=lhs_path)
+            rhs = np.einsum(rhs_spec, t4, t5)
+            diff = np.abs(lhs - rhs)
+            diff = diff.reshape(diff.shape[:9] + (m,) * 6)  # witness: all 15 axes
+            run.record(
+                float(diff.max()),
+                lambda g1=g1, g2=g2, g3=g3, g4=g4, diff=diff: {
+                    "degrees": sl.names((g1, g2, g3, g4)),
+                    "entry": _argmax_entry(diff),
+                },
+            )
+        except MissingDataError as exc:
+            run.skip_missing(exc)
+    return run.result()
+
+
+def pentagons(data, values, max_tuples=4096):
+    """The sparse and the dense pentagon over the closure of the samples,
+    each on its own block cache."""
+    closure = sorted({h for g in samples(*values) for h in (g, -g)}, key=str)
+    return [
+        check(_Slice(data, closure, max_tuples), 1e-9).to_dict()
+        for check in (_check_pentagon, dense_pentagon)
+    ]
+
+
+AXIOM_STYLE = ("1/7", "2/5", "1/13")  # three prime denominators, as bench draws
+ORACLE_FAMILIES = {**FAMILIES, "P32": BuiltinFamily("P", 3, 2.0)}
+
+
+class TestPentagonOracle:
+    @pytest.mark.parametrize(
+        "values", [("1/5", "2/5"), AXIOM_STYLE], ids=["5", "7-5-13"]
+    )
+    @pytest.mark.parametrize("name", ORACLE_FAMILIES)
+    def test_builtin_matches_dense(self, name, values):
+        sparse, dense = pentagons(ORACLE_FAMILIES[name], values)
+        assert sparse == dense
+        assert sparse["passed"] and sparse["checked"] > 0
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_forced_multiplicity_matches_dense(self, name):
+        sparse, dense = pentagons(ForcedMultiplicity(FAMILIES[name]), ("1/5", "2/5"))
+        assert sparse == dense
+
+    def test_stride_and_missing_degrees_match_dense(self):
+        table = TableData.from_dict(
+            recorded_table(BuiltinFamily("P", 3, 2.0), samples("1/5", "2/5"))
+        )
+        for values, cap in ((("1/5", "2/5"), 50), (("1/5", "2/5", "1/7"), 4096)):
+            sparse, dense = pentagons(table, values, cap)
+            assert sparse == dense
+        assert sparse["notes"]
+
+    def test_perturbed_table_matches_dense(self):
+        table = recorded_table(BuiltinFamily("P", 3, 2.0), samples("1/5", "2/5"))
+        table["sixj"][5]["re"] *= 1.1  # not a dyadic change: rounding shows
+        table["sixj"][7]["im"] = 0.3
+        sparse, dense = pentagons(TableData.from_dict(table), ("1/5", "2/5"))
+        assert sparse == dense
+        assert not sparse["passed"]
+
+    def test_off_support_entry_matches_dense(self, monkeypatch):
+        # stored entries count wherever they sit: blocks are read unmasked
+        table = recorded_table(FAMILIES["P21"], samples("1/5", "2/5"))
+        labels = ["0@1/5", "0@1/5", "0@2/5", "0@1/5", "0@3/5", "1@2/5"]
+        table["sixj"].append({"j": labels, "a": [1, 1, 1, 1], "re": 0.5, "im": 0.0})
+        data = TableData.from_dict(table)
+        sparse, dense = pentagons(data, ("1/5", "2/5"))
+        assert sparse == dense
+        assert sparse["residual"] == 0.5
+        # the planted block gives the tuples that read it plans of their
+        # own; batches of one tuple each must record the same report
+        monkeypatch.setattr(sys.modules["rlw.validate"], "_PENT_LOAD", 1)
+        assert pentagons(data, ("1/5", "2/5"))[0] == dense
+
+    def test_real_multiplicity_matches_dense(self):
+        # several terms per output entry: summation order may differ
+        sparse, dense = pentagons(DoubledMultiplicity(FAMILIES["P21"]), ("1/5", "2/5"))
+        assert not dense["passed"]
+        assert sparse["residual"] == pytest.approx(dense["residual"], rel=1e-12)
+        assert sparse["witness"]["degrees"] == dense["witness"]["degrees"]
+        assert sparse["checked"] == dense["checked"]
