@@ -3,12 +3,16 @@
 A data object bundles the grading group, the singular set X, the label
 sets I_g for generic degrees g, the scalars d, b, beta, the branching
 scalars gamma, the fusion multiplicities delta, and the modified 6j
-symbols N.  Two providers implement the same interface: closed-form
-built-in families and file-backed finite tables.  A recording wrapper
-captures the slice of a provider actually used by a computation so it
-can be exported and replayed from a table.  `BlockCache` is the one
-cached, degree-blocked read path (interned degrees, read-only blocks)
-that the validator, the plaquette walk and the state spaces share.
+symbols N.  Every provider answers in degree blocks: its labels, its
+`mult_bound` and its delta, gamma and 6j arrays over the labels of a
+degree tuple are the whole provider interface, and `LWData` derives
+duals and the per-entry queries from those.  Closed-form built-in
+families compute their blocks; finite tables store them, read once
+from a file.  A recording wrapper keeps the blocks a computation was
+served, so the slice can be exported as a table and replayed bit for
+bit.  `BlockCache` is the one cached, degree-blocked read path
+(interned degrees, read-only blocks) that the validator, the plaquette
+walk and the state spaces share.
 
 Conventions baked into the interface:
 
@@ -68,15 +72,19 @@ class LWData:
     """Query interface for one set of graded string-net data.
 
     Immutable after construction; all methods are safe for concurrent
-    reads.  Subclasses must provide `labels`, `delta`, `gamma`, `sixj`
-    and `mult_bound`; the block accessors have generic implementations
-    that subclasses may vectorize.
+    reads.  A provider supplies `labels`, `mult_bound`, `probe_degrees`
+    and the three degree blocks `delta_block`, `gamma_block` and
+    `sixj_block`.  Everything else is derived here from those, the same
+    way for every provider: duals and scalar vectors from the labels, and
+    the per-entry `delta`, `gamma` and `sixj` (index-range rule included)
+    read off the blocks.  A provider may override a derived query with
+    an equal closed form, as `BuiltinFamily` does.
     """
 
     signature: GroupSignature
     singular: SingularSet
 
-    # -- labels ----------------------------------------------------------
+    # -- the provider interface --------------------------------------------
 
     def labels(self, g: GroupElement) -> tuple:
         raise NotImplementedError
@@ -85,6 +93,34 @@ class LWData:
     def mult_bound(self) -> int:
         """Largest delta value; sizes the branching-index axes."""
         raise NotImplementedError
+
+    def probe_degrees(self) -> Iterator[GroupElement]:
+        """Candidate degrees for plaquette probes, most preferred first."""
+        raise NotImplementedError
+
+    def delta_block(self, g1, g2, g3) -> np.ndarray:
+        """delta over labels(g1) x labels(g2) x labels(g3)."""
+        raise NotImplementedError
+
+    def gamma_block(self, g1, g2, g3) -> np.ndarray:
+        """gamma over labels(g1..g3) and n in 1..mult_bound, zero-padded
+        outside the delta range (the pad is only ever multiplied against
+        6j entries that vanish there).  An entry inside the delta range
+        that the data lacks raises `MissingDataError`."""
+        raise NotImplementedError
+
+    def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
+        """N over labels(g1)x..xlabels(g6) and four branching axes of
+        size mult_bound (1-based index n stored at position n-1).
+
+        Table blocks are unmasked: `TableData` returns a stored entry
+        even outside the delta support, where `sixj` reads 0, so that the
+        validator can see it.  Readers that need pointwise semantics
+        mask with `BlockCache.support` or, like the plaquette walk, read
+        the values at the block's nonzero entries through `sixj`."""
+        raise NotImplementedError
+
+    # -- labels ----------------------------------------------------------
 
     def check_degree(self, g: GroupElement) -> GroupElement:
         if self.singular.contains(g):
@@ -105,17 +141,43 @@ class LWData:
             f"dual label {label.dual_id!r} not found at degree {-label.degree}"
         )
 
-    # -- pointwise data --------------------------------------------------
+    def dual_perm(self, g: GroupElement) -> np.ndarray:
+        """Index in labels(-g) of the dual of each label of degree g."""
+        target = {lbl.id: i for i, lbl in enumerate(self.labels(-g))}
+        return np.array([target[lbl.id] for lbl in map(self.dual, self.labels(g))])
+
+    def scalar_vectors(self, g: GroupElement):
+        """(d, b, beta) arrays over labels(g)."""
+        ls = self.labels(g)
+        return (
+            np.array([l.d for l in ls]),
+            np.array([l.b for l in ls]),
+            np.array([l.beta for l in ls]),
+        )
+
+    # -- per-entry reads off the blocks --------------------------------------
+
+    def _at(self, labels: Sequence[Label]) -> tuple:
+        return tuple(self.label_index(lbl) for lbl in labels)
 
     def delta(self, i: Label, j: Label, k: Label) -> int:
-        raise NotImplementedError
+        return int(self.delta_block(i.degree, j.degree, k.degree)[self._at((i, j, k))])
 
     def gamma(self, i: Label, j: Label, k: Label, n: int) -> float:
-        raise NotImplementedError
+        d = self.delta(i, j, k)
+        if not 1 <= n <= d:
+            raise IndexRangeError(f"branching index {n} outside 1..{d}")
+        block = self.gamma_block(i.degree, j.degree, k.degree)
+        return float(block[self._at((i, j, k)) + (n - 1,)])
 
     def sixj(self, js: Sequence[Label], a: Sequence[int]) -> complex:
-        """N^{j1 j2 j3}_{j4 j5 j6} at branching indices (a1, a2; a3, a4)."""
-        raise NotImplementedError
+        """N^{j1 j2 j3}_{j4 j5 j6} at branching indices (a1, a2; a3, a4):
+        zero outside the delta support, an error only below 1."""
+        self._check_branching(a)
+        if not self.sixj_support(js, a):
+            return 0j
+        block = self.sixj_block(tuple(j.degree for j in js))
+        return complex(block[self._at(js) + tuple(n - 1 for n in a)])
 
     def _check_branching(self, a: Sequence[int]):
         for n in a:
@@ -132,72 +194,6 @@ class LWData:
             and a3 <= self.delta(j5, self.dual(j6), self.dual(j1))
             and a4 <= self.delta(j6, self.dual(j4), self.dual(j2))
         )
-
-    # -- degree blocks (vectorized views used by the validator) ----------
-
-    def dual_perm(self, g: GroupElement) -> np.ndarray:
-        """Index in labels(-g) of the dual of each label of degree g."""
-        target = {lbl.id: i for i, lbl in enumerate(self.labels(-g))}
-        try:
-            return np.array([target[lbl.id] for lbl in map(self.dual, self.labels(g))])
-        except KeyError as exc:  # pragma: no cover - guarded by dual()
-            raise MissingDataError(f"dual label {exc} missing at degree {-g}") from exc
-
-    def scalar_vectors(self, g: GroupElement):
-        """(d, b, beta) arrays over labels(g)."""
-        ls = self.labels(g)
-        return (
-            np.array([l.d for l in ls]),
-            np.array([l.b for l in ls]),
-            np.array([l.beta for l in ls]),
-        )
-
-    def delta_block(self, g1, g2, g3) -> np.ndarray:
-        ls = [self.labels(g) for g in (g1, g2, g3)]
-        out = np.zeros(tuple(map(len, ls)), dtype=int)
-        for (i, a), (j, b), (k, c) in itertools.product(*(enumerate(l) for l in ls)):
-            out[i, j, k] = self.delta(a, b, c)
-        return out
-
-    def gamma_block(self, g1, g2, g3) -> np.ndarray:
-        """gamma over labels(g1..g3) and n in 1..mult_bound, zero-padded
-        outside the delta range (the pad is only ever multiplied against
-        6j entries that vanish there).  An entry inside the delta range
-        that the data lacks raises `MissingDataError`, as `gamma` does."""
-        ls = [self.labels(g) for g in (g1, g2, g3)]
-        m = self.mult_bound
-        out = np.zeros(tuple(map(len, ls)) + (m,))
-        for (i, a), (j, b), (k, c) in itertools.product(*(enumerate(l) for l in ls)):
-            for n in range(1, self.delta(a, b, c) + 1):
-                out[i, j, k, n - 1] = self.gamma(a, b, c, n)
-        return out
-
-    def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        """N over labels(g1)x..xlabels(g6) and four branching axes of
-        size mult_bound (1-based index n stored at position n-1).
-
-        Table blocks are unmasked: `TableData` returns a stored entry
-        even outside the delta support, where `sixj` reads 0, so that the
-        validator can see it.  Readers that need pointwise semantics
-        mask with `BlockCache.support` or, like the plaquette walk, read
-        the values at the block's nonzero entries through `sixj`."""
-        ls = [self.labels(g) for g in degs]
-        m = self.mult_bound
-        out = np.zeros(tuple(map(len, ls)) + (m,) * 4, dtype=complex)
-        for combo in itertools.product(*(enumerate(l) for l in ls)):
-            idx = tuple(i for i, _ in combo)
-            js = [l for _, l in combo]
-            for a in itertools.product(range(1, m + 1), repeat=4):
-                val = self.sixj(js, a)
-                if val != 0:
-                    out[idx + tuple(n - 1 for n in a)] = val
-        return out
-
-    # -- misc -------------------------------------------------------------
-
-    def probe_degrees(self) -> Iterator[GroupElement]:
-        """Candidate degrees for plaquette probes, most preferred first."""
-        raise NotImplementedError
 
 
 class BuiltinFamily(LWData):
@@ -242,8 +238,8 @@ class BuiltinFamily(LWData):
         self._beta = self.gamma0 ** (-2.0 / 3.0) if kind == "F" else 1.0
         self._gamma = self.gamma0 if kind == "F" else 1.0
         self._sixj_val = complex(1.0 / self.c if kind != "M" else -1.0 / self.c)
-        # operator assembly hammers labels/dual/delta/sixj, so everything
-        # that can be answered from small dicts and integer sums is
+        # labels, duals and the closed forms are answered from small dicts
+        # and integer sums; blocks are shared read-only arrays
         self._label_cache: dict = {}
         self._apart_cache: dict = {}
         self._dual_cache: dict = {}
@@ -278,9 +274,6 @@ class BuiltinFamily(LWData):
             for a, lab in enumerate(cached):
                 self._apart_cache[lab.id] = a
         return cached
-
-    def label_index(self, label: Label) -> int:
-        return self._apart(label)
 
     def _apart(self, label: Label) -> int:
         a = self._apart_cache.get(label.id)
@@ -407,6 +400,11 @@ def _require(cond: bool, msg: str):
         raise DataFormatError(msg)
 
 
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
+
+
 def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataFormatError(f"{what} must be a real number, got {value!r}")
@@ -416,9 +414,9 @@ def _real(value, what: str) -> float:
 
 
 class TableData(LWData):
-    """Finite tabulated data loaded from a dict or JSON file.
+    """Finite tabulated data, kept as read-only degree blocks.
 
-    Expected shape::
+    File shape (`from_dict`, `to_dict`)::
 
         {"group": {...}, "singular": {...},
          "labels": [{"id", "degree", "dual", "d", "b", "beta"}, ...],
@@ -426,9 +424,15 @@ class TableData(LWData):
          "gamma":  [{"i", "j", "k", "n", "value"}, ...],
          "sixj":   [{"j": [6 ids], "a": [4 ints], "re", "im"}, ...]}
 
-    Absent delta/sixj entries are zero.  A gamma entry missing inside
-    the delta range of its triple is reported as missing data when
-    queried, not silently defaulted.
+    The rows are read once, at load, into one block per degree tuple
+    (the `*_block` layout of `LWData`); the block accessors look them up
+    and `to_dict` writes the rows back from them.  Deltas must be
+    non-negative and every branching index (gamma's n, the 6j a_i) must
+    lie in 1..mult_bound, the largest delta (at least 1): a row that
+    breaks either is a `DataFormatError` naming it.  Absent delta and 6j
+    entries are zero.  A gamma entry missing inside the delta range of
+    its triple is not silently defaulted: that triple's `gamma_block`,
+    and so every `gamma` read of it, raises `MissingDataError`.
     """
 
     def __init__(
@@ -440,6 +444,8 @@ class TableData(LWData):
         gamma: dict,
         sixj: dict,
     ):
+        """`delta`, `gamma` and `sixj` map degree tuples to blocks; a NaN
+        gamma entry is absent.  Branching axes are cut to `mult_bound`."""
         self.signature = signature
         self.singular = singular
         self._by_id: dict = {}
@@ -470,45 +476,31 @@ class TableData(LWData):
                 partner.dual_id == lbl.id,
                 f"dual involution broken at {lbl.id!r}",
             )
-        self._delta = dict(delta)
-        self._gamma = dict(gamma)
-        self._sixj = dict(sixj)
-        self._mult = max(self._delta.values(), default=0)
-        # degree-bucketed views so block assembly touches only stored entries
-        self._delta_buckets: dict = {}
-        for (i, j, k), v in self._delta.items():
-            key = (self._deg(i), self._deg(j), self._deg(k))
-            self._delta_buckets.setdefault(key, []).append((i, j, k, v))
-        self._gamma_buckets: dict = {}
-        for (i, j, k, n), v in self._gamma.items():
-            key = (self._deg(i), self._deg(j), self._deg(k))
-            self._gamma_buckets.setdefault(key, []).append((i, j, k, n, v))
-        self._sixj_buckets: dict = {}
-        for (ids, a), v in self._sixj.items():
-            key = tuple(self._deg(i) for i in ids)
-            self._sixj_buckets.setdefault(key, []).append((ids, a, v))
+        self._set_blocks(delta, gamma, sixj)
 
-    def _deg(self, label_id: str) -> GroupElement:
-        lbl = self._by_id.get(label_id)
-        if lbl is None:
-            raise MissingDataError(f"unknown label id {label_id!r}")
-        return lbl.degree
+    def _set_blocks(self, delta: dict, gamma: dict, sixj: dict):
+        m = self._mult = max([1] + [int(b.max()) for b in delta.values() if b.size])
+        cut = [(Ellipsis,) + (slice(0, m),) * k for k in (0, 1, 4)]
+        self._delta, self._gamma, self._sixj = (
+            {tuple(degs): _read_only(b[at]) for degs, b in blocks.items()}
+            for blocks, at in zip((delta, gamma, sixj), cut)
+        )
 
     # -- interface --------------------------------------------------------
 
     @property
     def mult_bound(self) -> int:
-        return max(self._mult, 1)
+        return self._mult
 
     def degrees(self) -> tuple:
         return tuple(sorted(self._by_degree, key=str))
 
     def labels(self, g: GroupElement) -> tuple:
-        self.check_degree(g)
-        try:
-            return self._by_degree[g]
-        except KeyError:
-            raise MissingDataError(f"degree {g} not tabulated") from None
+        ls = self._by_degree.get(g)
+        if ls is None:
+            self.check_degree(g)  # tabulated degrees are generic
+            raise MissingDataError(f"degree {g} not tabulated")
+        return ls
 
     def label_index(self, label: Label) -> int:
         try:
@@ -516,77 +508,36 @@ class TableData(LWData):
         except KeyError:
             raise MissingDataError(f"unknown label id {label.id!r}") from None
 
-    def dual(self, label: Label) -> Label:
-        try:
-            return self._by_id[label.dual_id]
-        except KeyError:
-            raise MissingDataError(f"unknown label id {label.dual_id!r}") from None
-
-    def _known(self, *labels: Label):
-        for lbl in labels:
-            if lbl.id not in self._by_id:
-                raise MissingDataError(f"unknown label id {lbl.id!r}")
-
-    def delta(self, i: Label, j: Label, k: Label) -> int:
-        self._known(i, j, k)
-        if not (i.degree + j.degree + k.degree).is_zero:
-            return 0
-        return self._delta.get((i.id, j.id, k.id), 0)
-
-    def gamma(self, i: Label, j: Label, k: Label, n: int) -> float:
-        d = self.delta(i, j, k)
-        if not 1 <= n <= d:
-            raise IndexRangeError(f"branching index {n} outside 1..{d}")
-        try:
-            return self._gamma[(i.id, j.id, k.id, n)]
-        except KeyError:
-            raise MissingDataError(
-                f"gamma missing for ({i.id},{j.id},{k.id}) at n={n}"
-                f" inside delta range {d}"
-            ) from None
-
-    def sixj(self, js: Sequence[Label], a: Sequence[int]) -> complex:
-        self._check_branching(a)
-        self._known(*js)
-        if not self.sixj_support(js, a):
-            return 0j
-        return self._sixj.get((tuple(j.id for j in js), tuple(a)), 0j)
-
-    # -- fast block assembly from the buckets ------------------------------
+    def _block(self, blocks: dict, degs: tuple, branching: int, fill) -> np.ndarray:
+        block = blocks.get(degs)
+        if block is None:
+            shape = tuple(len(self.labels(g)) for g in degs)
+            block = np.full(shape + (self.mult_bound,) * branching, fill)
+        return block
 
     def delta_block(self, g1, g2, g3) -> np.ndarray:
-        ls = [self.labels(g) for g in (g1, g2, g3)]
-        out = np.zeros(tuple(map(len, ls)), dtype=int)
-        for i, j, k, v in self._delta_buckets.get((g1, g2, g3), ()):
-            out[self._index[i], self._index[j], self._index[k]] = v
-        return out
+        return self._block(self._delta, (g1, g2, g3), 0, 0)
 
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
-        ls = [self.labels(g) for g in (g1, g2, g3)]
-        out = np.zeros(tuple(map(len, ls)) + (self.mult_bound,))
-        stored = np.zeros(out.shape, dtype=bool)
-        for i, j, k, n, v in self._gamma_buckets.get((g1, g2, g3), ()):
-            idx = (self._index[i], self._index[j], self._index[k], n - 1)
-            out[idx], stored[idx] = v, True
-        bounds = self.delta_block(g1, g2, g3)
-        in_range = np.arange(1, out.shape[3] + 1) <= bounds[..., None]
-        missing = np.argwhere(in_range & ~stored)
-        if len(missing):
-            x, y, z, n = missing[0]
+        degs = (g1, g2, g3)
+        block = self._block(self._gamma, degs, 1, np.nan)
+        absent = np.isnan(block)
+        gaps = np.argwhere(absent & self._in_range(degs))
+        if len(gaps):
+            x, y, z, n = gaps[0]
+            ls = [self.labels(g) for g in degs]
             raise MissingDataError(
                 f"gamma missing for ({ls[0][x].id},{ls[1][y].id},{ls[2][z].id})"
-                f" at n={n + 1} inside delta range {bounds[x, y, z]}"
+                f" at n={n + 1} inside delta range {self.delta_block(*degs)[x, y, z]}"
             )
-        return out
+        return np.where(absent, 0.0, block) if absent.any() else block
+
+    def _in_range(self, degs: tuple) -> np.ndarray:
+        """Boolean (n1, n2, n3, m): n <= delta of the triple."""
+        return np.arange(1, self.mult_bound + 1) <= self.delta_block(*degs)[..., None]
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        ls = [self.labels(g) for g in degs]
-        m = self.mult_bound
-        out = np.zeros(tuple(map(len, ls)) + (m,) * 4, dtype=complex)
-        for ids, a, v in self._sixj_buckets.get(tuple(degs), ()):
-            idx = tuple(self._index[i] for i in ids)
-            out[idx + tuple(n - 1 for n in a)] = v
-        return out
+        return self._block(self._sixj, tuple(degs), 4, 0j)
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         return iter(self.degrees())
@@ -616,58 +567,97 @@ class TableData(LWData):
                     beta=_real(row.get("beta", 1), "beta"),
                 )
             )
-        delta = {}
+        table = cls(signature, singular, labels, {}, {}, {})
+        table._set_blocks(*table._read_rows(obj))
+        return table
+
+    def _read_rows(self, obj: dict) -> tuple:
+        """The delta, gamma and 6j blocks of a table's rows."""
+        degrees = list(self._by_degree)
+        slot = {g: s for s, g in enumerate(degrees)}
+        sizes = [len(self._by_degree[g]) for g in degrees]
+        where = {i: (slot[lbl.degree], self._index[i]) for i, lbl in self._by_id.items()}
+
+        def assemble(entries, branching: int, fill) -> dict:
+            blocks: dict = {}
+            for ids, tail, value in entries:
+                try:
+                    key, index = zip(*(where[str(i)] for i in ids))
+                except KeyError as exc:
+                    raise MissingDataError(f"unknown label id {exc.args[0]!r}") from None
+                if key not in blocks:
+                    blocks[key] = np.full([sizes[s] for s in key] + [m] * branching, fill)
+                blocks[key][index + tail] = value
+            return {tuple(degrees[s] for s in key): b for key, b in blocks.items()}
+
+        def branching(field: str, row, indices) -> tuple:
+            if not all(1 <= n <= m for n in indices):
+                raise DataFormatError(
+                    f"{field} row {row!r}: branching index outside 1..{m}"
+                )
+            return tuple(n - 1 for n in indices)
+
+        deltas = []
         for row in obj.get("delta", []):
-            delta[(str(row["i"]), str(row["j"]), str(row["k"]))] = int(row["value"])
-        gamma = {}
-        for row in obj.get("gamma", []):
-            key = (str(row["i"]), str(row["j"]), str(row["k"]), int(row["n"]))
-            gamma[key] = _real(row["value"], "gamma")
-        sixj = {}
+            deltas.append(((row["i"], row["j"], row["k"]), (), int(row["value"])))
+            if deltas[-1][2] < 0:
+                raise DataFormatError(f"delta row {row!r}: negative value")
+        m = max([1] + [value for _, _, value in deltas])
+        gammas = [
+            ((row["i"], row["j"], row["k"]), branching("gamma", row, (int(row["n"]),)),
+             _real(row["value"], "gamma"))
+            for row in obj.get("gamma", [])
+        ]
+        sixjs = []
         for row in obj.get("sixj", []):
-            _require(
-                len(row.get("j", ())) == 6 and len(row.get("a", ())) == 4,
-                f"malformed sixj row {row!r}",
-            )
-            key = (tuple(map(str, row["j"])), tuple(map(int, row["a"])))
-            sixj[key] = complex(
+            if len(row.get("j", ())) != 6 or len(row.get("a", ())) != 4:
+                raise DataFormatError(f"malformed sixj row {row!r}")
+            value = complex(
                 _real(row.get("re", 0), "sixj re"), _real(row.get("im", 0), "sixj im")
             )
-        return cls(signature, singular, labels, delta, gamma, sixj)
+            a = branching("sixj", row, tuple(map(int, row["a"])))
+            sixjs.append((row["j"], a, value))
+        return assemble(deltas, 0, 0), assemble(gammas, 1, np.nan), assemble(sixjs, 4, 0j)
 
     def to_dict(self) -> dict:
-        labels = []
-        for g in self.degrees():
-            for lbl in self._by_degree[g]:
-                labels.append(
-                    {
-                        "id": lbl.id,
-                        "degree": lbl.degree.to_json(),
-                        "dual": lbl.dual_id,
-                        "d": lbl.d,
-                        "b": lbl.b,
-                        "beta": lbl.beta,
-                    }
-                )
-        delta = [
-            {"i": i, "j": j, "k": k, "value": v}
-            for (i, j, k), v in sorted(self._delta.items())
+        labels = [
+            {"id": l.id, "degree": l.degree.to_json(), "dual": l.dual_id,
+             "d": l.d, "b": l.b, "beta": l.beta}
+            for g in self.degrees()
+            for l in self._by_degree[g]
         ]
-        gamma = [
-            {"i": i, "j": j, "k": k, "n": n, "value": v}
-            for (i, j, k, n), v in sorted(self._gamma.items())
-        ]
-        sixj = [
-            {"j": list(ids), "a": list(a), "re": v.real, "im": v.imag}
-            for (ids, a), v in sorted(self._sixj.items())
-        ]
+
+        def rows(blocks: dict, stored) -> list:
+            """(label ids, 1-based branching indices, value), sorted."""
+            out = []
+            for degs, block in blocks.items():
+                nz, k = np.nonzero(stored(degs, block)), len(degs)
+                ids = [[lbl.id for lbl in self._by_degree[g]] for g in degs]
+                names = zip(*([ls[x] for x in ax.tolist()] for ls, ax in zip(ids, nz)))
+                slots = [(ax + 1).tolist() for ax in nz[k:]]
+                slots = zip(*slots) if slots else itertools.repeat(())
+                out += zip(names, slots, block[nz].tolist())
+            return sorted(out, key=lambda row: row[:2])
+
+        def gamma_stored(degs, block):  # NaN: absent from the file
+            return ~np.isnan(block) & ((block != 0) | self._in_range(degs))
+
         return {
             "group": self.signature.to_json(),
             "singular": self.singular.to_json(),
             "labels": labels,
-            "delta": delta,
-            "gamma": gamma,
-            "sixj": sixj,
+            "delta": [
+                {"i": i, "j": j, "k": k, "value": v}
+                for (i, j, k), _, v in rows(self._delta, lambda degs, b: b != 0)
+            ],
+            "gamma": [
+                {"i": i, "j": j, "k": k, "n": n, "value": v}
+                for (i, j, k), (n,), v in rows(self._gamma, gamma_stored)
+            ],
+            "sixj": [
+                {"j": list(ids), "a": list(a), "re": v.real, "im": v.imag}
+                for ids, a, v in rows(self._sixj, lambda degs, b: b != 0)
+            ],
         }
 
     def to_file(self, path: str):
@@ -679,12 +669,14 @@ class TableData(LWData):
 class RecordingData(LWData):
     """Pass-through wrapper that records the slice of `base` it serves.
 
-    Everything queried (label degrees, nonzero delta triples, in-range
-    gamma values, nonzero 6j entries, scalars) is remembered;
-    `export_table` emits a TableData-format dict covering exactly that
-    slice, closed under duals.  Replaying the same computation against
-    the exported table reproduces every answer bit for bit: entries
-    absent from the export were zero in the base data.
+    It keeps, by reference, every degree block it serves, and notes the
+    degree of every label set it hands out.  Duals and the per-entry
+    `delta`, `gamma` and `sixj` are read off those by `LWData`, so a
+    per-entry query records the blocks it reads.  `export_table` hands
+    the blocks, with the labels of their degrees closed under duals, to
+    a `TableData`.  Replaying the same computation against the export
+    reproduces every answer bit for bit: entries absent from the export
+    were zero in the base data.
     """
 
     def __init__(self, base: LWData):
@@ -692,9 +684,7 @@ class RecordingData(LWData):
         self.signature = base.signature
         self.singular = base.singular
         self._degrees: set = set()
-        self._rec_delta: dict = {}
-        self._rec_gamma: dict = {}
-        self._rec_sixj: dict = {}
+        self._served: tuple = ({}, {}, {})  # delta, gamma, sixj by degrees
 
     @property
     def mult_bound(self) -> int:
@@ -705,93 +695,29 @@ class RecordingData(LWData):
         self._degrees.add(g)
         return ls
 
-    def label_index(self, label: Label) -> int:
-        return self.base.label_index(label)
-
-    def dual(self, label: Label) -> Label:
-        self._degrees.add(label.degree)
-        self._degrees.add(-label.degree)
-        return self.base.dual(label)
-
-    def delta(self, i: Label, j: Label, k: Label) -> int:
-        v = self.base.delta(i, j, k)
-        if v:
-            self._rec_delta[(i.id, j.id, k.id)] = v
-            for lbl in (i, j, k):
-                self._degrees.add(lbl.degree)
-        return v
-
-    def gamma(self, i: Label, j: Label, k: Label, n: int) -> float:
-        v = self.base.gamma(i, j, k, n)
-        self._rec_gamma[(i.id, j.id, k.id, n)] = v
-        return v
-
-    def sixj(self, js: Sequence[Label], a: Sequence[int]) -> complex:
-        v = self.base.sixj(js, a)
-        if v != 0:
-            self._rec_sixj[(tuple(j.id for j in js), tuple(a))] = v
-            for lbl in js:
-                self._degrees.add(lbl.degree)
-            # capture the support deltas a replay will consult
-            j1, j2, j3, j4, j5, j6 = js
-            self.delta(j1, j2, self.dual(j3))
-            self.delta(j3, j4, self.dual(j5))
-            self.delta(j5, self.dual(j6), self.dual(j1))
-            self.delta(j6, self.dual(j4), self.dual(j2))
-        return v
-
-    def dual_perm(self, g: GroupElement) -> np.ndarray:
-        self._degrees.add(g)
-        self._degrees.add(-g)
-        return self.base.dual_perm(g)
-
-    def delta_block(self, g1, g2, g3) -> np.ndarray:
-        block = self.base.delta_block(g1, g2, g3)
-        ls = [self.base.labels(g) for g in (g1, g2, g3)]
-        self._degrees.update((g1, g2, g3))
-        for idx in np.argwhere(block):
-            i, j, k = (ls[t][idx[t]] for t in range(3))
-            self._rec_delta[(i.id, j.id, k.id)] = int(block[tuple(idx)])
-        return block
-
-    def gamma_block(self, g1, g2, g3) -> np.ndarray:
-        block = self.base.gamma_block(g1, g2, g3)
-        ls = [self.base.labels(g) for g in (g1, g2, g3)]
-        self._degrees.update((g1, g2, g3))
-        for idx in np.argwhere(block):
-            i, j, k = (ls[t][idx[t]] for t in range(3))
-            self._rec_gamma[(i.id, j.id, k.id, int(idx[3]) + 1)] = float(
-                block[tuple(idx)]
-            )
-        return block
-
-    def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        block = self.base.sixj_block(degs)
-        ls = [self.base.labels(g) for g in degs]
-        self._degrees.update(degs)
-        for idx in np.argwhere(block):
-            ids = tuple(ls[t][idx[t]].id for t in range(6))
-            a = tuple(int(idx[6 + t]) + 1 for t in range(4))
-            self._rec_sixj[(ids, a)] = complex(block[tuple(idx)])
-        return block
-
     def probe_degrees(self) -> Iterator[GroupElement]:
         return self.base.probe_degrees()
 
+    def _serve(self, kind: int, degs: tuple, read) -> np.ndarray:
+        block = self._served[kind].get(degs)
+        if block is None:
+            block = self._served[kind][degs] = read(*degs)
+            self._degrees.update(degs)
+        return block
+
+    def delta_block(self, g1, g2, g3) -> np.ndarray:
+        return self._serve(0, (g1, g2, g3), self.base.delta_block)
+
+    def gamma_block(self, g1, g2, g3) -> np.ndarray:
+        return self._serve(1, (g1, g2, g3), self.base.gamma_block)
+
+    def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
+        return self._serve(2, tuple(degs), lambda *d: self.base.sixj_block(d))
+
     def export_table(self) -> TableData:
-        degrees = set(self._degrees)
-        degrees.update(-g for g in self._degrees)
-        labels = []
-        for g in sorted(degrees, key=str):
-            labels.extend(self.base.labels(g))
-        return TableData(
-            self.signature,
-            self.singular,
-            labels,
-            self._rec_delta,
-            self._rec_gamma,
-            self._rec_sixj,
-        )
+        degrees = self._degrees | {-g for g in self._degrees}
+        labels = [lbl for g in sorted(degrees, key=str) for lbl in self.base.labels(g)]
+        return TableData(self.signature, self.singular, labels, *self._served)
 
 
 def _subscripts(*groups) -> str:

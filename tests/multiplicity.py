@@ -1,5 +1,6 @@
 """Test providers shared by the operator, state-space and validator tests."""
 
+import itertools
 import zlib
 
 import numpy as np
@@ -44,6 +45,36 @@ class ForcedMultiplicity(LWData):
 
     def probe_degrees(self):
         return self.base.probe_degrees()
+
+    # blocks assembled entry by entry from the per-entry answers above
+
+    def delta_block(self, g1, g2, g3):
+        ls = [self.labels(g) for g in (g1, g2, g3)]
+        out = np.zeros(tuple(map(len, ls)), dtype=int)
+        for (i, a), (j, b), (k, c) in itertools.product(*(enumerate(l) for l in ls)):
+            out[i, j, k] = self.delta(a, b, c)
+        return out
+
+    def gamma_block(self, g1, g2, g3):
+        ls = [self.labels(g) for g in (g1, g2, g3)]
+        out = np.zeros(tuple(map(len, ls)) + (self.mult_bound,))
+        for (i, a), (j, b), (k, c) in itertools.product(*(enumerate(l) for l in ls)):
+            for n in range(1, self.delta(a, b, c) + 1):
+                out[i, j, k, n - 1] = self.gamma(a, b, c, n)
+        return out
+
+    def sixj_block(self, degs):
+        ls = [self.labels(g) for g in degs]
+        m = self.mult_bound
+        out = np.zeros(tuple(map(len, ls)) + (m,) * 4, dtype=complex)
+        for combo in itertools.product(*(enumerate(l) for l in ls)):
+            idx = tuple(i for i, _ in combo)
+            js = [l for _, l in combo]
+            for a in itertools.product(range(1, m + 1), repeat=4):
+                val = self.sixj(js, a)
+                if val != 0:
+                    out[idx + tuple(n - 1 for n in a)] = val
+        return out
 
 
 class DoubledMultiplicity(ForcedMultiplicity):

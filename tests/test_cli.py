@@ -110,6 +110,20 @@ class TestValidate:
         assert pentagon["witness"] is not None
         assert "pentagon" in err and "FAIL" in err
 
+    def test_out_of_range_index_exits_two(self, capsys, tmp_path):
+        recorder = RecordingData(BuiltinFamily("P", 2, 1.0))
+        validate(recorder, [QMODZ.element(Fraction("1/5")), QMODZ.element(Fraction("2/5"))])
+        table = recorder.export_table().to_dict()
+        table["sixj"][0]["a"] = [1, 1, 1, 2]  # above the largest delta, 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(table))
+        code, report, err = run(
+            capsys, "validate", "--data", str(path), "--degrees", "1/5,2/5",
+        )
+        assert code == 2
+        assert report is None
+        assert "sixj row" in err and "outside 1..1" in err
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")

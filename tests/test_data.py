@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,10 @@ from rlw import (
     DomainError,
     IndexRangeError,
     MissingDataError,
+    StringNetModel,
+    build_torus,
+    coloring_from_holonomy,
+    validate,
 )
 from rlw.data import (
     BlockCache,
@@ -228,6 +233,24 @@ class TestTableData:
         names = {"re": "sixj re", "im": "sixj im", "d": "d", "value": "gamma"}
         assert str(info.value).startswith(names[key])
 
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [("sixj", "a", [0, 1, 1, 1]), ("sixj", "a", [1, 1, 2, 1]),
+         ("gamma", "n", 0), ("gamma", "n", 2), ("delta", "value", -1)],
+    )
+    def test_out_of_range_row_rejected_at_load(self, field, key, value):
+        # n = 0 used to land at index -1, n above every delta was a raw
+        # IndexError on first read, and a negative delta shrank the spaces
+        rec = RecordingData(BuiltinFamily("P", 2, 1.0))
+        rec.sixj_block(_supported_sextuple())
+        rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
+        rec.delta_block(F15, F15, QMODZ.parse("3/5"))
+        table = rec.export_table().to_dict()
+        table[field][0][key] = value
+        with pytest.raises(DataFormatError, match=f"^{field} row") as info:
+            TableData.from_dict(table)
+        assert repr(table[field][0]) in str(info.value)
+
     def test_missing_degree(self):
         fam = BuiltinFamily("P", 2, 1.0)
         rec = RecordingData(fam)
@@ -352,3 +375,47 @@ class TestBlockCache:
         assert fam.dual_perm(F15) is fam.dual_perm(F25)
         with pytest.raises(DomainError):
             fam.sixj_block((QMODZ.parse("1/2"),) + other[1:])
+
+
+CLOSED_FORMS = {
+    "P21": BuiltinFamily("P", 2, 1.0),
+    "P32": BuiltinFamily("P", 3, 2.0),
+    "M21": BuiltinFamily("M", 2, 1.0),
+    "F212": BuiltinFamily("F", 2, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_table_reads_match_closed_forms(name):
+    """Every per-entry read of a recorded table, over each block it
+    stores, equals the builtin family's closed form."""
+    fam = CLOSED_FORMS[name]
+    rec = RecordingData(fam)
+    theta = coloring_from_holonomy(build_torus("theta"), (F15, F25))
+    StringNetModel(rec, theta).ground_dim()
+    validate(rec, [F15, F25])
+    table = TableData.from_dict(rec.export_table().to_dict())
+    rows = table.to_dict()
+    by_id = {l.id: l for g in table.degrees() for l in table.labels(g)}
+
+    def stored(field, ids):
+        degs = {tuple(by_id[i].degree for i in ids(row)) for row in rows[field]}
+        assert degs
+        for key in sorted(degs, key=str):
+            yield itertools.product(*map(table.labels, key))
+
+    def triple(row):
+        return row["i"], row["j"], row["k"]
+
+    for labels in stored("delta", triple):
+        for ijk in labels:
+            assert table.delta(*ijk) == fam.delta(*ijk)
+    for labels in stored("gamma", triple):
+        for ijk in labels:
+            for n in range(1, fam.delta(*ijk) + 1):
+                assert table.gamma(*ijk, n) == fam.gamma(*ijk, n)
+    branching = list(itertools.product(range(1, table.mult_bound + 1), repeat=4))
+    for labels in stored("sixj", lambda row: row["j"]):
+        for js in labels:
+            for a in branching:
+                assert table.sixj(js, a) == fam.sixj(js, a)

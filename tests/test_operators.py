@@ -273,6 +273,23 @@ class TestWalkPaths:
             assert (got.dst.slot_array[rows] == 2).any()
             assert (got.src.slot_array[cols] == 2).any()
 
+    @pytest.mark.parametrize("name", ["P21", "F212"])
+    def test_real_multiplicity_record_replay(self, name, theta_coloring):
+        rec = RecordingData(DoubledMultiplicity(FAMILIES[name]))
+        model = StringNetModel(rec, theta_coloring)
+        p, g = model.graph.plaquettes[0], model.probe
+        moves = ((-g, theta_coloring), (g, gauge_shift(theta_coloring, p, g)))
+        want = [model.plaquette_Bg(p, h, col).matrix for h, col in moves]
+        export = rec.export_table()
+        assert export.mult_bound == 2
+        table = TableData.from_dict(export.to_dict())
+        assert table.mult_bound == 2
+        replay = StringNetModel(table, theta_coloring, probe=g)
+        for (h, col), matrix in zip(moves, want):
+            got = replay.plaquette_Bg(p, h, col)
+            assert np.array_equal(got.matrix, matrix)
+            assert (got.src.slot_array[np.nonzero(matrix)[1]] == 2).any()
+
     def test_forced_multiplicity_genus_two(self):
         # the inclusive genus-2 space, dim 5840, with size-2 slot axes
         holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
