@@ -92,7 +92,6 @@ def _parser() -> argparse.ArgumentParser:
         source.add_argument("--family", help="builtin data P:N:c, M:N:c or F:N:c:gamma0")
         source.add_argument("--data", help="path to a JSON data table")
         sub.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-        sub.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
     def add_surface(sub):
@@ -123,6 +122,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("check", help="operator-identity and invariance suite")
     add_common(sub)
     add_surface(sub)
+    sub.add_argument("--seed", type=int, default=0, help="seed for the randomized rows")
 
     sub = commands.add_parser("spectrum", help="integer spectrum with multiplicities")
     add_common(sub)
@@ -137,7 +137,7 @@ def _resolve(args) -> Tuple[RunConfig, LWData]:
         family=args.family,
         data=args.data,
         tol=args.tol,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         out=args.out,
     )
     if args.command == "validate":

@@ -497,8 +497,8 @@ class StringNetModel:
         op = LinearOperator.identity(space)
         for p in self.graph.plaquettes:
             op = self.plaquette_B(p, col) @ op
-        for v in range(self.graph.num_vertices):
-            op = self.vertex_Q(v, col) @ op
+        # the product of the diagonal Q_v: keep the rows with every slot >= 1
+        op.matrix[(space.slot_array < 1).any(axis=1)] = 0
         return op
 
     def ground_dim(
@@ -529,10 +529,12 @@ class StringNetModel:
         """Energy -> multiplicity by joint splitting along the projectors."""
         col = coloring or self.coloring
         space = self.space(col)
-        projectors = [self.plaquette_B(p, col) for p in self.graph.plaquettes]
-        projectors += [self.vertex_Q(v, col) for v in range(self.graph.num_vertices)]
-        sectors = [(np.eye(space.dim, dtype=complex), 0)]
-        for proj in projectors:
+        # the Q_v are diagonal: one sector per count of slots at 0, its energy
+        zeros = (space.slot_array < 1).sum(axis=1)
+        ident = np.eye(space.dim, dtype=complex)
+        sectors = [(ident[:, zeros == n], int(n)) for n in np.unique(zeros)]
+        for p in self.graph.plaquettes:
+            proj = self.plaquette_B(p, col)
             updated = []
             for basis, energy in sectors:
                 r = basis.conj().T @ (proj.matrix @ basis)

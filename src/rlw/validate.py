@@ -5,16 +5,19 @@ certify a slice: the caller supplies sample degrees, the validator closes
 them under negation and walks every tuple whose derived degrees (pairwise
 sums as each equation requires) stay generic.  Every check is evaluated
 blockwise, so a run over k samples touches every label and branching
-index exhaustively at those degrees; degrees are `BlockCache` ids.  The
-pentagon multiplies only the nonzero entries of its operands, by an index
-plan built once per nonzero pattern, and evaluates the tuples that share
-a plan together in bounded batches; the other checks run tuple by tuple.
+index exhaustively at those degrees; degrees are `BlockCache` ids.  Each
+check but the pentagon is an evaluator of one degree tuple, run tuple by
+tuple by the one loop `_run`, which records residuals and witnesses and
+turns missing table data into skips with notes.  The pentagon multiplies
+only the nonzero entries of its operands, by an index plan built once per
+nonzero pattern, and evaluates the tuples that share a plan together in
+bounded batches.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,141 +148,130 @@ def _argmax_entry(diff: np.ndarray) -> list:
     return [int(i) for i in np.unravel_index(flat, diff.shape)]
 
 
+def _run(name: str, tol: float, items: Iterable, evaluate: Callable) -> CheckResult:
+    """Run one check: `evaluate(item)` yields the (residual, witness) pairs
+    of an item.  All of them are drawn, so every fetch is made, before any
+    is recorded; an item whose data is missing is skipped with a note."""
+    run = _Runner(name, tol)
+    for item in items:
+        try:
+            found = list(evaluate(item))
+        except MissingDataError as exc:
+            run.skip_missing(exc)
+            continue
+        for residual, witness in found:
+            run.record(residual, witness)
+    return run.result()
+
+
+def _compare(
+    sl: _Slice, degs: Sequence[int], diff: np.ndarray, law: Optional[str] = None
+) -> Tuple[float, Callable[[], dict]]:
+    """The residual of `diff` (|lhs - rhs| over a block) and its witness:
+    the degrees, the law compared if there are several, the worst entry."""
+
+    def witness() -> dict:
+        found = {"degrees": sl.names(degs)}
+        if law is not None:
+            found["law"] = law
+        found["entry"] = _argmax_entry(diff)
+        return found
+
+    return float(diff.max(initial=0.0)), witness
+
+
 # -- the ten checks, in report order -----------------------------------------
 
 
 def _check_dual_involution(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("dual_involution", tol)
-    for g, name in zip(sl.degrees, sl.names(sl.degrees)):
-        try:
-            labels = sl.data.labels(sl.element(g))
-            for lbl in labels:
-                dual = sl.data.dual(lbl)
-                ok = sl.id(dual.degree) == sl.neg(g) and sl.data.dual(dual).id == lbl.id
-                run.record(
-                    0.0 if ok else 1.0,
-                    lambda lbl=lbl, name=name: {"degree": name, "label": str(lbl.id)},
-                )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+    def evaluate(g):
+        name = str(sl.element(g))
+        for lbl in sl.data.labels(sl.element(g)):
+            dual = sl.data.dual(lbl)
+            ok = sl.id(dual.degree) == sl.neg(g) and sl.data.dual(dual).id == lbl.id
+            yield 0.0 if ok else 1.0, lambda lbl=lbl: {
+                "degree": name,
+                "label": str(lbl.id),
+            }
+
+    return _run("dual_involution", tol, sl.degrees, evaluate)
 
 
 def _check_scalar_reality_duality(sl: _Slice, tol: float) -> CheckResult:
     # reality of d, b, beta, gamma is structural (stored as reals);
     # what remains is invariance under the dual involution
-    run = _Runner("scalar_reality_duality", tol)
-    for g in sl.degrees:
-        try:
-            here = sl.scalars(g)
-            there = sl.scalars(sl.neg(g))
-            perm = sl.perm(g)
-            for name, a, b in zip("dbB", here, there):
-                diff = np.abs(a - b[perm])
-                run.record(
-                    float(diff.max()),
-                    lambda g=g, name=name, diff=diff: {
-                        "degree": str(sl.element(g)),
-                        "scalar": {"d": "d", "b": "b", "B": "beta"}[name],
-                        "label": sl.label_at(g, diff),
-                    },
-                )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+    def evaluate(g):
+        here = sl.scalars(g)
+        there = sl.scalars(sl.neg(g))
+        perm = sl.perm(g)
+        for name, a, b in zip(("d", "b", "beta"), here, there):
+            diff = np.abs(a - b[perm])
+            yield float(diff.max()), lambda name=name, diff=diff: {
+                "degree": str(sl.element(g)),
+                "scalar": name,
+                "label": sl.label_at(g, diff),
+            }
+
+    return _run("scalar_reality_duality", tol, sl.degrees, evaluate)
 
 
 def _check_delta_symmetry(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("delta_symmetry", tol)
-    for g1, g2, g3 in sl.tuples(3):
-        try:
-            block = sl.delta(g1, g2, g3)
-            if sl.add(g1, g2) != sl.neg(g3):
-                diff = np.abs(block).astype(float)
-                run.record(
-                    float(diff.max()) if diff.size else 0.0,
-                    lambda g1=g1, g2=g2, g3=g3, diff=diff: {
-                        "degrees": sl.names((g1, g2, g3)),
-                        "law": "degree constraint",
-                        "entry": _argmax_entry(diff),
-                    },
-                )
-                continue
-            cyclic = np.transpose(sl.delta(g2, g3, g1), (2, 0, 1))
-            dual = sl.dualized(sl.delta, (g3, g2, g1), (0, 1, 2))
-            dual = np.transpose(dual, (2, 1, 0))
-            for law, other in (("cyclic", cyclic), ("dual reversal", dual)):
-                diff = np.abs(block - other).astype(float)
-                run.record(
-                    float(diff.max()),
-                    lambda g1=g1, g2=g2, g3=g3, law=law, diff=diff: {
-                        "degrees": sl.names((g1, g2, g3)),
-                        "law": law,
-                        "entry": _argmax_entry(diff),
-                    },
-                )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+    def evaluate(degs):
+        g1, g2, g3 = degs
+        block = sl.delta(g1, g2, g3)
+        if sl.add(g1, g2) != sl.neg(g3):
+            yield _compare(sl, degs, np.abs(block).astype(float), "degree constraint")
+            return
+        cyclic = np.transpose(sl.delta(g2, g3, g1), (2, 0, 1))
+        dual = sl.dualized(sl.delta, (g3, g2, g1), (0, 1, 2))
+        dual = np.transpose(dual, (2, 1, 0))
+        for law, other in (("cyclic", cyclic), ("dual reversal", dual)):
+            yield _compare(sl, degs, np.abs(block - other).astype(float), law)
+
+    return _run("delta_symmetry", tol, sl.tuples(3), evaluate)
 
 
 def _check_b_recursion(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("b_recursion", tol)
-    for g1, g2 in sl.tuples(2):
+    def evaluate(degs):
+        g1, g2 = degs
         g = sl.add(g1, g2)
         if not sl.generic[g]:
-            continue
-        try:
-            b = sl.scalars(g)[1]
-            b1 = sl.scalars(g1)[1]
-            b2 = sl.scalars(g2)[1]
-            # delta(j*, j1, j2) with the first axis re-indexed by j
-            dual_delta = sl.dualized(sl.delta, (g, g1, g2), (0,))
-            rhs = np.einsum("iab,a,b->i", dual_delta, b1, b2)
-            diff = np.abs(b - rhs)
-            run.record(
-                float(diff.max()),
-                lambda g=g, g1=g1, g2=g2, diff=diff: {
-                    "degrees": sl.names((g1, g2)),
-                    "label": sl.label_at(g, diff),
-                },
-            )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+            return
+        b = sl.scalars(g)[1]
+        b1 = sl.scalars(g1)[1]
+        b2 = sl.scalars(g2)[1]
+        # delta(j*, j1, j2) with the first axis re-indexed by j
+        dual_delta = sl.dualized(sl.delta, (g, g1, g2), (0,))
+        rhs = np.einsum("iab,a,b->i", dual_delta, b1, b2)
+        diff = np.abs(b - rhs)
+        yield float(diff.max()), lambda: {
+            "degrees": sl.names(degs),
+            "label": sl.label_at(g, diff),
+        }
+
+    return _run("b_recursion", tol, sl.tuples(2), evaluate)
 
 
 def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("gamma_beta_normalization", tol)
-    m = sl.data.mult_bound
-    rng = np.arange(1, m + 1)
-    for g1, g2 in sl.tuples(2):
+    rng = np.arange(1, sl.data.mult_bound + 1)
+
+    def evaluate(degs):
+        g1, g2 = degs
         g3 = sl.neg(sl.add(g1, g2))
         if not sl.generic[g3]:
-            continue
-        try:
-            bounds = sl.delta(g1, g2, g3)
-            forward = sl.gamma(g1, g2, g3)
-            reverse = sl.dualized(sl.gamma, (g3, g2, g1), (0, 1, 2))
-            reverse = np.transpose(reverse, (2, 1, 0, 3))
-            betas = [sl.scalars(g)[2] for g in (g1, g2, g3)]
-            beta = np.einsum("a,b,c->abc", *betas)
-            product = forward * reverse * beta[..., None]
-            mask = rng <= bounds[..., None]
-            if not mask.any():
-                run.checked += 1
-                continue
-            diff = np.where(mask, np.abs(product - 1.0), 0.0)
-            run.record(
-                float(diff.max()),
-                lambda g1=g1, g2=g2, g3=g3, diff=diff: {
-                    "degrees": sl.names((g1, g2, g3)),
-                    "entry": _argmax_entry(diff),
-                },
-            )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+            return
+        bounds = sl.delta(g1, g2, g3)
+        forward = sl.gamma(g1, g2, g3)
+        reverse = sl.dualized(sl.gamma, (g3, g2, g1), (0, 1, 2))
+        reverse = np.transpose(reverse, (2, 1, 0, 3))
+        betas = [sl.scalars(g)[2] for g in (g1, g2, g3)]
+        beta = np.einsum("a,b,c->abc", *betas)
+        product = forward * reverse * beta[..., None]
+        mask = rng <= bounds[..., None]
+        diff = np.where(mask, np.abs(product - 1.0), 0.0)
+        yield _compare(sl, (g1, g2, g3), diff)
+
+    return _run("gamma_beta_normalization", tol, sl.tuples(2), evaluate)
 
 
 def _sextuple_roots(sl: _Slice):
@@ -293,49 +285,28 @@ def _sextuple_roots(sl: _Slice):
 
 
 def _check_sixj_support(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("sixj_support", tol)
-    for degs in _sextuple_roots(sl):
-        try:
-            block = sl.sixj(*degs)
-            outside = ~sl.support(degs)
-            diff = np.where(outside, np.abs(block), 0.0)
-            run.record(
-                float(diff.max()),
-                lambda degs=degs, diff=diff: {
-                    "degrees": sl.names(degs),
-                    "entry": _argmax_entry(diff),
-                },
-            )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+    def evaluate(degs):
+        block = sl.sixj(*degs)
+        outside = ~sl.support(degs)
+        yield _compare(sl, degs, np.where(outside, np.abs(block), 0.0))
+
+    return _run("sixj_support", tol, _sextuple_roots(sl), evaluate)
 
 
 def _check_tetrahedral_symmetry(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("tetrahedral_symmetry", tol)
-    for degs in _sextuple_roots(sl):
+    def evaluate(degs):
         g1, g2, g3, g4, g5, g6 = degs
-        try:
-            block = sl.sixj(*degs)
-            # first identity: labels (j2, j3*, j1*, j5, j6, j4), slots (a1 a3; a4 a2)
-            first = sl.dualized(sl.sixj, (g2, g3, g1, g5, g6, g4), (1, 2))
-            first = np.transpose(first, (2, 0, 1, 5, 3, 4, 6, 9, 7, 8))
-            # second identity: labels (j3, j4, j5, j6*, j1, j2*), slots (a2 a3; a1 a4)
-            second = sl.dualized(sl.sixj, (g3, g4, g5, g6, g1, g2), (3, 5))
-            second = np.transpose(second, (4, 5, 0, 1, 2, 3, 8, 6, 7, 9))
-            for law, other in (("rotation", first), ("column flip", second)):
-                diff = np.abs(block - other)
-                run.record(
-                    float(diff.max()),
-                    lambda degs=degs, law=law, diff=diff: {
-                        "degrees": sl.names(degs),
-                        "law": law,
-                        "entry": _argmax_entry(diff),
-                    },
-                )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+        block = sl.sixj(*degs)
+        # first identity: labels (j2, j3*, j1*, j5, j6, j4), slots (a1 a3; a4 a2)
+        first = sl.dualized(sl.sixj, (g2, g3, g1, g5, g6, g4), (1, 2))
+        first = np.transpose(first, (2, 0, 1, 5, 3, 4, 6, 9, 7, 8))
+        # second identity: labels (j3, j4, j5, j6*, j1, j2*), slots (a2 a3; a1 a4)
+        second = sl.dualized(sl.sixj, (g3, g4, g5, g6, g1, g2), (3, 5))
+        second = np.transpose(second, (4, 5, 0, 1, 2, 3, 8, 6, 7, 9))
+        for law, other in (("rotation", first), ("column flip", second)):
+            yield _compare(sl, degs, np.abs(block - other), law)
+
+    return _run("tetrahedral_symmetry", tol, _sextuple_roots(sl), evaluate)
 
 
 _PENT_T1 = ["x1", "x2", "x5", "x3", "x6", "xj", "a1", "a2", "c1", "c2"]
@@ -508,43 +479,31 @@ _ORTHO_RHS = _subscripts(
 
 
 def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("orthogonality", tol)
     m_bound = sl.data.mult_bound
     rng = np.arange(1, m_bound + 1)
     eye_a = np.eye(m_bound)
-    for gi, gj, gl in sl.tuples(3):
-        gp = sl.add(gi, gj)
-        gm = sl.add(gp, gl)
-        gn = sl.add(gm, sl.neg(gi))
-        if not all(sl.generic[g] for g in (gp, gm, gn)):
-            continue
-        try:
-            t1 = sl.sixj(gi, gj, gp, gl, gm, gn)
-            t2 = sl.dualized(sl.sixj, (gp, gj, gi, gn, gm, gl), (1,))
-            d_n = sl.scalars(gn)[0]
-            d_k = sl.scalars(gp)[0]
-            lhs = np.einsum(_ORTHO_LHS, t1, t2, d_n.astype(complex))
-            eye_pk = np.eye(len(d_k))
-            top = sl.dualized(sl.delta, (gi, gj, gp), (2,))
-            bottom = sl.dualized(sl.delta, (gp, gl, gm), (2,))
-            v_top = (rng <= top[..., None]).astype(float)
-            v_bottom = (rng <= bottom[..., None]).astype(float)
-            rhs = np.einsum(
-                _ORTHO_RHS,
-                eye_pk, eye_a, eye_a, 1.0 / d_k,
-                v_top, v_bottom, v_top, v_bottom,
-            )
-            diff = np.abs(lhs - rhs)
-            run.record(
-                float(diff.max()),
-                lambda gi=gi, gj=gj, gl=gl, diff=diff: {
-                    "degrees": sl.names((gi, gj, gl)),
-                    "entry": _argmax_entry(diff),
-                },
-            )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+
+    def evaluate(degs):
+        gi, gj, gp, gl, gm, gn = degs
+        t1 = sl.sixj(*degs)
+        t2 = sl.dualized(sl.sixj, (gp, gj, gi, gn, gm, gl), (1,))
+        d_n = sl.scalars(gn)[0]
+        d_k = sl.scalars(gp)[0]
+        lhs = np.einsum(_ORTHO_LHS, t1, t2, d_n.astype(complex))
+        eye_pk = np.eye(len(d_k))
+        top = sl.dualized(sl.delta, (gi, gj, gp), (2,))
+        bottom = sl.dualized(sl.delta, (gp, gl, gm), (2,))
+        v_top = (rng <= top[..., None]).astype(float)
+        v_bottom = (rng <= bottom[..., None]).astype(float)
+        rhs = np.einsum(
+            _ORTHO_RHS,
+            eye_pk, eye_a, eye_a, 1.0 / d_k,
+            v_top, v_bottom, v_top, v_bottom,
+        )
+        # the witness names the three free roots
+        yield _compare(sl, (gi, gj, gl), np.abs(lhs - rhs))
+
+    return _run("orthogonality", tol, _sextuple_roots(sl), evaluate)
 
 
 _CONJ_SPEC = _subscripts(
@@ -559,31 +518,21 @@ _CONJ_SPEC = _subscripts(
 
 
 def _check_conjugation(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("conjugation", tol)
-    for degs in _sextuple_roots(sl):
+    def evaluate(degs):
         g1, g2, g3, g4, g5, g6 = degs
-        try:
-            block = sl.sixj(*degs)
-            # labels (j2*, j1*, j3*, j5, j4, j6), slots (a1 a2; a4 a3)
-            partner = sl.dualized(sl.sixj, (g2, g1, g3, g5, g4, g6), (0, 1, 2))
-            partner = np.transpose(partner, (1, 0, 2, 4, 3, 5, 6, 7, 9, 8))
-            gam1 = sl.dualized(sl.gamma, (g1, g2, g3), (2,))
-            gam2 = sl.dualized(sl.gamma, (g3, g4, g5), (2,))
-            gam3 = sl.dualized(sl.gamma, (g1, g5, g6), (0, 2))
-            gam4 = sl.dualized(sl.gamma, (g2, g6, g4), (0, 2))
-            betas = [sl.scalars(g)[2] for g in degs]
-            rhs = np.einsum(_CONJ_SPEC, partner, gam1, gam2, gam3, gam4, *betas)
-            diff = np.abs(np.conj(block) - rhs)
-            run.record(
-                float(diff.max()),
-                lambda degs=degs, diff=diff: {
-                    "degrees": sl.names(degs),
-                    "entry": _argmax_entry(diff),
-                },
-            )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
+        block = sl.sixj(*degs)
+        # labels (j2*, j1*, j3*, j5, j4, j6), slots (a1 a2; a4 a3)
+        partner = sl.dualized(sl.sixj, (g2, g1, g3, g5, g4, g6), (0, 1, 2))
+        partner = np.transpose(partner, (1, 0, 2, 4, 3, 5, 6, 7, 9, 8))
+        gam1 = sl.dualized(sl.gamma, (g1, g2, g3), (2,))
+        gam2 = sl.dualized(sl.gamma, (g3, g4, g5), (2,))
+        gam3 = sl.dualized(sl.gamma, (g1, g5, g6), (0, 2))
+        gam4 = sl.dualized(sl.gamma, (g2, g6, g4), (0, 2))
+        betas = [sl.scalars(g)[2] for g in degs]
+        rhs = np.einsum(_CONJ_SPEC, partner, gam1, gam2, gam3, gam4, *betas)
+        yield _compare(sl, degs, np.abs(np.conj(block) - rhs))
+
+    return _run("conjugation", tol, _sextuple_roots(sl), evaluate)
 
 
 _CHECKS = [

@@ -201,6 +201,24 @@ class TestPlumbing:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert json.dumps(first) == json.dumps(second)
+        assert first["config"]["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--family", "P:2:1", "--degrees", "1/5,2/5"),
+            ("ground-dim", "--family", "P:2:1", "--surface", "torus:theta",
+             "--holonomy", "1/5,2/5"),
+            ("spectrum", "--family", "P:2:1", "--surface", "torus:theta",
+             "--holonomy", "1/5,2/5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_only_on_check(self, argv):
+        # only check has randomized rows; elsewhere a seed would do nothing
+        with pytest.raises(SystemExit) as info:
+            main(list(argv) + ["--seed", "3"])
+        assert info.value.code == 2
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

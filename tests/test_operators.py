@@ -23,7 +23,7 @@ from rlw import (
     is_admissible,
 )
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
-from rlw.states import StateSpace
+from rlw.states import LinearOperator, StateSpace
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity
 
 
@@ -355,6 +355,33 @@ class TestExactForms:
         mat = model.vertex_Q(1).matrix
         want = np.diag([1.0 if slots[1] >= 1 else 0.0 for slots in space.slot_array])
         assert np.array_equal(mat, want.astype(complex))
+
+
+class TestVertexSlots:
+    """The vertex terms read off the slots, against the dense Q_v algebra."""
+
+    @pytest.fixture(params=["P21", "M21", "forced"])
+    def inclusive(self, request, theta_coloring):
+        name = request.param
+        data = ForcedMultiplicity(FAMILIES["P21"]) if name == "forced" else FAMILIES[name]
+        model = StringNetModel(data, theta_coloring)
+        assert (model.space().slot_array < 1).any()  # some Q_v is not the identity
+        return model
+
+    def test_ground_projector_matches_dense_vertex_product(self, inclusive):
+        dense = LinearOperator.identity(inclusive.space())
+        for p in inclusive.graph.plaquettes:
+            dense = inclusive.plaquette_B(p) @ dense
+        for v in range(inclusive.graph.num_vertices):
+            dense = inclusive.vertex_Q(v) @ dense
+        assert np.array_equal(inclusive.ground_projector().matrix, dense.matrix)
+
+    def test_spectrum_matches_dense_eigenvalues(self, inclusive):
+        values = np.linalg.eigvals(inclusive.hamiltonian().matrix)
+        energies, counts = np.unique(np.round(values.real).astype(int), return_counts=True)
+        spectrum = inclusive.spectrum()
+        assert spectrum == dict(zip(energies.tolist(), counts.tolist()))
+        assert all(type(e) is int for e in spectrum)
 
 
 class TestSpectrum:

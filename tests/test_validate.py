@@ -221,6 +221,153 @@ class TestIncompleteness:
         assert noted
         assert any("1/7" in note for c in noted for note in c.notes)
 
+    def test_missing_notes_and_counts_pinned(self):
+        # a stride over a closure whose 1/7 and 6/7 the table lacks
+        table = recorded_table(BuiltinFamily("P", 3, 2.0), samples("1/5", "2/5"))
+        report = validate(
+            TableData.from_dict(table), samples("1/5", "2/5", "1/7"), max_tuples=50
+        )
+        up, down = "degree 1/7 not tabulated", "degree 6/7 not tabulated"
+        pinned = [
+            ("dual_involution", 12, [up, down], 2),
+            ("scalar_reality_duality", 12, [up, down], 2),
+            ("delta_symmetry", 19, [down, up], 31),
+            (
+                "b_recursion", 12,
+                [f"degree {g} not tabulated" for g in ("12/35", "2/35", "2/7", "19/35")],
+                18,
+            ),
+            ("gamma_beta_normalization", 12, [up, down], 18),
+            ("sixj_support", 3, [down, up], 19),
+            ("tetrahedral_symmetry", 6, [down, up], 19),
+            ("pentagon", 4, [up, down], 19),
+            ("orthogonality", 3, [down, up], 19),
+            ("conjugation", 3, [down, up], 19),
+        ]
+        assert [c.to_dict() for c in report.checks] == [
+            {
+                "name": name,
+                "passed": True,
+                "residual": 0.0,
+                "checked": checked,
+                "witness": None,
+                "notes": notes + [f"{skipped} tuple(s) skipped for missing table entries"],
+            }
+            for name, checked, notes, skipped in pinned
+        ]
+
+
+# -- golden failure reports: one corruption per check, its whole result -------
+
+
+class SkewedDual(BuiltinFamily):
+    """P(3,2) whose dual maps (g, a) to (-g, a+1): not an involution."""
+
+    def __init__(self):
+        super().__init__("P", 3, 2.0)
+
+    def dual(self, label):
+        return self.labels(-label.degree)[(self._apart(label) + 1) % self.N]
+
+
+def edited_table(edit):
+    """A recorded P(3,2) table at 1/5, 2/5 after `edit` changes its rows."""
+
+    def make():
+        table = recorded_table(BuiltinFamily("P", 3, 2.0), samples("1/5", "2/5"))
+        edit(table)
+        return TableData.from_dict(table)
+
+    return make
+
+
+def set_label(field, value):
+    def edit(table):
+        next(row for row in table["labels"] if row["id"] == "1@1/5")[field] = value
+
+    return edit
+
+
+def drop_first_delta(table):
+    next(row for row in table["delta"] if row["value"] == 1)["value"] = 0
+
+
+def plant_off_support(table):
+    labels = ["0@1/5", "0@1/5", "0@2/5", "0@1/5", "0@3/5", "1@2/5"]
+    table["sixj"].append({"j": labels, "a": [1, 1, 1, 1], "re": 0.5, "im": 0.0})
+
+
+SEXTUPLE = ["1/5", "1/5", "2/5", "1/5", "3/5", "2/5"]
+GOLDEN = [
+    (SkewedDual, {
+        "name": "dual_involution", "passed": False, "residual": 1.0, "checked": 12,
+        "witness": {"degree": "1/5", "label": "0@1/5"}, "notes": [],
+    }),
+    (edited_table(set_label("d", 3.0)), {
+        "name": "scalar_reality_duality", "passed": False, "residual": 1.0, "checked": 12,
+        "witness": {"degree": "1/5", "scalar": "d", "label": "1@1/5"}, "notes": [],
+    }),
+    (edited_table(drop_first_delta), {
+        "name": "delta_symmetry", "passed": False, "residual": 1.0, "checked": 76,
+        "witness": {"degrees": ["1/5", "1/5", "3/5"], "law": "cyclic", "entry": [0, 0, 0]},
+        "notes": [],
+    }),
+    (edited_table(set_label("b", 0.5)), {
+        "name": "b_recursion", "passed": False, "residual": 0.16666666666666669,
+        "checked": 12, "witness": {"degrees": ["2/5", "4/5"], "label": "1@1/5"}, "notes": [],
+    }),
+    (edited_table(lambda table: table["gamma"][3].update(value=2.0)), {
+        "name": "gamma_beta_normalization", "passed": False, "residual": 1.0, "checked": 12,
+        "witness": {"degrees": ["1/5", "1/5", "3/5"], "entry": [0, 1, 2, 0]}, "notes": [],
+    }),
+    (edited_table(plant_off_support), {
+        "name": "sixj_support", "passed": False, "residual": 0.5, "checked": 24,
+        "witness": {"degrees": SEXTUPLE, "entry": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]},
+        "notes": [],
+    }),
+    (edited_table(lambda table: table["sixj"][3].update(im=0.25)), {
+        "name": "tetrahedral_symmetry", "passed": False, "residual": 0.25, "checked": 48,
+        "witness": {
+            "degrees": ["1/5", "1/5", "2/5", "2/5", "4/5", "3/5"],
+            "law": "rotation",
+            "entry": [0, 0, 0, 1, 1, 1, 0, 0, 0, 0],
+        },
+        "notes": [],
+    }),
+    (edited_table(set_label("d", 3.0)), {
+        "name": "pentagon", "passed": False, "residual": 0.125, "checked": 24,
+        "witness": {
+            "degrees": ["1/5", "2/5", "4/5", "2/5"],
+            "entry": [0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+        },
+        "notes": [],
+    }),
+    (edited_table(set_label("d", 3.0)), {
+        "name": "orthogonality", "passed": False, "residual": 0.4166666666666667,
+        "checked": 24,
+        "witness": {"degrees": ["2/5", "4/5", "2/5"], "entry": [0, 1, 1, 0, 1, 1, 0, 0, 0, 0]},
+        "notes": [],
+    }),
+    (edited_table(set_label("beta", 2.0)), {
+        "name": "conjugation", "passed": False, "residual": 3.5, "checked": 24,
+        "witness": {"degrees": SEXTUPLE, "entry": [1, 1, 2, 1, 0, 2, 0, 0, 0, 0]},
+        "notes": [],
+    }),
+]
+
+
+class TestFailureReports:
+    @pytest.mark.parametrize(
+        "make, expected", GOLDEN, ids=[expected["name"] for _, expected in GOLDEN]
+    )
+    def test_whole_result(self, make, expected):
+        report = validate(make(), samples("1/5", "2/5"))
+        assert not report.passed
+        assert report.checks[CHECK_ORDER.index(expected["name"])].to_dict() == expected
+
+    def test_every_check_has_one(self):
+        assert [expected["name"] for _, expected in GOLDEN] == CHECK_ORDER
+
 
 class TestPreconditions:
     def test_singular_sample_rejected(self):
