@@ -97,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     def add_surface(sub):
         sub.add_argument(
             "--surface", required=True,
-            help="torus:theta, torus:grid:N, genus:G or file:PATH",
+            help="torus:theta, torus:grid:N or genus:G",
         )
         sub.add_argument(
             "--holonomy", required=True,
@@ -279,7 +279,6 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
     plaquettes = model.graph.plaquettes
     bs = [model.plaquette_B(p) for p in plaquettes]
-    qs = [model.vertex_Q(v) for v in range(model.graph.num_vertices)]
     residual_row(
         "projector_idempotency",
         max(np.linalg.norm((b @ b - b).matrix) for b in bs),
@@ -295,9 +294,16 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
             default=0.0,
         ),
     )
+    # Q_v is the 0/1 diagonal `fused[:, v]`, so [B, Q_v] keeps the entries
+    # of B whose row and column differ in being fused at v
+    fused = space.slot_array >= 1
     residual_row(
         "vertex_commutation",
-        max(np.linalg.norm((b @ d - d @ b).matrix) for b in bs for d in qs),
+        max(
+            np.linalg.norm(np.where(q[:, None] != q[None, :], b.matrix, 0))
+            for b in bs
+            for q in fused.T
+        ),
     )
 
     g = model.probe
@@ -445,16 +451,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         body, ok = _COMMANDS[config.command](config, data)
-    except _CHECK_ERRORS as exc:
+    except _CHECK_ERRORS + _USAGE_ERRORS as exc:
         envelope["error"] = str(exc)
         _emit(envelope, config.out)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
-        envelope["error"] = str(exc)
-        _emit(envelope, config.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _CHECK_ERRORS) else 2
     elapsed = time.perf_counter() - started
     envelope["config"] = asdict(config)  # pick up resolved fallbacks
     envelope.update(body)

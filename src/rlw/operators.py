@@ -214,10 +214,9 @@ class StringNetModel:
 
     # -- vertex term -----------------------------------------------------------
 
-    def vertex_Q(
-        self, v: int, coloring: Optional[Coloring] = None
-    ) -> LinearOperator:
-        space = self.space(coloring)
+    def vertex_Q(self, v: int) -> LinearOperator:
+        """The dense diagonal projector onto the states fused at v."""
+        space = self.space()
         diag = (space.slot_array[:, v] >= 1).astype(float)
         return LinearOperator(space, space, np.diag(diag).astype(complex))
 
@@ -249,20 +248,16 @@ class StringNetModel:
         return op
 
     def plaquette_B(
-        self,
-        p: Union[int, Plaquette],
-        coloring: Optional[Coloring] = None,
-        g: Optional[GroupElement] = None,
+        self, p: Union[int, Plaquette], g: Optional[GroupElement] = None
     ) -> LinearOperator:
         """The plaquette projector B_p^g B_p^(-g) at a probe degree g."""
         p = self._plaquette(p)
-        col = coloring or self.coloring
         g = g if g is not None else self.probe
-        key = (p.index, g, col.values)
+        key = (p.index, g)
         if key in self._b_cache:
             return self._b_cache[key]
-        lower = self.plaquette_Bg(p, -g, col)
-        mid = gauge_shift(col, p, g)
+        lower = self.plaquette_Bg(p, -g)
+        mid = gauge_shift(self.coloring, p, g)
         raise_ = self.plaquette_Bg(p, g, mid)
         op = raise_ @ lower
         self._b_cache[key] = op
@@ -480,38 +475,33 @@ class StringNetModel:
 
     # -- assembled model ---------------------------------------------------------
 
-    def hamiltonian(self, coloring: Optional[Coloring] = None) -> LinearOperator:
-        col = coloring or self.coloring
-        space = self.space(col)
-        ident = LinearOperator.identity(space)
-        h = LinearOperator.zero(space, space)
+    def hamiltonian(self) -> LinearOperator:
+        """Sum of (1 - B_p) over plaquettes and (1 - Q_v) over vertices; each
+        Q_v is diagonal, so a row gains its count of slots at 0."""
+        space = self.space()
+        ident = np.eye(space.dim, dtype=complex)
+        matrix = np.zeros_like(ident)
         for p in self.graph.plaquettes:
-            h = h + (ident - self.plaquette_B(p, col))
-        for v in range(self.graph.num_vertices):
-            h = h + (ident - self.vertex_Q(v, col))
-        return h
+            matrix += ident - self.plaquette_B(p).matrix
+        matrix[np.diag_indices(space.dim)] += (space.slot_array < 1).sum(axis=1)
+        return LinearOperator(space, space, matrix)
 
-    def ground_projector(self, coloring: Optional[Coloring] = None) -> LinearOperator:
-        col = coloring or self.coloring
-        space = self.space(col)
+    def ground_projector(self) -> LinearOperator:
+        space = self.space()
         op = LinearOperator.identity(space)
         for p in self.graph.plaquettes:
-            op = self.plaquette_B(p, col) @ op
+            op = self.plaquette_B(p) @ op
         # the product of the diagonal Q_v: keep the rows with every slot >= 1
         op.matrix[(space.slot_array < 1).any(axis=1)] = 0
         return op
 
-    def ground_dim(
-        self, coloring: Optional[Coloring] = None, tol: float = 1e-9
-    ) -> int:
-        return self.ground_dim_residual(coloring, tol)[0]
+    def ground_dim(self, tol: float = 1e-9) -> int:
+        return self.ground_dim_residual(tol)[0]
 
-    def ground_dim_residual(
-        self, coloring: Optional[Coloring] = None, tol: float = 1e-9
-    ) -> Tuple[int, float]:
+    def ground_dim_residual(self, tol: float = 1e-9) -> Tuple[int, float]:
         """Ground dimension and idempotency residual ||P P - P|| of the
         ground projector P, formed once."""
-        proj = self.ground_projector(coloring)
+        proj = self.ground_projector()
         residual = float(np.linalg.norm((proj @ proj - proj).matrix))
         if residual > tol * max(1.0, np.linalg.norm(proj.matrix)):
             raise InstabilityError(
@@ -523,18 +513,15 @@ class StringNetModel:
             raise InstabilityError(f"projector trace {trace} is not near an integer")
         return int(dim), residual
 
-    def spectrum(
-        self, coloring: Optional[Coloring] = None, tol: float = 1e-8
-    ) -> dict:
+    def spectrum(self, tol: float = 1e-8) -> dict:
         """Energy -> multiplicity by joint splitting along the projectors."""
-        col = coloring or self.coloring
-        space = self.space(col)
+        space = self.space()
         # the Q_v are diagonal: one sector per count of slots at 0, its energy
         zeros = (space.slot_array < 1).sum(axis=1)
         ident = np.eye(space.dim, dtype=complex)
         sectors = [(ident[:, zeros == n], int(n)) for n in np.unique(zeros)]
         for p in self.graph.plaquettes:
-            proj = self.plaquette_B(p, col)
+            proj = self.plaquette_B(p)
             updated = []
             for basis, energy in sectors:
                 r = basis.conj().T @ (proj.matrix @ basis)

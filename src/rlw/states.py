@@ -162,15 +162,7 @@ class StateSpace:
         hit[hit] = basis[pos[hit]] == keys[hit]
         return np.where(hit, pos, -1)
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[i] = 1.0
-        return vec
-
-    # -- pairings -----------------------------------------------------------
-
-    def inner_plus(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(x, y))
+    # -- pairing -------------------------------------------------------------
 
     def inner_indef(self, x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.vdot(x, y / self.eta))
@@ -197,10 +189,6 @@ class LinearOperator:
     def identity(cls, space: StateSpace) -> "LinearOperator":
         return cls(space, space, np.eye(space.dim, dtype=complex))
 
-    @classmethod
-    def zero(cls, src: StateSpace, dst: StateSpace) -> "LinearOperator":
-        return cls(src, dst, np.zeros((dst.dim, src.dim), dtype=complex))
-
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other."""
         if other.dst is not self.src:
@@ -210,22 +198,10 @@ class LinearOperator:
     def __matmul__(self, other):
         return self.compose(other)
 
-    def __add__(self, other):
-        self._same_spaces(other)
-        return LinearOperator(self.src, self.dst, self.matrix + other.matrix)
-
     def __sub__(self, other):
-        self._same_spaces(other)
-        return LinearOperator(self.src, self.dst, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return LinearOperator(self.src, self.dst, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def _same_spaces(self, other):
         if other.src is not self.src or other.dst is not self.dst:
             raise DataFormatError("operator spaces do not match")
+        return LinearOperator(self.src, self.dst, self.matrix - other.matrix)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec

@@ -19,7 +19,6 @@ along them.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Optional, Sequence
 
@@ -128,54 +127,6 @@ class RibbonGraph:
         """Rotation order starting at the least dart; fixes delta/gamma slots."""
         least = min(self.vertices[v])
         return self.vertex_darts_from(least)
-
-    # -- (de)serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": [
-                {"id": i, "cyclic": list(t)} for i, t in enumerate(self.vertices)
-            ],
-            "edges": [
-                {"id": e, "half": [2 * e, 2 * e + 1]} for e in range(self.num_edges)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RibbonGraph":
-        try:
-            vrows = sorted(obj["vertices"], key=lambda r: int(r["id"]))
-            erows = sorted(obj["edges"], key=lambda r: int(r["id"]))
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"malformed graph object: {exc}") from exc
-        if [int(r["id"]) for r in vrows] != list(range(len(vrows))):
-            raise DataFormatError("vertex ids must be 0..V-1")
-        if [int(r["id"]) for r in erows] != list(range(len(erows))):
-            raise DataFormatError("edge ids must be 0..E-1")
-        # files may use arbitrary dart labels; renumber to 2e, 2e+1
-        relabel = {}
-        for e, row in enumerate(erows):
-            half = row.get("half", ())
-            if len(half) != 2 or half[0] == half[1]:
-                raise DataFormatError(f"edge {e} needs two distinct darts")
-            relabel[half[0]] = 2 * e
-            relabel[half[1]] = 2 * e + 1
-        if len(relabel) != 2 * len(erows):
-            raise DataFormatError("a dart belongs to two edges")
-        try:
-            vertices = [[relabel[h] for h in r["cyclic"]] for r in vrows]
-        except KeyError as exc:
-            raise DataFormatError(f"vertex uses unknown dart {exc}") from exc
-        return cls(vertices)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RibbonGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(obj)
 
     def __repr__(self):
         return (
@@ -364,11 +315,9 @@ def parse_surface(spec: str) -> RibbonGraph:
             return build_torus("grid", int(parts[2]))
     elif parts[0] == "genus" and len(parts) == 2:
         return build_genus(int(parts[1]))
-    elif parts[0] == "file" and len(parts) >= 2:
-        return RibbonGraph.from_file(":".join(parts[1:]))
     raise DataFormatError(
-        f"bad surface spec {spec!r}; expected torus:theta, torus:grid:N,"
-        f" genus:G or file:PATH"
+        f"bad surface spec {spec!r}; expected torus:theta, torus:grid:N"
+        " or genus:G"
     )
 
 

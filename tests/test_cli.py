@@ -7,11 +7,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rlw
-from rlw import BuiltinFamily, QMODZ, RecordingData
+from rlw import BuiltinFamily, QMODZ, RecordingData, build_torus, coloring_from_holonomy
 from rlw.cli import main
+from rlw.operators import StringNetModel
+from rlw.states import LinearOperator
 from rlw.validate import validate
 
 
@@ -86,6 +89,37 @@ class TestGroundDim:
             "--surface", "torus:wedge", "--holonomy", "1/5,2/5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "form, surface, holonomy",
+        [
+            ("torus:theta", "torus:theta", "1/5,2/5"),
+            ("torus:grid:N", "torus:grid:2", "1/7,2/7"),
+            ("genus:G", "genus:2", "1/5,2/5,1/7,3/7"),
+        ],
+        ids=["theta", "grid", "genus"],
+    )
+    def test_surface_forms_in_help_run(self, capsys, form, surface, holonomy):
+        with pytest.raises(SystemExit):
+            main(["ground-dim", "--help"])
+        assert form in " ".join(capsys.readouterr().out.split())
+        code, report, _ = run(
+            capsys, "ground-dim", "--family", "P:2:1", "--strict-fusion",
+            "--surface", surface, "--holonomy", holonomy,
+        )
+        assert code == 0
+        assert report["ground_dim"] == 2 ** len(holonomy.split(","))  # N^(2g)
+
+    def test_file_surface_is_not_a_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["ground-dim", "--help"])
+        assert "file:" not in capsys.readouterr().out
+        code, report, err = run(
+            capsys, "ground-dim", "--family", "P:2:1",
+            "--surface", "file:x", "--holonomy", "1/5,2/5",
+        )
+        assert code == 2
+        assert "bad surface spec" in report["error"] and "bad surface spec" in err
 
 
 class TestValidate:
@@ -180,6 +214,43 @@ class TestCheck:
         } <= names
         residuals = [r["residual"] for r in report["rows"] if "residual" in r]
         assert max(residuals) <= 1e-9
+
+    def test_vertex_commutation_fails_on_planted_fault(self, capsys, monkeypatch):
+        # one entry from a state unfused at vertex 0 to one fused there (and
+        # unfused at the last vertex, so the ground projector drops that row)
+        original = StringNetModel.plaquette_B
+
+        def planted(self, p, g=None):
+            op = original(self, p, g)
+            fused = op.src.slot_array >= 1
+            rows = np.flatnonzero(fused[:, 0] & ~fused[:, -1])
+            cols = np.flatnonzero(~fused[:, 0])
+            if not (len(rows) and len(cols)):  # strict companion spaces
+                return op
+            matrix = op.matrix.copy()
+            matrix[rows[0], cols[0]] += 0.5
+            return LinearOperator(op.src, op.dst, matrix)
+
+        monkeypatch.setattr(StringNetModel, "plaquette_B", planted)
+        code, report, _ = run(
+            capsys, "check", "--family", "M:2:1",
+            "--surface", "torus:theta", "--holonomy", "1/5,2/5",
+        )
+        model = StringNetModel(
+            BuiltinFamily("M", 2, 1.0),
+            coloring_from_holonomy(
+                build_torus("theta"), tuple(QMODZ.element(Fraction(x)) for x in ("1/5", "2/5"))
+            ),
+        )
+        dense = max(
+            np.linalg.norm((b @ d - d @ b).matrix)
+            for b in (model.plaquette_B(p) for p in model.graph.plaquettes)
+            for d in (model.vertex_Q(v) for v in range(model.graph.num_vertices))
+        )
+        row = next(r for r in report["rows"] if r["name"] == "vertex_commutation")
+        assert code == 1 and report["passed"] is False
+        assert row["passed"] is False
+        assert row["residual"] == dense == 0.5
 
     def test_genus_skips_triangulation_row(self, capsys):
         code, report, _ = run(

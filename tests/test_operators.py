@@ -376,6 +376,17 @@ class TestVertexSlots:
             dense = inclusive.vertex_Q(v) @ dense
         assert np.array_equal(inclusive.ground_projector().matrix, dense.matrix)
 
+    def test_hamiltonian_matches_dense_vertex_terms(self, inclusive):
+        ident = np.eye(inclusive.space().dim)
+        plaquettes = sum(
+            ident - inclusive.plaquette_B(p).matrix for p in inclusive.graph.plaquettes
+        )
+        vertices = sum(
+            ident - inclusive.vertex_Q(v).matrix
+            for v in range(inclusive.graph.num_vertices)
+        )
+        assert np.array_equal(inclusive.hamiltonian().matrix, plaquettes + vertices)
+
     def test_spectrum_matches_dense_eigenvalues(self, inclusive):
         values = np.linalg.eigvals(inclusive.hamiltonian().matrix)
         energies, counts = np.unique(np.round(values.real).astype(int), return_counts=True)
