@@ -30,6 +30,7 @@ from .errors import (
     ProbeSearchError,
 )
 from .operators import StringNetModel, probe_candidates
+from .states import count_states
 from .surface import build_torus, coloring_from_holonomy, gauge_shift, is_admissible, parse_surface
 from .validate import validate
 
@@ -107,7 +108,8 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--dim-cap", type=int, default=8192, help="state-space size limit")
         sub.add_argument(
             "--strict-fusion", action="store_true",
-            help="drop the zero branching slot (multiplicity-free data only)",
+            help="build only the fused states (no zero branching slot) for"
+            " spectrum, check and hilbert_dim; ground-dim always uses them",
         )
 
     sub = commands.add_parser("validate", help="run every axiom check over a degree slice")
@@ -156,27 +158,14 @@ def _resolve(args) -> Tuple[RunConfig, LWData]:
 # -- model construction shared by the surface commands -------------------------
 
 
-def _build_model(config: RunConfig, data: LWData, notes: List[str]) -> StringNetModel:
+def _build_model(config: RunConfig, data: LWData) -> StringNetModel:
     graph = parse_surface(config.surface)
     holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
     coloring = coloring_from_holonomy(graph, holonomy)
     probe = data.signature.parse(config.probe) if config.probe else None
-    model = StringNetModel(
-        data, coloring,
-        strict=config.strict_fusion, dim_cap=config.dim_cap, probe=probe,
+    return StringNetModel(
+        data, coloring, strict=config.strict_fusion, dim_cap=config.dim_cap, probe=probe
     )
-    try:
-        model.space()
-    except DimensionCapError as exc:
-        if config.strict_fusion or data.mult_bound != 1:
-            raise
-        notes.append(f"{exc}; falling back to strict fusion")
-        config.strict_fusion = True
-        model = StringNetModel(
-            data, coloring, strict=True, dim_cap=config.dim_cap, probe=probe
-        )
-        model.space()
-    return model
 
 
 # -- commands -------------------------------------------------------------------
@@ -195,18 +184,18 @@ def cmd_validate(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
 
 def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
-    notes: List[str] = []
-    model = _build_model(config, data, notes)
+    model = _build_model(config, data)
     dim, residual = model.ground_dim_residual(tol=max(config.tol, 1e-9))
+    hilbert = model.space().dim if model.strict else count_states(data, model.coloring)
     body = {
-        "hilbert_dim": model.space().dim,
+        "hilbert_dim": hilbert,
         "ground_dim": dim,
         "idempotency_residual": residual,
         "strict_fusion": config.strict_fusion,
-        "notes": notes,
+        "notes": [],
     }
     print(
-        f"  ground dimension {dim} in a {model.space().dim}-dimensional space"
+        f"  ground dimension {dim} in a {hilbert}-dimensional space"
         f" (idempotency residual {residual:.3e})",
         file=sys.stderr,
     )
@@ -214,8 +203,7 @@ def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
 
 def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
-    notes: List[str] = []
-    model = _build_model(config, data, notes)
+    model = _build_model(config, data)
     multiplicities = model.spectrum(tol=max(config.tol, 1e-10))
     eigenvalues = np.linalg.eigvals(model.hamiltonian().matrix)
     rounding = float(max(abs(v - round(v.real)) for v in eigenvalues))
@@ -238,36 +226,27 @@ def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         "rounding_residual": rounding,
         "gap": positive[0] if positive else None,
         "strict_fusion": config.strict_fusion,
-        "notes": notes,
+        "notes": [],
     }
     summary = ", ".join(f"{e}:{m}" for e, m in sorted(multiplicities.items()))
     print(f"  spectrum {{{summary}}}, rounding residual {rounding:.3e}", file=sys.stderr)
     return body, True
 
 
-def _matched_torus_dim(config: RunConfig, data: LWData, notes: List[str]):
+def _matched_torus_dim(config: RunConfig, data: LWData, kind: str, notes: List[str]):
     """Ground dimension on the companion torus graph, same holonomy."""
-    graph = parse_surface(config.surface)
-    if graph.kind and graph.kind[0] == "theta":
-        other = build_torus("grid", 2)
-    elif graph.kind and graph.kind[0] == "grid":
-        other = build_torus("theta")
-    else:
+    if kind not in ("theta", "grid"):
         notes.append("triangulation comparison limited to torus graphs; skipped")
         return None
+    other = build_torus("grid", 2) if kind == "theta" else build_torus("theta")
     holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
-    coloring = coloring_from_holonomy(other, holonomy)
-    strict = config.strict_fusion or other.kind[0] == "grid"
-    if strict and data.mult_bound != 1:
-        notes.append("companion grid needs strict fusion, unavailable here; skipped")
-        return None
-    model = StringNetModel(data, coloring, strict=strict, dim_cap=config.dim_cap)
+    model = StringNetModel(data, coloring_from_holonomy(other, holonomy), dim_cap=config.dim_cap)
     return model.ground_dim(tol=max(config.tol, 1e-9))
 
 
 def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     notes: List[str] = []
-    model = _build_model(config, data, notes)
+    model = _build_model(config, data)
     space = model.space()
     rng = np.random.default_rng(config.seed)
     rows = []
@@ -380,10 +359,8 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         if not is_admissible(target, data.singular):
             continue
         try:
-            shifted_model = StringNetModel(
-                data, target, strict=config.strict_fusion, dim_cap=config.dim_cap
-            )
-            shifted_dim = shifted_model.ground_dim(tol=max(config.tol, 1e-9))
+            shifted = StringNetModel(data, target, dim_cap=config.dim_cap)
+            shifted_dim = shifted.ground_dim(tol=max(config.tol, 1e-9))
         except MissingDataError:
             continue
         invariant = invariant and shifted_dim == base_dim
@@ -393,7 +370,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         notes.append("no admissible gauge shifts found; invariance untested")
     rows.append({"name": "gauge_invariance", "passed": invariant, "shifts": shifts})
 
-    matched = _matched_torus_dim(config, data, notes)
+    matched = _matched_torus_dim(config, data, model.graph.kind[0], notes)
     if matched is not None:
         rows.append(
             {
@@ -457,7 +434,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _CHECK_ERRORS) else 2
     elapsed = time.perf_counter() - started
-    envelope["config"] = asdict(config)  # pick up resolved fallbacks
     envelope.update(body)
     _emit(envelope, config.out)
     status = "ok" if ok else "FAILED"

@@ -500,8 +500,13 @@ class StringNetModel:
 
     def ground_dim_residual(self, tol: float = 1e-9) -> Tuple[int, float]:
         """Ground dimension and idempotency residual ||P P - P|| of the
-        ground projector P, formed once."""
-        proj = self.ground_projector()
+        ground projector P, formed once on the fused space.  Every Q_v
+        commutes with every B_p, so P lives on the rows whose slots are
+        all >= 1: the strict space over the same data and coloring."""
+        fused = self if self.strict else StringNetModel(
+            self.data, self.coloring, strict=True, dim_cap=self.dim_cap, probe=self._probe
+        )
+        proj = fused.ground_projector()
         residual = float(np.linalg.norm((proj @ proj - proj).matrix))
         if residual > tol * max(1.0, np.linalg.norm(proj.matrix)):
             raise InstabilityError(

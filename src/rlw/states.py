@@ -5,9 +5,10 @@ object of degree Phi(e) (read along the even dart) and each vertex with
 a branching slot.  The slot at v ranges over 0..delta(v) inclusive,
 where delta(v) is the branching number of the inward labels at v taken
 in rotation order from the least dart; slot 0 is the unfused state that
-the vertex projector annihilates.  Strict spaces keep only slot 1 of
-admissible labelings and are available when every branching number is
-at most one.
+the vertex projector annihilates.  Strict (fused) spaces keep the
+labelings with every delta(v) >= 1 and only the slots 1..delta(v).
+`count_states` gives the dimension of an inclusive space from the same
+labeling loop without building it.
 
 The basis is integer arrays, one row per state: `label_array[r, e]`
 indexes labels(Phi(e)) and `slot_array[r, v]` is the slot at v.  Rows
@@ -28,15 +29,13 @@ taken with respect to this pairing.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import BlockCache, LWData
 from .errors import DataFormatError, DimensionCapError
 from .surface import Coloring
 
-__all__ = ["StateSpace", "LinearOperator"]
+__all__ = ["StateSpace", "LinearOperator", "count_states"]
 
 # labelings grown at once: bounds the frontier of a space far over its cap
 _CHUNK = 1024
@@ -50,6 +49,67 @@ def _records(arr: np.ndarray) -> np.ndarray:
     return arr.view(np.dtype(fields)).reshape(len(arr))
 
 
+class _Labelings:
+    """Edge labelings over one coloring, and vertex blocks read at them."""
+
+    def __init__(self, data: LWData, coloring: Coloring):
+        self.blocks = blocks = BlockCache(data)
+        self.counts = [len(data.labels(v)) for v in coloring.values]
+        self.ids = [blocks.id(v) for v in coloring.values]
+        graph = coloring.graph
+        self.triples = list(map(graph.canonical_vertex_triple, range(graph.num_vertices)))
+
+    def at_vertex(self, block, lab: np.ndarray, v: int) -> np.ndarray:
+        """`block` of the inward degrees at v, read at the inward label
+        indices of each row of `lab`."""
+        blocks = self.blocks
+
+        def inward(h):  # degree and label indices carried toward h's vertex
+            val, x = self.ids[h // 2], lab[:, h // 2]
+            return (val, x) if h % 2 else (blocks.neg(val), blocks.perm(val)[x])
+
+        (g1, x1), (g2, x2), (g3, x3) = map(inward, self.triples[v])
+        return block(g1, g2, g3)[x1, x2, x3]
+
+    def chunks(self, strict: bool):
+        """(labels, deltas) a chunk at a time, labelings in order: one row
+        per labeling and one branching-number column per vertex.  Strict
+        spaces drop a labeling once one of its vertices has delta 0."""
+        counts, delta = self.counts, self.blocks.delta
+        # vertices become checkable once their last edge is assigned
+        finished_at = [[] for _ in counts]
+        for v, triple in enumerate(self.triples):
+            finished_at[max(h // 2 for h in triple)].append(v)
+
+        def grow(lab):
+            e = lab.shape[1]
+            if e == len(counts):
+                deg = [self.at_vertex(delta, lab, v) for v in range(len(self.triples))]
+                yield lab, np.array(deg).T
+                return
+            k = counts[e]
+            for lo in range(0, len(lab), _CHUNK):
+                part = lab[lo : lo + _CHUNK]
+                sub = np.column_stack(
+                    [np.repeat(part, k, axis=0), np.tile(np.arange(k), len(part))]
+                )
+                if strict:
+                    for v in finished_at[e]:
+                        sub = sub[self.at_vertex(delta, sub, v) >= 1]
+                yield from grow(sub)
+
+        return grow(np.zeros((1, 0), np.intp))
+
+
+def count_states(data: LWData, coloring: Coloring) -> int:
+    """Dimension of the inclusive space over `coloring`, counted a chunk
+    of labelings at a time without building it."""
+    return sum(
+        int(np.prod(deg + 1, axis=1).sum())
+        for _, deg in _Labelings(data, coloring).chunks(strict=False)
+    )
+
+
 class StateSpace:
     """Finite basis of edge labelings and vertex slots over one coloring."""
 
@@ -60,66 +120,22 @@ class StateSpace:
         strict: bool = False,
         dim_cap: int = 8192,
     ):
-        if strict and data.mult_bound != 1:
-            raise DataFormatError(
-                "strict spaces need all branching numbers at most 1,"
-                f" got bound {data.mult_bound}"
-            )
         self.data = data
         self.coloring = coloring
-        self.graph = graph = coloring.graph
+        self.graph = coloring.graph
         self.strict = strict
-        values = coloring.values
-        nv = graph.num_vertices
-        counts = [len(data.labels(v)) for v in values]
-        total = math.prod(counts)
-        if not strict and total > dim_cap:
-            raise DimensionCapError(
-                f"at least {total} states (cap {dim_cap}); "
-                "raise the cap or use a strict space"
-            )
-        blocks = BlockCache(data)
-        ids = [blocks.id(v) for v in values]
-        triples = [graph.canonical_vertex_triple(v) for v in range(nv)]
-        # vertices become checkable once their last edge is assigned
-        finished_at = [[] for _ in values]
-        for v, triple in enumerate(triples):
-            finished_at[max(h // 2 for h in triple)].append(v)
-
-        def inward(lab, h):  # degree and label indices carried toward h's vertex
-            val, x = ids[h // 2], lab[:, h // 2]
-            return (val, x) if h % 2 else (blocks.neg(val), blocks.perm(val)[x])
-
-        def inward_block(block, lab, v):
-            (g1, x1), (g2, x2), (g3, x3) = (inward(lab, h) for h in triples[v])
-            return block(g1, g2, g3)[x1, x2, x3]
-
-        def grow(lab):
-            """Labelings extending the rows of `lab`, in order; strict
-            spaces drop a row once one of its vertices has delta 0."""
-            e = lab.shape[1]
-            if e == len(values):
-                yield lab
-                return
-            k = counts[e]
-            for lo in range(0, len(lab), _CHUNK):
-                part = lab[lo : lo + _CHUNK]
-                sub = np.column_stack(
-                    [np.repeat(part, k, axis=0), np.tile(np.arange(k), len(part))]
-                )
-                if strict:
-                    for v in finished_at[e]:
-                        sub = sub[inward_block(blocks.delta, sub, v) >= 1]
-                yield from grow(sub)
-
-        labs = [np.zeros((0, len(values)), np.intp)]
+        nv = self.graph.num_vertices
+        labelings = _Labelings(data, coloring)
+        labs = [np.zeros((0, len(labelings.counts)), np.intp)]
         degs = [np.zeros((0, nv), np.intp)]
         dim = 0
-        for lab in grow(np.zeros((1, 0), np.intp)):
-            deg = np.array([inward_block(blocks.delta, lab, v) for v in range(nv)]).T
+        for lab, deg in labelings.chunks(strict):
             dim += int(np.prod(deg if strict else deg + 1, axis=1).sum())
             if dim > dim_cap:
-                raise DimensionCapError(f"more than {dim_cap} states; raise the cap")
+                hint = "" if strict else " or use a strict space (--strict-fusion)"
+                raise DimensionCapError(
+                    f"more than {dim_cap} states; raise dim_cap (--dim-cap){hint}"
+                )
             labs.append(lab)
             degs.append(deg)
         lab = np.concatenate(labs)
@@ -134,21 +150,22 @@ class StateSpace:
             rep, slots = np.repeat(rep, n), np.repeat(slots, n, axis=0)
             slots = np.column_stack([slots, np.arange(len(rep)) - start + strict])
 
+        blocks = labelings.blocks
         weight = np.ones(len(lab))
-        for e, val in enumerate(ids):
+        for e, val in enumerate(labelings.ids):
             d, _, beta = blocks.scalars(val)
             weight = weight * (d / beta)[lab[:, e]]
         lab = lab[rep]
         gamma = np.ones(len(lab))
         for v in range(nv):
             s = slots[:, v]  # slot 0 reads gamma at n = m, and discards it
-            fused = inward_block(blocks.gamma, lab, v)[np.arange(len(s)), s - 1]
+            fused = labelings.at_vertex(blocks.gamma, lab, v)[np.arange(len(s)), s - 1]
             gamma = gamma * np.where(s > 0, fused, 1.0)
 
         self.dim = len(lab)
         self._basis = np.hstack([lab, slots])
-        self.label_array = self._basis[:, : len(values)]
-        self.slot_array = self._basis[:, len(values) :]
+        self.label_array = self._basis[:, : lab.shape[1]]
+        self.slot_array = self._basis[:, lab.shape[1] :]
         self.eta = weight[rep] / gamma
         if not (np.isfinite(self.eta) & (self.eta != 0)).all():
             raise DataFormatError("eta is singular: some d, beta or gamma is zero")

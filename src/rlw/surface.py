@@ -308,12 +308,13 @@ def build_genus(g: int) -> RibbonGraph:
 
 def parse_surface(spec: str) -> RibbonGraph:
     parts = spec.split(":")
+    sized = parts[-1].isdecimal()
     if parts[0] == "torus":
         if parts[1:] == ["theta"]:
             return build_torus("theta")
-        if len(parts) == 3 and parts[1] == "grid":
+        if len(parts) == 3 and parts[1] == "grid" and sized:
             return build_torus("grid", int(parts[2]))
-    elif parts[0] == "genus" and len(parts) == 2:
+    elif parts[0] == "genus" and len(parts) == 2 and sized:
         return build_genus(int(parts[1]))
     raise DataFormatError(
         f"bad surface spec {spec!r}; expected torus:theta, torus:grid:N"

@@ -46,15 +46,27 @@ class TestGroundDim:
         assert report["hilbert_dim"] == 54
         assert report["idempotency_residual"] <= 1e-12
 
-    def test_grid_falls_back_to_strict(self, capsys):
+    @pytest.mark.parametrize(
+        "surface, holonomy, ground, hilbert",
+        [
+            ("torus:grid:2", "1/7,2/7", 4, 104_992),
+            ("genus:2", "1/7,2/7,3/7,1/11", 16, 5_840),
+            ("genus:3", "1/7,2/7,3/7,1/11,2/11,3/11", 64, 1_889_600),
+        ],
+        ids=["grid2", "genus2", "genus3"],
+    )
+    def test_inclusive_dim_counted(self, capsys, surface, holonomy, ground, hilbert):
+        # the ground projector is formed on the fused rows only; the
+        # inclusive space, over the cap here but on genus:2, is counted
         code, report, _ = run(
             capsys, "ground-dim", "--family", "P:2:1",
-            "--surface", "torus:grid:2", "--holonomy", "1/7,2/7",
+            "--surface", surface, "--holonomy", holonomy,
         )
         assert code == 0
-        assert report["ground_dim"] == 4
-        assert report["strict_fusion"] is True
-        assert any("strict" in note for note in report["notes"])
+        assert report["ground_dim"] == ground
+        assert report["hilbert_dim"] == hilbert
+        assert report["strict_fusion"] is False
+        assert report["notes"] == []
 
     def test_singular_holonomy_exits_one(self, capsys):
         code, report, err = run(
@@ -189,6 +201,17 @@ class TestSpectrum:
         assert report["gap"] >= 1
         assert report["rounding_residual"] <= 1e-7
         assert sum(report["spectrum"].values()) == report["hilbert_dim"]
+
+    def test_over_cap_exits_one_naming_flags(self, capsys):
+        # 104,992 inclusive states: no silent switch to the 32 strict ones
+        code, report, err = run(
+            capsys, "spectrum", "--family", "P:2:1",
+            "--surface", "torus:grid:2", "--holonomy", "1/7,2/7",
+        )
+        assert code == 1
+        assert "spectrum" not in report
+        for flag in ("--dim-cap", "--strict-fusion"):
+            assert flag in report["error"] and flag in err
 
 
 class TestCheck:

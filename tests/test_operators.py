@@ -10,6 +10,7 @@ import pytest
 from rlw import (
     AdmissibilityError,
     BuiltinFamily,
+    DimensionCapError,
     GaugeAdmissibilityError,
     InstabilityError,
     ProbeSearchError,
@@ -393,6 +394,32 @@ class TestVertexSlots:
         spectrum = inclusive.spectrum()
         assert spectrum == dict(zip(energies.tolist(), counts.tolist()))
         assert all(type(e) is int for e in spectrum)
+
+
+class TestFusedGround:
+    """`ground_dim` forms its projector on the fused (strict) space, against
+    the trace of the dense inclusive `ground_projector`."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["P21", "P32", "M21", "M32", "F212", "forced-P21", "forced-M21", "forced-F212"],
+    )
+    def test_theta_matches_dense_inclusive(self, name, theta_coloring):
+        families = {**FAMILIES, "M32": BuiltinFamily("M", 3, 2.0)}
+        data = families[name.split("-")[-1]]
+        if name.startswith("forced"):
+            data = ForcedMultiplicity(data)
+        model = StringNetModel(data, theta_coloring)
+        trace = np.trace(model.ground_projector().matrix)
+        assert abs(trace - round(trace.real)) <= 1e-9
+        assert model.ground_dim() == round(trace.real) > 0
+
+    def test_grid_forced_multiplicity(self, grid_coloring):
+        # the inclusive space is over the cap: the closed form N^(2g) is the oracle
+        model = StringNetModel(ForcedMultiplicity(FAMILIES["P21"]), grid_coloring)
+        with pytest.raises(DimensionCapError):
+            model.space()
+        assert model.ground_dim() == 2 ** 2
 
 
 class TestSpectrum:

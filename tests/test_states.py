@@ -106,6 +106,8 @@ def _oracle_cases():
     cases["grid2-F212-strict"] = (families["F212"], grid, True)
     cases["genus2-P21-inclusive"] = (families["P21"], genus, False)
     cases["forced-P32-inclusive"] = (ForcedMultiplicity(families["P32"]), theta, False)
+    cases["forced-P32-strict"] = (ForcedMultiplicity(families["P32"]), theta, True)
+    cases["grid2-forced-P21-strict"] = (ForcedMultiplicity(families["P21"]), grid, True)
     table = TableData.from_dict(_recorded_f212_table(theta))
     cases["table-F212-inclusive"] = (table, theta, False)
     return cases
@@ -180,15 +182,6 @@ class TestEnumeration:
         for e, g in enumerate(theta_coloring.values):
             assert set(space.label_array[:, e]) == set(range(len(fam.labels(g))))
 
-    def test_strict_needs_multiplicity_one(self, theta_coloring):
-        class Fat(BuiltinFamily):
-            @property
-            def mult_bound(self):
-                return 2
-
-        with pytest.raises(DataFormatError):
-            StateSpace(Fat("P", 2, 1.0), theta_coloring, strict=True)
-
 
 class TestOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_CASES)
@@ -200,6 +193,13 @@ class TestOracle:
         assert np.array_equal(space.label_array, labels)
         assert np.array_equal(space.slot_array, slots)
         assert np.array_equal(space.eta, eta)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in ORACLE_CASES if not ORACLE_CASES[c][2]]
+    )
+    def test_count_matches_built_dim(self, case):
+        data, coloring, _ = ORACLE_CASES[case]
+        assert states.count_states(data, coloring) == StateSpace(data, coloring).dim
 
     def test_chunked_growth_keeps_order(self, monkeypatch):
         data, coloring, strict = ORACLE_CASES["genus2-P21-inclusive"]

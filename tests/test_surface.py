@@ -106,6 +106,9 @@ class TestRibbonGraph:
             parse_surface("file:g.json")
         with pytest.raises(DataFormatError):
             parse_surface("torus:grid")
+        for spec in ("torus:grid:x", "genus:two"):
+            with pytest.raises(DataFormatError, match="bad surface spec"):
+                parse_surface(spec)
 
 
 class TestColoring:
