@@ -37,13 +37,12 @@ from .surface import (
     build_torus,
     coloring_from_holonomy,
     gauge_shift,
-    holonomies,
     is_admissible,
     parse_surface,
 )
 from .states import LinearOperator, StateSpace
 from .operators import StringNetModel, choose_probe, probe_candidates
-from .validate import CheckResult, ValidationReport, validate
+from .axioms import CheckResult, ValidationReport, validate
 
 __version__ = "0.1.0"
 
@@ -80,7 +79,6 @@ __all__ = [
     "parse_surface",
     "coloring_from_holonomy",
     "gauge_shift",
-    "holonomies",
     "is_admissible",
     "StateSpace",
     "LinearOperator",

@@ -556,7 +556,7 @@ def validate(
     max_tuples: int = 4096,
 ) -> ValidationReport:
     """Run every axiom check over the closure of the sample degrees."""
-    if data.signature.is_finite and not data.singular.is_empty_on(data.signature):
+    if data.signature.is_finite and not data.singular.is_empty_on():
         raise DomainError(
             "singular set is not small: a finite group is covered by"
             " translates of any nonempty subset"

@@ -32,7 +32,7 @@ from .errors import (
 from .operators import StringNetModel, probe_candidates
 from .states import count_states
 from .surface import build_torus, coloring_from_holonomy, gauge_shift, is_admissible, parse_surface
-from .validate import validate
+from .axioms import validate
 
 _USAGE_ERRORS = (
     DataFormatError,

@@ -31,7 +31,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -238,11 +238,10 @@ class BuiltinFamily(LWData):
         self._beta = self.gamma0 ** (-2.0 / 3.0) if kind == "F" else 1.0
         self._gamma = self.gamma0 if kind == "F" else 1.0
         self._sixj_val = complex(1.0 / self.c if kind != "M" else -1.0 / self.c)
-        # labels, duals and the closed forms are answered from small dicts
-        # and integer sums; blocks are shared read-only arrays
+        # labels and the closed forms are answered from small dicts and
+        # integer sums; blocks are shared read-only arrays
         self._label_cache: dict = {}
         self._apart_cache: dict = {}
-        self._dual_cache: dict = {}
         self._blocks: dict = {}
 
     @property
@@ -281,13 +280,6 @@ class BuiltinFamily(LWData):
             a = int(label.id.split("@", 1)[0])
             self._apart_cache[label.id] = a
         return a
-
-    def dual(self, label: Label) -> Label:
-        lab = self._dual_cache.get(label.id)
-        if lab is None:
-            lab = self.labels(-label.degree)[(-self._apart(label)) % self.N]
-            self._dual_cache[label.id] = lab
-        return lab
 
     def delta(self, i: Label, j: Label, k: Label) -> int:
         if (self._apart(i) + self._apart(j) + self._apart(k)) % self.N:
@@ -341,15 +333,13 @@ class BuiltinFamily(LWData):
 
     def _shared(self, kind: str, meets: bool = True) -> np.ndarray:
         """The one "delta" or "sixj" block of every degree tuple that meets
-        the degree constraint, the one zero block of every tuple that does
-        not, or the one "perm"."""
+        the degree constraint, or the one zero block of every tuple that
+        does not."""
         block = self._blocks.get((kind, meets))
         if block is None:
             n = self.N
             if not meets:
                 block = np.zeros_like(self._shared(kind))
-            elif kind == "perm":
-                block = (-np.arange(n)) % n
             elif kind == "sixj":
                 x1, x2, x3, x4, x5, x6 = self._apart_grid(6)
                 support = (
@@ -377,10 +367,6 @@ class BuiltinFamily(LWData):
         v1, v2, v3, v4, v5, v6 = self._values(degs)
         sums = (v1 + v2 - v3, v3 + v4 - v5, v5 - v6 - v1, v6 - v4 - v2)
         return self._shared("sixj", all(s.denominator == 1 for s in sums))
-
-    def dual_perm(self, g: GroupElement) -> np.ndarray:
-        self._values((g,))
-        return self._shared("perm")
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         for den in itertools.count(2):
@@ -430,9 +416,10 @@ class TableData(LWData):
     non-negative and every branching index (gamma's n, the 6j a_i) must
     lie in 1..mult_bound, the largest delta (at least 1): a row that
     breaks either is a `DataFormatError` naming it.  Absent delta and 6j
-    entries are zero.  A gamma entry missing inside the delta range of
-    its triple is not silently defaulted: that triple's `gamma_block`,
-    and so every `gamma` read of it, raises `MissingDataError`.
+    entries are zero.  Missing data raises `MissingDataError`: a whole
+    6j block absent at degrees meeting the 6j constraint (by
+    orthogonality never all zero), and a gamma entry absent inside the
+    delta range of its triple (from `gamma_block`, so every `gamma` read).
     """
 
     def __init__(
@@ -537,7 +524,15 @@ class TableData(LWData):
         return np.arange(1, self.mult_bound + 1) <= self.delta_block(*degs)[..., None]
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        return self._block(self._sixj, tuple(degs), 4, 0j)
+        degs = tuple(degs)
+        block = self._sixj.get(degs)
+        if block is None:
+            block = self._block(self._sixj, degs, 4, 0j)  # labels read first
+            g1, g2, g3, g4, g5, g6 = degs
+            if g1 + g2 == g3 and g3 + g4 == g5 and g5 == g6 + g1:
+                at = ",".join(map(str, degs))
+                raise MissingDataError(f"6j block at degrees ({at}) is not in the table")
+        return block
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         return iter(self.degrees())

@@ -12,10 +12,9 @@ exact.  All arithmetic is rational; no floats enter degree bookkeeping.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GroupArithmeticError
 
@@ -106,14 +105,6 @@ class GroupSignature:
     @property
     def is_finite(self) -> bool:
         return all(f.kind == "Zmod" for f in self.factors)
-
-    def elements(self):
-        """Iterate the whole group (finite signatures only)."""
-        if not self.is_finite:
-            raise GroupArithmeticError("cannot enumerate an infinite group")
-        ranges = [range(f.n) for f in self.factors]
-        for values in itertools.product(*ranges):
-            yield GroupElement(self, values)
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.factors))
@@ -239,16 +230,14 @@ QMODZ = GroupSignature(["QmodZ"])
 class SingularSet:
     """Symmetric set X of singular degrees.
 
-    Three flavours are supported: the torsion predicate
-    ``{x : n*x == 0}``, an explicit finite list, and an arbitrary
-    user predicate (not serializable).
+    Two flavours are supported, both with a JSON form: the torsion set
+    ``{x : n*x == 0}`` and an explicit finite list.
     """
 
-    def __init__(self, kind: str, *, n: int = 0, elements=None, predicate=None):
+    def __init__(self, kind: str, *, n: int = 0, elements=None):
         self.kind = kind
         self.n = n
         self.elements = frozenset(elements) if elements is not None else None
-        self.predicate = predicate
 
     @classmethod
     def torsion_dividing(cls, n: int) -> "SingularSet":
@@ -266,38 +255,26 @@ class SingularSet:
                 )
         return cls("list", elements=elems)
 
-    @classmethod
-    def from_predicate(cls, predicate: Callable[[GroupElement], bool]) -> "SingularSet":
-        return cls("predicate", predicate=predicate)
-
     def contains(self, x: GroupElement) -> bool:
         if self.kind == "torsion_dividing":
             return (x * self.n).is_zero
-        if self.kind == "list":
-            return x in self.elements
-        return bool(self.predicate(x))
+        return x in self.elements
 
     def is_generic(self, x: GroupElement) -> bool:
         return not self.contains(x)
 
-    def is_empty_on(self, signature: GroupSignature) -> bool:
-        """Whether X meets the (finite) group at all.  Used by smallness checks."""
-        if self.kind == "list":
-            return not self.elements
-        if not signature.is_finite:
-            # torsion sets always contain 0; predicates are trusted nonempty
-            return False
-        return not any(self.contains(x) for x in signature.elements())
+    def is_empty_on(self) -> bool:
+        """Whether X is empty.  Used by smallness checks; a torsion set
+        always holds 0."""
+        return self.kind == "list" and not self.elements
 
     def to_json(self) -> dict:
         if self.kind == "torsion_dividing":
             return {"type": "torsion_dividing", "n": self.n}
-        if self.kind == "list":
-            return {
-                "type": "list",
-                "elements": sorted((x.to_json() for x in self.elements), key=str),
-            }
-        raise GroupArithmeticError("predicate singular sets are not serializable")
+        return {
+            "type": "list",
+            "elements": sorted((x.to_json() for x in self.elements), key=str),
+        }
 
     @staticmethod
     def from_json(obj: dict, signature: GroupSignature) -> "SingularSet":
@@ -313,6 +290,4 @@ class SingularSet:
     def __repr__(self):
         if self.kind == "torsion_dividing":
             return f"SingularSet(n*x == 0, n={self.n})"
-        if self.kind == "list":
-            return f"SingularSet({len(self.elements)} elements)"
-        return "SingularSet(predicate)"
+        return f"SingularSet({len(self.elements)} elements)"

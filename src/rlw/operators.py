@@ -431,7 +431,7 @@ class StringNetModel:
                 spec = _subscripts(["row"] + axes, ["row", *ins], ["row"] + kept)
                 amp = np.einsum(spec, amp, d * vals)
                 axes = kept
-            keep = np.flatnonzero(amp.reshape(len(amp), -1).any(axis=1))
+            keep = np.flatnonzero(amp.any(axis=tuple(range(1, amp.ndim))))
             if len(keep) < len(amp):
                 string, col, amp = string[keep], col[keep], amp[keep]
                 chosen = [x[keep] for x in chosen]
@@ -524,7 +524,7 @@ class StringNetModel:
         # the Q_v are diagonal: one sector per count of slots at 0, its energy
         zeros = (space.slot_array < 1).sum(axis=1)
         ident = np.eye(space.dim, dtype=complex)
-        sectors = [(ident[:, zeros == n], int(n)) for n in np.unique(zeros)]
+        sectors = [(ident[:, zeros == n], n) for n in sorted(set(zeros.tolist()))]
         for p in self.graph.plaquettes:
             proj = self.plaquette_B(p)
             updated = []

@@ -11,15 +11,14 @@ fixed side, matching the corner conventions of the plaquette operator.
 
 Colorings assign a group element to each edge, read along the direction
 of the even dart; the vertex (cocycle) condition makes them simplicial
-1-cocycles of the triangulation.  Their cohomology class is fingerprinted
-by holonomies along cycles transverse to the graph: paths in the
+1-cocycles of the triangulation.  Their cohomology class is given by
+holonomies along cycles transverse to the graph: paths in the
 plaquette-adjacency (dual) graph, which cross edges instead of running
-along them.
+along them.  `coloring_from_holonomy` builds a cocycle of a given class.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from .errors import DataFormatError, DomainError
@@ -34,7 +33,6 @@ __all__ = [
     "parse_surface",
     "coloring_from_holonomy",
     "gauge_shift",
-    "holonomies",
     "is_admissible",
 ]
 
@@ -46,9 +44,6 @@ class Plaquette:
         self.index = index
         self.darts = tuple(darts)
         self.edges = tuple(h // 2 for h in self.darts)
-
-    def __len__(self):
-        return len(self.darts)
 
     def __repr__(self):
         return f"Plaquette({self.index}, darts={self.darts})"
@@ -79,28 +74,17 @@ class RibbonGraph:
             for i, h in enumerate(triple):
                 self._rho[h] = triple[(i + 1) % 3]
         self.plaquettes = self._trace_faces()
-        self._face_of = [0] * n
-        for p in self.plaquettes:
-            for h in p.darts:
-                self._face_of[h] = p.index
         self.genus = (2 - self.num_vertices + self.num_edges - len(self.plaquettes)) // 2
         if self.num_vertices - self.num_edges + len(self.plaquettes) != 2 - 2 * self.genus:
             raise DataFormatError("odd Euler characteristic: graph is not orientable")
 
     # -- structure maps ---------------------------------------------------
 
-    @staticmethod
-    def alpha(h: int) -> int:
-        return h ^ 1
-
     def rho(self, h: int) -> int:
         return self._rho[h]
 
     def vertex_of(self, h: int) -> int:
         return self._vertex_of[h]
-
-    def face_of(self, h: int) -> int:
-        return self._face_of[h]
 
     def _trace_faces(self):
         todo = set(range(2 * self.num_edges))
@@ -166,9 +150,6 @@ class Coloring:
             and other.values == self.values
         )
 
-    def __hash__(self):
-        return hash((id(self.graph), self.values))
-
     def __repr__(self):
         return "Coloring(" + ", ".join(map(str, self.values)) + ")"
 
@@ -184,43 +165,6 @@ def gauge_shift(coloring: Coloring, plaquette: Plaquette, g: GroupElement) -> Co
         e = h // 2
         values[e] = values[e] + g if h % 2 == 0 else values[e] - g
     return Coloring(coloring.graph, values)
-
-
-def holonomies(coloring: Coloring) -> tuple:
-    """Fingerprint of the cohomology class of a cocycle.
-
-    Build a breadth-first spanning tree of the plaquette-adjacency graph
-    (rooted at plaquette 0, neighbours scanned in edge order) and return,
-    per non-tree edge in ascending order, the holonomy of the transverse
-    cycle it closes.  Crossing edge e from the plaquette of dart 2e+1
-    into the plaquette of dart 2e picks up +value(e); tree paths carry
-    signed potentials with the same rule.  Gauge shifts change no entry.
-    """
-    graph = coloring.graph
-    num_faces = len(graph.plaquettes)
-    potential = [None] * num_faces
-    potential[0] = coloring.values[0].signature.zero() if coloring.values else None
-    in_tree = set()
-    queue = deque([0])
-    while queue:
-        p = queue.popleft()
-        for e in range(graph.num_edges):
-            fwd, bwd = graph.face_of(2 * e), graph.face_of(2 * e + 1)
-            if p == bwd and potential[fwd] is None:
-                potential[fwd] = potential[p] + coloring.values[e]
-            elif p == fwd and potential[bwd] is None:
-                potential[bwd] = potential[p] - coloring.values[e]
-            else:
-                continue
-            in_tree.add(e)
-            queue.append(fwd if p == bwd else bwd)
-    out = []
-    for e in range(graph.num_edges):
-        if e in in_tree:
-            continue
-        fwd, bwd = graph.face_of(2 * e), graph.face_of(2 * e + 1)
-        out.append(potential[bwd] + coloring.values[e] - potential[fwd])
-    return tuple(out)
 
 
 # -- builders --------------------------------------------------------------

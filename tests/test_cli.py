@@ -15,7 +15,7 @@ from rlw import BuiltinFamily, QMODZ, RecordingData, build_torus, coloring_from_
 from rlw.cli import main
 from rlw.operators import StringNetModel
 from rlw.states import LinearOperator
-from rlw.validate import validate
+from rlw.axioms import validate
 
 
 def run(capsys, *argv):
@@ -187,6 +187,74 @@ class TestValidate:
         )
         assert code == 0
         assert report["passed"] is True
+
+
+def theta_recording(spec, path):
+    """The table a theta `ground-dim` at holonomy 1/5,2/5 was served."""
+    recorder = RecordingData(rlw.parse_family_spec(spec))
+    coloring = coloring_from_holonomy(
+        build_torus("theta"), (QMODZ.element(Fraction("1/5")), QMODZ.element(Fraction("2/5")))
+    )
+    StringNetModel(recorder, coloring).ground_dim()  # probe 1/4
+    table = recorder.export_table().to_dict()
+    path.write_text(json.dumps(table))
+    return table
+
+
+THETA = ("--surface", "torus:theta", "--holonomy", "1/5,2/5")
+
+
+class TestAbsentSixjBlocks:
+    # by orthogonality a 6j block at degrees meeting the constraint is
+    # never all zero, so its absence from a table is missing data
+
+    def test_default_probe_exits_two_naming_block(self, capsys, tmp_path):
+        # the table's first degree, 1/20, is the default probe; its walk
+        # reads blocks the recording never stored
+        path = tmp_path / "p32.json"
+        theta_recording("P:3:2", path)
+        code, report, err = run(capsys, "ground-dim", "--data", str(path), *THETA)
+        message = "6j block at degrees (1/4,19/20,1/5,2/5,3/5,7/20) is not in the table"
+        assert code == 2
+        assert report["error"] == message
+        assert message in err
+
+    def test_recorded_probe_replays(self, capsys, tmp_path):
+        path = tmp_path / "p32.json"
+        theta_recording("P:3:2", path)
+        code, report, _ = run(
+            capsys, "ground-dim", "--data", str(path), *THETA, "--probe", "1/4"
+        )
+        assert code == 0
+        assert report["ground_dim"] == 9
+
+    def test_check_exits_two_naming_block(self, capsys, tmp_path):
+        path = tmp_path / "p21.json"
+        theta_recording("P:2:1", path)
+        code, report, err = run(
+            capsys, "check", "--data", str(path), *THETA, "--probe", "1/4"
+        )
+        assert code == 2
+        assert report["error"].startswith("6j block at degrees (")
+        assert report["error"].endswith(") is not in the table")
+        assert report["error"] in err
+
+    def test_stored_zero_block_ends_the_walk(self, capsys, tmp_path):
+        # a block stored as zeros is data, not a gap: the walk's frontier
+        # empties and the ground space is 0
+        path = tmp_path / "p32.json"
+        table = theta_recording("P:3:2", path)
+        degree = {row["id"]: row["degree"] for row in table["labels"]}
+        first = [degree[i] for i in table["sixj"][0]["j"]]
+        for row in table["sixj"]:
+            if [degree[i] for i in row["j"]] == first:
+                row["re"] = row["im"] = 0.0
+        path.write_text(json.dumps(table))
+        code, report, _ = run(
+            capsys, "ground-dim", "--data", str(path), *THETA, "--probe", "1/4"
+        )
+        assert code == 0
+        assert report["ground_dim"] == 0
 
 
 class TestSpectrum:

@@ -282,6 +282,22 @@ class TestTableData:
         with pytest.raises(MissingDataError, match="inside delta range 1"):
             table.gamma_block(i.degree, j.degree, k.degree)
 
+    def test_sixj_block_absent_at_constrained_degrees(self):
+        # such a block is never all zero, so its absence is missing data
+        rec = RecordingData(BuiltinFamily("P", 2, 1.0))
+        degs = _supported_sextuple()
+        for g in degs:
+            rec.labels(g)
+        table = rec.export_table()
+        with pytest.raises(
+            MissingDataError,
+            match=r"^6j block at degrees \(1/5,2/5,3/5,1/7,26/35,19/35\) is not in the table$",
+        ):
+            table.sixj_block(degs)
+        assert not table.sixj_block((F15,) * 6).any()  # off the constraint
+        with pytest.raises(MissingDataError, match="not tabulated"):
+            table.sixj_block((QMODZ.parse("1/11"),) + degs[1:])
+
     def test_malformed_tables(self):
         base = {
             "group": {"type": "product", "factors": [{"type": "QmodZ"}]},
@@ -372,7 +388,6 @@ class TestBlockCache:
         assert fam.delta_block(F15, F25, three) is fam.delta_block(F25, F15, three)
         with pytest.raises(ValueError):
             block[(0,) * block.ndim] = 7
-        assert fam.dual_perm(F15) is fam.dual_perm(F25)
         with pytest.raises(DomainError):
             fam.sixj_block((QMODZ.parse("1/2"),) + other[1:])
 

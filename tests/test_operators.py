@@ -503,7 +503,7 @@ class TestAdmissibility:
     def test_stored_target_rejected(self, grid_coloring):
         # 1/14 - 4/7 lands on -1/2, killed by the six-torsion test
         model = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
-        plaquette = model.graph.face_of(0)
+        plaquette = model.graph.plaquettes[0]
         with pytest.raises(GaugeAdmissibilityError):
             model.plaquette_Bg(plaquette, q("4/7"))
 

@@ -13,7 +13,7 @@ from rlw import BuiltinFamily, QMODZ, RecordingData, TableData
 from rlw.data import _subscripts
 from rlw.errors import DomainError, MissingDataError
 from rlw.group import GroupSignature, SingularSet, _Factor
-from rlw.validate import (
+from rlw.axioms import (
     _PENT_OUT,
     _PENT_T1,
     _PENT_T2,
@@ -408,6 +408,13 @@ class TestReport:
         assert 0 < pent_capped.checked < pent_full.checked
         assert capped.passed
 
+    def test_module_is_not_shadowed(self):
+        import rlw
+        import rlw.axioms as ax
+
+        assert hasattr(ax, "_CHECKS") and hasattr(ax, "_PENT_LOAD")
+        assert rlw.validate is ax.validate
+
 
 # -- the dense pentagon oracle ---------------------------------------------------
 
@@ -521,7 +528,7 @@ class TestPentagonOracle:
         assert sparse["residual"] == 0.5
         # the planted block gives the tuples that read it plans of their
         # own; batches of one tuple each must record the same report
-        monkeypatch.setattr(sys.modules["rlw.validate"], "_PENT_LOAD", 1)
+        monkeypatch.setattr(sys.modules["rlw.axioms"], "_PENT_LOAD", 1)
         assert pentagons(data, ("1/5", "2/5"))[0] == dense
 
     def test_real_multiplicity_matches_dense(self):
