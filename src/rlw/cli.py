@@ -257,16 +257,23 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         )
 
     plaquettes = model.graph.plaquettes
-    bs = [model.plaquette_B(p) for p in plaquettes]
+    # every B_p vanishes off the invariant blocks, and so do the matrices
+    # below: each norm is the root of the sum of squares over the blocks
+    blocks = model._invariant_blocks()
+    bs = [[model.plaquette_B(p).matrix[np.ix_(b, b)] for b in blocks] for p in plaquettes]
+
+    def block_norm(mats):
+        return np.sqrt(sum(np.linalg.norm(m) ** 2 for m in mats))
+
     residual_row(
         "projector_idempotency",
-        max(np.linalg.norm((b @ b - b).matrix) for b in bs),
+        max(block_norm(x @ x - x for x in b) for b in bs),
     )
     residual_row(
         "plaquette_commutation",
         max(
             (
-                np.linalg.norm((a @ b - b @ a).matrix)
+                block_norm(x @ y - y @ x for x, y in zip(a, b))
                 for i, a in enumerate(bs)
                 for b in bs[i + 1 :]
             ),
@@ -275,13 +282,15 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     )
     # Q_v is the 0/1 diagonal `fused[:, v]`, so [B, Q_v] keeps the entries
     # of B whose row and column differ in being fused at v
-    fused = space.slot_array >= 1
+    fused = [space.slot_array[b] >= 1 for b in blocks]
     residual_row(
         "vertex_commutation",
         max(
-            np.linalg.norm(np.where(q[:, None] != q[None, :], b.matrix, 0))
+            block_norm(
+                np.where(q[:, v, None] != q[None, :, v], x, 0) for x, q in zip(b, fused)
+            )
             for b in bs
-            for q in fused.T
+            for v in range(model.graph.num_vertices)
         ),
     )
 

@@ -637,6 +637,12 @@ class TableData(LWData):
         def gamma_stored(degs, block):  # NaN: absent from the file
             return ~np.isnan(block) & ((block != 0) | self._in_range(degs))
 
+        def sixj_stored(degs, block):  # an all-zero block keeps one zero row
+            stored = block != 0
+            if stored.size and not stored.any():
+                stored.flat[0] = True
+            return stored
+
         return {
             "group": self.signature.to_json(),
             "singular": self.singular.to_json(),
@@ -651,7 +657,7 @@ class TableData(LWData):
             ],
             "sixj": [
                 {"j": list(ids), "a": list(a), "re": v.real, "im": v.imag}
-                for ids, a, v in rows(self._sixj, lambda degs, b: b != 0)
+                for ids, a, v in rows(self._sixj, sixj_stored)
             ],
         }
 

@@ -164,6 +164,15 @@ class GroupElement:
         )
         object.__setattr__(self, "values", norm)
 
+    _hash = None  # not a field: the dataclass hash, kept on first use
+
+    def __hash__(self) -> int:
+        # elements key many dicts, and most elements the validator builds
+        # are never hashed, so the hash is not computed at construction
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.signature, self.values)))
+        return self._hash
+
     def _check(self, other: "GroupElement"):
         if not isinstance(other, GroupElement) or other.signature != self.signature:
             raise GroupArithmeticError("elements of different groups")

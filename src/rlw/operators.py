@@ -39,6 +39,12 @@ any probe degree g that keeps every intermediate coloring admissible,
 and is a projector independent of the probe.  The Hamiltonian counts
 violated vertex and plaquette projectors, so its spectrum is found by
 jointly splitting the space along the commuting family.
+
+The projectors are block diagonal: the connected components of the
+union of the B_p nonzero patterns split the space into blocks that
+every B_p and Q_v keeps.  The ground projector, its idempotency
+residual and the spectrum splitting run one block at a time, and B_p
+itself is formed one component at a time of its two factors.
 """
 
 from __future__ import annotations
@@ -64,6 +70,47 @@ from .states import LinearOperator, StateSpace
 from .surface import Coloring, Plaquette, gauge_shift, is_admissible
 
 __all__ = ["StringNetModel", "probe_candidates", "choose_probe"]
+
+# invariant blocks smaller than this many states are packed together, so
+# a space of many tiny blocks is walked a few dozen states at a time
+_PACK = 32
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """Sorted index arrays of the connected components of the graph on
+    range(n) with edges (rows[i], cols[i]), in order of least index.
+
+    Each node carries the least node it is known to reach: the labels
+    spread along the edges by `np.minimum.at` and shortcut by pointer
+    jumping until no edge joins two labels."""
+    if n == 0:
+        return []
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, cols, label[rows])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _pack(parts: list) -> list:
+    """Consecutive parts joined, sorted, while the union stays within
+    `_PACK` elements; a larger part stays alone.  A union of invariant
+    blocks is invariant."""
+    packs, run = [], []
+    for part in parts:
+        if run and sum(map(len, run)) + len(part) > _PACK:
+            packs.append(np.sort(np.concatenate(run)))
+            run = []
+        run.append(part)
+    if run:
+        packs.append(np.sort(np.concatenate(run)))
+    return packs
 
 
 def probe_candidates(
@@ -186,6 +233,7 @@ class StringNetModel:
         self._tables = {}
         self._bg_cache = {}
         self._b_cache = {}
+        self._invariant = None
 
     # -- plumbing ------------------------------------------------------------
 
@@ -250,7 +298,12 @@ class StringNetModel:
     def plaquette_B(
         self, p: Union[int, Plaquette], g: Optional[GroupElement] = None
     ) -> LinearOperator:
-        """The plaquette projector B_p^g B_p^(-g) at a probe degree g."""
+        """The plaquette projector B_p^g B_p^(-g) at a probe degree g.
+
+        The product is formed one component at a time of the graph whose
+        nodes are the states and the intermediate states, joined by the
+        nonzeros of the two factors: outside a component's own rows and
+        columns both factors vanish on it."""
         p = self._plaquette(p)
         g = g if g is not None else self.probe
         key = (p.index, g)
@@ -259,9 +312,31 @@ class StringNetModel:
         lower = self.plaquette_Bg(p, -g)
         mid = gauge_shift(self.coloring, p, g)
         raise_ = self.plaquette_Bg(p, g, mid)
-        op = raise_ @ lower
+        n = lower.src.dim
+        down_mid, down = np.nonzero(lower.matrix)
+        up, up_mid = np.nonzero(raise_.matrix)
+        nodes = _components(
+            n + lower.dst.dim,
+            np.concatenate([down, up]),
+            np.concatenate([down_mid, up_mid]) + n,
+        )
+        matrix = np.zeros((n, n), dtype=complex)
+        for part in _pack(nodes):
+            b, m = part[part < n], part[part >= n] - n
+            matrix[np.ix_(b, b)] = raise_.matrix[np.ix_(b, m)] @ lower.matrix[np.ix_(m, b)]
+        op = LinearOperator(lower.src, raise_.dst, matrix)
         self._b_cache[key] = op
         return op
+
+    def _invariant_blocks(self) -> list:
+        """Sorted index arrays that partition the model's space, each
+        invariant under every B_p: the components of the union of their
+        nonzero patterns, the small ones packed together."""
+        if self._invariant is None:
+            nonzero = [np.nonzero(self.plaquette_B(p).matrix) for p in self.graph.plaquettes]
+            rows, cols = (np.concatenate(axis) for axis in zip(*nonzero))
+            self._invariant = _pack(_components(self.space().dim, rows, cols))
+        return self._invariant
 
     # -- the walk algorithm -----------------------------------------------------
 
@@ -487,13 +562,21 @@ class StringNetModel:
         return LinearOperator(space, space, matrix)
 
     def ground_projector(self) -> LinearOperator:
+        """The product of every B_p and Q_v, formed one invariant block at
+        a time and scattered into the dense matrix."""
         space = self.space()
-        op = LinearOperator.identity(space)
-        for p in self.graph.plaquettes:
-            op = self.plaquette_B(p) @ op
-        # the product of the diagonal Q_v: keep the rows with every slot >= 1
-        op.matrix[(space.slot_array < 1).any(axis=1)] = 0
-        return op
+        unfused = (space.slot_array < 1).any(axis=1)
+        bs = [self.plaquette_B(p).matrix for p in self.graph.plaquettes]
+        matrix = np.zeros((space.dim, space.dim), dtype=complex)
+        for b in self._invariant_blocks():
+            ix = np.ix_(b, b)
+            block = np.eye(len(b), dtype=complex)
+            for mat in bs:
+                block = mat[ix] @ block
+            # the product of the diagonal Q_v: keep the rows with every slot >= 1
+            block[unfused[b]] = 0
+            matrix[ix] = block
+        return LinearOperator(space, space, matrix)
 
     def ground_dim(self, tol: float = 1e-9) -> int:
         return self.ground_dim_residual(tol)[0]
@@ -506,47 +589,56 @@ class StringNetModel:
         fused = self if self.strict else StringNetModel(
             self.data, self.coloring, strict=True, dim_cap=self.dim_cap, probe=self._probe
         )
-        proj = fused.ground_projector()
-        residual = float(np.linalg.norm((proj @ proj - proj).matrix))
-        if residual > tol * max(1.0, np.linalg.norm(proj.matrix)):
+        proj = fused.ground_projector().matrix
+        # P vanishes off the invariant blocks, so P P - P is summed over them
+        squares = 0.0
+        for b in fused._invariant_blocks():
+            block = proj[np.ix_(b, b)]
+            squares += np.linalg.norm(block @ block - block) ** 2
+        residual = float(np.sqrt(squares))
+        if residual > tol * max(1.0, np.linalg.norm(proj)):
             raise InstabilityError(
                 f"ground projector is not idempotent (residual {residual:.3e})"
             )
-        trace = np.trace(proj.matrix)
+        trace = np.trace(proj)
         dim = round(trace.real)
         if abs(trace - dim) > max(tol, 1e-7 * max(1, abs(trace))):
             raise InstabilityError(f"projector trace {trace} is not near an integer")
         return int(dim), residual
 
     def spectrum(self, tol: float = 1e-8) -> dict:
-        """Energy -> multiplicity by joint splitting along the projectors."""
+        """Energy -> multiplicity by joint splitting along the projectors,
+        one invariant block at a time."""
         space = self.space()
         # the Q_v are diagonal: one sector per count of slots at 0, its energy
         zeros = (space.slot_array < 1).sum(axis=1)
-        ident = np.eye(space.dim, dtype=complex)
-        sectors = [(ident[:, zeros == n], n) for n in sorted(set(zeros.tolist()))]
-        for p in self.graph.plaquettes:
-            proj = self.plaquette_B(p)
-            updated = []
-            for basis, energy in sectors:
-                r = basis.conj().T @ (proj.matrix @ basis)
-                k = basis.shape[1]
-                u, sing, _ = np.linalg.svd(r)
-                rank = int(np.sum(sing > tol))
-                u2, sing2, _ = np.linalg.svd(np.eye(k) - r)
-                corank = int(np.sum(sing2 > tol))
-                if rank + corank != k:
-                    raise InstabilityError(
-                        "projector eigenspaces do not fill a joint sector"
-                    )
-                if rank:
-                    updated.append((basis @ u[:, :rank], energy))
-                if corank:
-                    updated.append((basis @ u2[:, :corank], energy + 1))
-            sectors = updated
+        bs = [self.plaquette_B(p).matrix for p in self.graph.plaquettes]
         out = {}
-        for basis, energy in sectors:
-            out[energy] = out.get(energy, 0) + basis.shape[1]
+        for b in self._invariant_blocks():
+            ident = np.eye(len(b), dtype=complex)
+            counts = zeros[b]
+            sectors = [(ident[:, counts == n], n) for n in sorted(set(counts.tolist()))]
+            for mat in bs:
+                proj = mat[np.ix_(b, b)]
+                updated = []
+                for basis, energy in sectors:
+                    r = basis.conj().T @ (proj @ basis)
+                    k = basis.shape[1]
+                    u, sing, _ = np.linalg.svd(r)
+                    rank = int(np.sum(sing > tol))
+                    u2, sing2, _ = np.linalg.svd(np.eye(k) - r)
+                    corank = int(np.sum(sing2 > tol))
+                    if rank + corank != k:
+                        raise InstabilityError(
+                            "projector eigenspaces do not fill a joint sector"
+                        )
+                    if rank:
+                        updated.append((basis @ u[:, :rank], energy))
+                    if corank:
+                        updated.append((basis @ u2[:, :corank], energy + 1))
+                sectors = updated
+            for basis, energy in sectors:
+                out[energy] = out.get(energy, 0) + basis.shape[1]
         if sum(out.values()) != space.dim:
             raise InstabilityError("sector dimensions do not add up")
         return out

@@ -7,8 +7,8 @@ where delta(v) is the branching number of the inward labels at v taken
 in rotation order from the least dart; slot 0 is the unfused state that
 the vertex projector annihilates.  Strict (fused) spaces keep the
 labelings with every delta(v) >= 1 and only the slots 1..delta(v).
-`count_states` gives the dimension of an inclusive space from the same
-labeling loop without building it.
+`count_states` gives the dimension of an inclusive space without building
+it, by contracting the vertex branching numbers over the edge labels.
 
 The basis is integer arrays, one row per state: `label_array[r, e]`
 indexes labels(Phi(e)) and `slot_array[r, v]` is the slot at v.  Rows
@@ -29,6 +29,8 @@ taken with respect to this pairing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import BlockCache, LWData
@@ -39,6 +41,12 @@ __all__ = ["StateSpace", "LinearOperator", "count_states"]
 
 # labelings grown at once: bounds the frontier of a space far over its cap
 _CHUNK = 1024
+# entries of the largest intermediate of the counting contraction: by
+# default einsum's greedy path admits none larger than its largest
+# operand, which on a one-face surface leaves only the exponential sum
+_CONTRACT_LIMIT = 1 << 20
+# counts bounded below this are contracted in int64, others on Python ints
+_INT64_BOUND = 2**63
 
 
 def _records(arr: np.ndarray) -> np.ndarray:
@@ -59,16 +67,18 @@ class _Labelings:
         graph = coloring.graph
         self.triples = list(map(graph.canonical_vertex_triple, range(graph.num_vertices)))
 
+    def inward(self, h: int, x: np.ndarray):
+        """Degree id and label indices carried toward h's vertex by the
+        labels of index x on h's edge."""
+        val = self.ids[h // 2]
+        return (val, x) if h % 2 else (self.blocks.neg(val), self.blocks.perm(val)[x])
+
     def at_vertex(self, block, lab: np.ndarray, v: int) -> np.ndarray:
         """`block` of the inward degrees at v, read at the inward label
         indices of each row of `lab`."""
-        blocks = self.blocks
-
-        def inward(h):  # degree and label indices carried toward h's vertex
-            val, x = self.ids[h // 2], lab[:, h // 2]
-            return (val, x) if h % 2 else (blocks.neg(val), blocks.perm(val)[x])
-
-        (g1, x1), (g2, x2), (g3, x3) = map(inward, self.triples[v])
+        (g1, x1), (g2, x2), (g3, x3) = (
+            self.inward(h, lab[:, h // 2]) for h in self.triples[v]
+        )
         return block(g1, g2, g3)[x1, x2, x3]
 
     def chunks(self, strict: bool):
@@ -102,12 +112,28 @@ class _Labelings:
 
 
 def count_states(data: LWData, coloring: Coloring) -> int:
-    """Dimension of the inclusive space over `coloring`, counted a chunk
-    of labelings at a time without building it."""
-    return sum(
-        int(np.prod(deg + 1, axis=1).sum())
-        for _, deg in _Labelings(data, coloring).chunks(strict=False)
-    )
+    """Dimension of the inclusive space over `coloring`, without building
+    it: the contraction over the edge labels of one tensor delta + 1 per
+    vertex, read at the inward label indices.  The count is exact: the
+    contraction runs in int64 when a bound on every partial sum fits, and
+    on Python integers otherwise."""
+    labelings = _Labelings(data, coloring)
+    if len(labelings.counts) > 52:  # einsum names axes with 52 letters
+        raise DimensionCapError(
+            f"cannot count the inclusive states of {len(labelings.counts)} edges"
+            " (at most 52); use a strict space (--strict-fusion)"
+        )
+    operands, bound = [], math.prod(labelings.counts)
+    for triple in labelings.triples:
+        (g1, x1), (g2, x2), (g3, x3) = (
+            labelings.inward(h, np.arange(labelings.counts[h // 2])) for h in triple
+        )
+        tensor = labelings.blocks.delta(g1, g2, g3)[np.ix_(x1, x2, x3)].astype(np.int64) + 1
+        bound *= int(tensor.max())
+        operands += [tensor, [h // 2 for h in triple]]
+    if bound >= _INT64_BOUND:
+        operands[::2] = [t.astype(object) for t in operands[::2]]
+    return int(np.einsum(*operands, [], optimize=("greedy", _CONTRACT_LIMIT)))
 
 
 class StateSpace:

@@ -52,8 +52,9 @@ class TestGroundDim:
             ("torus:grid:2", "1/7,2/7", 4, 104_992),
             ("genus:2", "1/7,2/7,3/7,1/11", 16, 5_840),
             ("genus:3", "1/7,2/7,3/7,1/11,2/11,3/11", 64, 1_889_600),
+            ("torus:grid:3", "1/7,2/7", 4, 198_359_290_880),
         ],
-        ids=["grid2", "genus2", "genus3"],
+        ids=["grid2", "genus2", "genus3", "grid3"],
     )
     def test_inclusive_dim_counted(self, capsys, surface, holonomy, ground, hilbert):
         # the ground projector is formed on the fused rows only; the

@@ -215,6 +215,26 @@ class TestTableData:
         lbl = back.labels(F15)[0]
         assert lbl.beta == 2 ** (-2 / 3)
 
+    def test_zero_sixj_block_survives_file_roundtrip(self, tmp_path):
+        # an all-zero 6j block is stored data, not a missing block
+        coloring = coloring_from_holonomy(build_torus("theta"), (F15, F25))
+        probe = QMODZ.parse("1/4")
+        rec = RecordingData(BuiltinFamily("P", 3, 2.0))
+        StringNetModel(rec, coloring, probe=probe).ground_dim()
+        obj = rec.export_table().to_dict()
+        degree = {row["id"]: row["degree"] for row in obj["labels"]}
+        first = [degree[i] for i in obj["sixj"][0]["j"]]
+        for row in obj["sixj"]:
+            if [degree[i] for i in row["j"]] == first:
+                row["re"] = row["im"] = 0.0
+        table = TableData.from_dict(obj)
+        path = tmp_path / "zeroed.json"
+        table.to_file(str(path))
+        back = load_data(str(path))
+        assert back.to_dict() == table.to_dict()
+        dims = [StringNetModel(t, coloring, probe=probe).ground_dim() for t in (table, back)]
+        assert dims[0] == dims[1]
+
     @pytest.mark.parametrize(
         "field, key, value",
         [("sixj", "re", float("nan")), ("sixj", "im", float("inf")),

@@ -23,6 +23,7 @@ from rlw import (
     gauge_shift,
     is_admissible,
 )
+from rlw import operators
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
 from rlw.states import LinearOperator, StateSpace
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity
@@ -461,6 +462,84 @@ class TestSpectrum:
         assert int(np.sum(abs(values) < 0.5)) == 4
         nonzero = values[abs(values) >= 0.5]
         assert min(nonzero.real) >= 1 - 1e-7
+
+
+def dense_counts(model):
+    """Energy -> multiplicity from the dense eigenvalues of the Hamiltonian."""
+    values = np.linalg.eigvals(model.hamiltonian().matrix)
+    energies, counts = np.unique(np.round(values.real).astype(int), return_counts=True)
+    return dict(zip(energies.tolist(), counts.tolist()))
+
+
+BLOCK_CASES = ["P21", "P32", "M21", "M32", "F212", "forced-P21"]
+
+
+def block_model(name, coloring, strict):
+    families = {**FAMILIES, "M32": BuiltinFamily("M", 3, 2.0)}
+    data = families[name.split("-")[-1]]
+    if name.startswith("forced"):
+        data = ForcedMultiplicity(data)
+    return StringNetModel(data, coloring, strict=strict)
+
+
+class TestInvariantBlocks:
+    """The block-diagonal algebra against the partition and the dense path."""
+
+    def test_components_match_union_find(self):
+        rng = np.random.default_rng(3)
+        n = 60
+        rows, cols = rng.integers(0, n, 40), rng.integers(0, n, 40)
+        parent = list(range(n))
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for r, c in zip(rows, cols):
+            parent[root(r)] = root(c)
+        want = {}
+        for x in range(n):
+            want.setdefault(root(x), []).append(x)
+        got = operators._components(n, rows, cols)
+        assert [b.tolist() for b in got] == sorted(want.values())
+        assert operators._components(0, rows[:0], cols[:0]) == []
+
+    @pytest.mark.parametrize("pack", [None, 1], ids=["packed", "components"])
+    @pytest.mark.parametrize(
+        "name, surface", [(n, "grid2") for n in ("P21", "P32", "M21", "F212")]
+        + [(n, "theta") for n in ("P21", "P32", "M21", "F212")],
+    )
+    def test_blocks_partition_and_hold_every_Bp(
+        self, name, surface, pack, monkeypatch, theta_coloring, grid_coloring
+    ):
+        if pack is not None:
+            monkeypatch.setattr(operators, "_PACK", pack)
+        grid = surface == "grid2"
+        model = block_model(name, grid_coloring if grid else theta_coloring, strict=grid)
+        blocks = model._invariant_blocks()
+        dim = model.space().dim
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(dim))
+        inside = np.zeros((dim, dim), dtype=bool)
+        for b in blocks:
+            inside[np.ix_(b, b)] = True
+        for p in model.graph.plaquettes:
+            assert not model.plaquette_B(p).matrix[~inside].any()
+        if name == "P32" and grid:
+            assert [len(b) for b in blocks] == [27] * 9
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_grid_spectrum_matches_dense(self, name, grid_coloring):
+        model = block_model(name, grid_coloring, strict=True)
+        assert model.spectrum() == dense_counts(model)
+
+    def test_grid3(self):
+        coloring = coloring_from_holonomy(build_torus("grid", 3), (q("1/7"), q("2/7")))
+        model = StringNetModel(FAMILIES["P21"], coloring, strict=True)
+        assert [len(b) for b in model._invariant_blocks()] == [256] * 4
+        assert model.ground_dim() == 4
+        spectrum = {0: 4, 2: 144, 4: 504, 6: 336, 8: 36}
+        assert model.spectrum() == dense_counts(model) == spectrum
 
 
 class TestGaugeInvariance:

@@ -17,6 +17,7 @@ from rlw import (
     build_genus,
     build_torus,
     coloring_from_holonomy,
+    parse_family_spec,
 )
 from rlw import states
 from rlw.states import LinearOperator, StateSpace
@@ -292,3 +293,53 @@ class TestLinearOperator:
         other = LinearOperator.identity(StateSpace(space.data, theta_coloring))
         with pytest.raises(DataFormatError):
             ident - other
+
+
+def labeling_count(data, coloring):
+    """The inclusive dimension summed over every labeling, a chunk at a time."""
+    return sum(
+        int(np.prod(deg + 1, axis=1).sum())
+        for _, deg in states._Labelings(data, coloring).chunks(strict=False)
+    )
+
+
+COUNT_SURFACES = {
+    "theta": (build_torus("theta"), "1/5,2/5"),
+    "grid2": (build_torus("grid", 2), "1/7,2/7"),
+    "genus2": (build_genus(2), "1/7,2/7,3/7,1/11"),
+    "genus3": (build_genus(3), "1/7,2/7,3/7,1/11,2/11,3/11"),
+}
+
+
+class TestCount:
+    """`count_states` contracts the vertex tensors; the labeling loop is its oracle."""
+
+    @pytest.mark.parametrize("family", ["P:2:1", "P:3:2"])
+    @pytest.mark.parametrize("surface", list(COUNT_SURFACES))
+    def test_matches_labeling_loop(self, surface, family):
+        graph, holonomy = COUNT_SURFACES[surface]
+        coloring = coloring_from_holonomy(
+            graph, tuple(q(h) for h in holonomy.split(","))
+        )
+        data = parse_family_spec(family)
+        count = states.count_states(data, coloring)
+        assert type(count) is int
+        assert count == labeling_count(data, coloring)
+
+    def test_python_integers_match_loop(self, monkeypatch):
+        data, coloring, _ = ORACLE_CASES["forced-P32-inclusive"]
+        monkeypatch.setattr(states, "_INT64_BOUND", 1)
+        assert states.count_states(data, coloring) == labeling_count(data, coloring)
+
+    def test_count_past_int64(self):
+        # 3^45 labelings on genus 8: the count no longer fits in int64
+        holonomy = tuple(q(Fraction(k, p)) for p in (7, 11, 13, 17) for k in (1, 2, 3, 4))
+        coloring = coloring_from_holonomy(build_genus(8), holonomy)
+        count = states.count_states(BuiltinFamily("P", 3, 2.0), coloring)
+        assert type(count) is int and count > 2**63
+
+    def test_more_edges_than_einsum_names(self):
+        holonomy = tuple(q(Fraction(k, p)) for p in (7, 11, 13, 17, 19) for k in (1, 2, 3, 4))
+        coloring = coloring_from_holonomy(build_genus(10), holonomy)  # 57 edges
+        with pytest.raises(DimensionCapError, match="57 edges"):
+            states.count_states(BuiltinFamily("P", 2, 1.0), coloring)
