@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .data import BlockCache, LWData, _subscripts
+from .data import BlockCache, LWData, _join, _subscripts
 from .errors import DomainError, MissingDataError
 from .group import GroupElement
 
@@ -325,16 +325,6 @@ def _key(coords: dict, axes: Sequence[str], sizes: dict, count: int) -> np.ndarr
     for a in axes:
         key = key * sizes[a] + coords[a]
     return key
-
-
-def _join(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with a[i] == b[j], ordered by i, then by j."""
-    order = np.argsort(b, kind="stable")
-    lo = np.searchsorted(b[order], a, "left")
-    counts = np.searchsorted(b[order], a, "right") - lo
-    i = np.repeat(np.arange(len(a)), counts)
-    start = np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return i, order[start + np.arange(len(i))]
 
 
 def _sparse_terms(ops, names, sizes: dict):

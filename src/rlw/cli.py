@@ -260,7 +260,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     # every B_p vanishes off the invariant blocks, and so do the matrices
     # below: each norm is the root of the sum of squares over the blocks
     blocks = model._invariant_blocks()
-    bs = [[model.plaquette_B(p).matrix[np.ix_(b, b)] for b in blocks] for p in plaquettes]
+    bs = [list(model.plaquette_B(p).dense_blocks(blocks, blocks)) for p in plaquettes]
 
     def block_norm(mats):
         return np.sqrt(sum(np.linalg.norm(m) ** 2 for m in mats))
@@ -300,9 +300,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         raised = model.plaquette_Bg(p, g)
         shifted = gauge_shift(model.coloring, p, -g)
         lowered = model.plaquette_Bg(p, -g, shifted)
-        adjoint_dev = max(
-            adjoint_dev, np.linalg.norm(raised.adjoint().matrix - lowered.matrix)
-        )
+        adjoint_dev = max(adjoint_dev, (raised.adjoint() - lowered).norm())
     residual_row("adjoint_degree_flip", adjoint_dev)
 
     candidates = list(probe_candidates(data, model.coloring, limit=8))
@@ -314,7 +312,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
                 mid = gauge_shift(model.coloring, plaquettes[0], -g2)
                 first = model.plaquette_Bg(plaquettes[0], g1, mid)
                 combined = model.plaquette_Bg(plaquettes[0], g1 + g2)
-                composed = np.linalg.norm((first @ second).matrix - combined.matrix)
+                composed = (first @ second - combined).norm()
             except (GaugeAdmissibilityError, DomainError, MissingDataError):
                 continue
             break
@@ -326,22 +324,13 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         residual_row("degree_composition", composed)
 
     if len(candidates) >= 2:
-        first, second = candidates[:2]
-        residual_row(
-            "probe_independence",
-            np.linalg.norm(
-                model.plaquette_B(plaquettes[0], g=first).matrix
-                - model.plaquette_B(plaquettes[0], g=second).matrix
-            ),
-        )
+        first, second = (model.plaquette_B(plaquettes[0], g=h) for h in candidates[:2])
+        residual_row("probe_independence", (first - second).norm())
     else:
         notes.append("fewer than two probe candidates; independence skipped")
 
     hamiltonian = model.hamiltonian()
-    residual_row(
-        "pseudo_hermiticity",
-        np.linalg.norm(hamiltonian.matrix - hamiltonian.adjoint().matrix),
-    )
+    residual_row("pseudo_hermiticity", (hamiltonian - hamiltonian.adjoint()).norm())
     pair_dev = 0.0
     for _ in range(20):
         psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)

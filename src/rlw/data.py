@@ -31,7 +31,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,6 +196,15 @@ class LWData:
         )
 
 
+def _whole(*fractions) -> bool:
+    """Whether the (numerator, denominator) pairs sum to an integer, on
+    integers alone: the degree test of the builtin blocks."""
+    num, den = 0, 1
+    for n, d in fractions:
+        num, den = num * d + n * den, den * d
+    return num % den == 0
+
+
 class BuiltinFamily(LWData):
     """Closed-form families over G = Q/Z with X = {x : 6x = 0}.
 
@@ -325,11 +334,12 @@ class BuiltinFamily(LWData):
             for i in range(k)
         ]
 
-    def _values(self, degs) -> list:
-        for g in degs:
-            if self._degkey(g) not in self._label_cache:
+    def _keys(self, degs) -> list:
+        keys = [self._degkey(g) for g in degs]
+        for g, key in zip(degs, keys):
+            if key not in self._label_cache:
                 self.labels(g)  # checks the degree, once
-        return [g.values[0] for g in degs]
+        return keys
 
     def _shared(self, kind: str, meets: bool = True) -> np.ndarray:
         """The one "delta" or "sixj" block of every degree tuple that meets
@@ -357,16 +367,17 @@ class BuiltinFamily(LWData):
         return block
 
     def delta_block(self, g1, g2, g3) -> np.ndarray:
-        v1, v2, v3 = self._values((g1, g2, g3))
-        return self._shared("delta", (v1 + v2 + v3).denominator == 1)
+        return self._shared("delta", _whole(*self._keys((g1, g2, g3))))
 
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
         return (self._gamma * self.delta_block(g1, g2, g3)).astype(float)[..., None]
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        v1, v2, v3, v4, v5, v6 = self._values(degs)
-        sums = (v1 + v2 - v3, v3 + v4 - v5, v5 - v6 - v1, v6 - v4 - v2)
-        return self._shared("sixj", all(s.denominator == 1 for s in sums))
+        keys = self._keys(degs)
+        k1, k2, k3, k4, k5, k6 = keys
+        m1, m2, m3, m4, m5, m6 = [(-num, den) for num, den in keys]
+        sums = ((k1, k2, m3), (k3, k4, m5), (k5, m6, m1), (k6, m4, m2))
+        return self._shared("sixj", all(_whole(*terms) for terms in sums))
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         for den in itertools.count(2):
@@ -728,6 +739,16 @@ def _subscripts(*groups) -> str:
     letters = {s: string.ascii_letters[k] for k, s in enumerate(names)}
     subs = ["".join(letters[s] for s in group) for group in groups]
     return ",".join(subs[:-1]) + "->" + subs[-1]
+
+
+def _join(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with a[i] == b[j], ordered by i, then by j."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    counts = np.searchsorted(b[order], a, "right") - lo
+    i = np.repeat(np.arange(len(a)), counts)
+    start = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return i, order[start + np.arange(len(i))]
 
 
 # delta-support conditions (j1 j2 j3* a1), (j3 j4 j5* a2), (j5 j6* j1* a3),

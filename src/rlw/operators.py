@@ -31,8 +31,8 @@ Each amplitude is a tensor over the branching slots still open: the
 slots chain around the walk and across each vertex's visits, and only
 the output slot of each vertex survives to the end.  For
 multiplicity-free data every slot axis has size 1.  The survivors are
-located in the target basis by `StateSpace.rows` and scattered into
-the matrix.
+located in the target basis by `StateSpace.rows`, and their
+(row, column, value) triplets are the operator.
 
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
@@ -43,8 +43,9 @@ jointly splitting the space along the commuting family.
 The projectors are block diagonal: the connected components of the
 union of the B_p nonzero patterns split the space into blocks that
 every B_p and Q_v keeps.  The ground projector, its idempotency
-residual and the spectrum splitting run one block at a time, and B_p
-itself is formed one component at a time of its two factors.
+residual and the spectrum splitting run on dense sub-blocks cut out of
+the triplets one block at a time, and B_p itself is formed one component
+at a time of its two factors.
 """
 
 from __future__ import annotations
@@ -263,10 +264,10 @@ class StringNetModel:
     # -- vertex term -----------------------------------------------------------
 
     def vertex_Q(self, v: int) -> LinearOperator:
-        """The dense diagonal projector onto the states fused at v."""
+        """The diagonal projector onto the states fused at v."""
         space = self.space()
-        diag = (space.slot_array[:, v] >= 1).astype(float)
-        return LinearOperator(space, space, np.diag(diag).astype(complex))
+        fused = np.flatnonzero(space.slot_array[:, v] >= 1)
+        return LinearOperator.from_triplets(space, space, fused, fused, np.ones(len(fused)))
 
     # -- plaquette moves --------------------------------------------------------
 
@@ -289,9 +290,7 @@ class StringNetModel:
                 f"gauge shift by {-g} at plaquette {p.index} hits a singular degree"
             )
         dst = self.space(target)
-        matrix = np.zeros((dst.dim, src.dim), dtype=complex)
-        self._accumulate_Bg(p, g, src, dst, matrix)
-        op = LinearOperator(src, dst, matrix)
+        op = LinearOperator.from_triplets(src, dst, *self._walk_Bg(p, g, src, dst))
         self._bg_cache[key] = op
         return op
 
@@ -313,18 +312,15 @@ class StringNetModel:
         mid = gauge_shift(self.coloring, p, g)
         raise_ = self.plaquette_Bg(p, g, mid)
         n = lower.src.dim
-        down_mid, down = np.nonzero(lower.matrix)
-        up, up_mid = np.nonzero(raise_.matrix)
         nodes = _components(
             n + lower.dst.dim,
-            np.concatenate([down, up]),
-            np.concatenate([down_mid, up_mid]) + n,
+            np.concatenate([lower.cols, raise_.rows]),
+            np.concatenate([lower.rows, raise_.cols]) + n,
         )
-        matrix = np.zeros((n, n), dtype=complex)
-        for part in _pack(nodes):
-            b, m = part[part < n], part[part >= n] - n
-            matrix[np.ix_(b, b)] = raise_.matrix[np.ix_(b, m)] @ lower.matrix[np.ix_(m, b)]
-        op = LinearOperator(lower.src, raise_.dst, matrix)
+        packs = _pack(nodes)
+        bs, ms = [part[part < n] for part in packs], [part[part >= n] - n for part in packs]
+        products = map(np.matmul, raise_.dense_blocks(bs, ms), lower.dense_blocks(ms, bs))
+        op = LinearOperator.from_blocks(lower.src, raise_.dst, bs, products)
         self._b_cache[key] = op
         return op
 
@@ -333,15 +329,17 @@ class StringNetModel:
         invariant under every B_p: the components of the union of their
         nonzero patterns, the small ones packed together."""
         if self._invariant is None:
-            nonzero = [np.nonzero(self.plaquette_B(p).matrix) for p in self.graph.plaquettes]
-            rows, cols = (np.concatenate(axis) for axis in zip(*nonzero))
+            bs = [self.plaquette_B(p) for p in self.graph.plaquettes]
+            rows = np.concatenate([b.rows for b in bs])
+            cols = np.concatenate([b.cols for b in bs])
             self._invariant = _pack(_components(self.space().dim, rows, cols))
         return self._invariant
 
     # -- the walk algorithm -----------------------------------------------------
 
-    def _accumulate_Bg(self, p, g, src, dst, matrix):
-        """Add the sum over labels s of degree g of b(s) B_p^s to matrix."""
+    def _walk_Bg(self, p, g, src, dst):
+        """Triplets (rows, cols, vals) that sum to the sum over labels s of
+        degree g of b(s) B_p^s."""
         data, blocks = self.data, self.blocks
         add, neg = blocks.add, blocks.neg
         walk = self._walk(p)
@@ -397,12 +395,12 @@ class StringNetModel:
         for i in range(n):
             ready_at[max(deps[i])].append(i)
 
-        self._contract(
-            gid, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+        return self._contract(
+            gid, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
         )
 
     def _contract(
-        self, g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+        self, g, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
     ):
         """Breadth-first walk over every string and source column at once.
 
@@ -512,7 +510,7 @@ class StringNetModel:
                 chosen = [x[keep] for x in chosen]
 
         # the open slots are the outputs: put them in vertex order and
-        # scatter every nonzero (row, output slots) entry
+        # return every nonzero (row, output slots) entry
         amp = amp.transpose([0] + [1 + axes.index(s) for s in outputs])
         nz = np.nonzero(amp)
         string, col = string[nz[0]], col[nz[0]]
@@ -528,7 +526,7 @@ class StringNetModel:
         rows = dst.rows(out, slots)
         if (rows < 0).any():
             raise InstabilityError("plaquette move left the target space")
-        np.add.at(matrix, (rows, col), b[string] * amp[nz])
+        return rows, col, b[string] * amp[nz]
 
     def _corner_table(self, degs):
         """6j over the six label axes and four branching axes of one corner.
@@ -552,31 +550,36 @@ class StringNetModel:
 
     def hamiltonian(self) -> LinearOperator:
         """Sum of (1 - B_p) over plaquettes and (1 - Q_v) over vertices; each
-        Q_v is diagonal, so a row gains its count of slots at 0."""
+        Q_v is diagonal, so a row gains its count of slots at 0.  Each entry
+        sums the terms in that order."""
         space = self.space()
-        ident = np.eye(space.dim, dtype=complex)
-        matrix = np.zeros_like(ident)
-        for p in self.graph.plaquettes:
-            matrix += ident - self.plaquette_B(p).matrix
-        matrix[np.diag_indices(space.dim)] += (space.slot_array < 1).sum(axis=1)
-        return LinearOperator(space, space, matrix)
+        ident = LinearOperator.identity(space)
+        counts = (space.slot_array < 1).sum(axis=1)
+        terms = [ident - self.plaquette_B(p) for p in self.graph.plaquettes]
+        terms.append(LinearOperator.from_triplets(space, space, ident.rows, ident.cols, counts))
+        triplets = ([getattr(t, a) for t in terms] for a in ("rows", "cols", "vals"))
+        return LinearOperator.from_triplets(space, space, *map(np.concatenate, triplets))
+
+    def _block_Bs(self) -> Iterator[tuple]:
+        """Per invariant block: its index array, then the dense sub-block
+        of every B_p on it."""
+        parts = self._invariant_blocks()
+        bs = [self.plaquette_B(p).dense_blocks(parts, parts) for p in self.graph.plaquettes]
+        return zip(parts, *bs)
 
     def ground_projector(self) -> LinearOperator:
         """The product of every B_p and Q_v, formed one invariant block at
-        a time and scattered into the dense matrix."""
+        a time.  The product of the B_p already vanishes on the rows with
+        a slot at 0, so it is the product of the Q_v with them too."""
         space = self.space()
-        unfused = (space.slot_array < 1).any(axis=1)
-        bs = [self.plaquette_B(p).matrix for p in self.graph.plaquettes]
-        matrix = np.zeros((space.dim, space.dim), dtype=complex)
-        for b in self._invariant_blocks():
-            ix = np.ix_(b, b)
-            block = np.eye(len(b), dtype=complex)
-            for mat in bs:
-                block = mat[ix] @ block
-            # the product of the diagonal Q_v: keep the rows with every slot >= 1
-            block[unfused[b]] = 0
-            matrix[ix] = block
-        return LinearOperator(space, space, matrix)
+        parts, products = [], []
+        for part, *mats in self._block_Bs():
+            block = np.eye(len(part), dtype=complex)
+            for mat in mats:
+                block = mat @ block
+            parts.append(part)
+            products.append(block)
+        return LinearOperator.from_blocks(space, space, parts, products)
 
     def ground_dim(self, tol: float = 1e-9) -> int:
         return self.ground_dim_residual(tol)[0]
@@ -589,18 +592,16 @@ class StringNetModel:
         fused = self if self.strict else StringNetModel(
             self.data, self.coloring, strict=True, dim_cap=self.dim_cap, probe=self._probe
         )
-        proj = fused.ground_projector().matrix
+        proj = fused.ground_projector()
         # P vanishes off the invariant blocks, so P P - P is summed over them
-        squares = 0.0
-        for b in fused._invariant_blocks():
-            block = proj[np.ix_(b, b)]
-            squares += np.linalg.norm(block @ block - block) ** 2
+        parts = fused._invariant_blocks()
+        squares = sum(np.linalg.norm(x @ x - x) ** 2 for x in proj.dense_blocks(parts, parts))
         residual = float(np.sqrt(squares))
-        if residual > tol * max(1.0, np.linalg.norm(proj)):
+        if residual > tol * max(1.0, proj.norm()):
             raise InstabilityError(
                 f"ground projector is not idempotent (residual {residual:.3e})"
             )
-        trace = np.trace(proj)
+        trace = proj.vals[proj.rows == proj.cols].sum()
         dim = round(trace.real)
         if abs(trace - dim) > max(tol, 1e-7 * max(1, abs(trace))):
             raise InstabilityError(f"projector trace {trace} is not near an integer")
@@ -612,14 +613,12 @@ class StringNetModel:
         space = self.space()
         # the Q_v are diagonal: one sector per count of slots at 0, its energy
         zeros = (space.slot_array < 1).sum(axis=1)
-        bs = [self.plaquette_B(p).matrix for p in self.graph.plaquettes]
         out = {}
-        for b in self._invariant_blocks():
+        for b, *mats in self._block_Bs():
             ident = np.eye(len(b), dtype=complex)
             counts = zeros[b]
             sectors = [(ident[:, counts == n], n) for n in sorted(set(counts.tolist()))]
-            for mat in bs:
-                proj = mat[np.ix_(b, b)]
+            for proj in mats:
                 updated = []
                 for basis, energy in sectors:
                     r = basis.conj().T @ (proj @ basis)

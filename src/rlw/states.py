@@ -30,10 +30,11 @@ taken with respect to this pairing.
 from __future__ import annotations
 
 import math
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .data import BlockCache, LWData
+from .data import BlockCache, LWData, _join
 from .errors import DataFormatError, DimensionCapError
 from .surface import Coloring
 
@@ -215,10 +216,25 @@ class StateSpace:
         return f"StateSpace(dim={self.dim}, {mode})"
 
 
+def _places(n: int, parts) -> Tuple[np.ndarray, np.ndarray]:
+    """Part (-1 for none) and position in it of each of range(n), for
+    disjoint index arrays `parts`."""
+    part, pos = np.full(n, -1), np.zeros(n, np.intp)
+    for k, idx in enumerate(parts):
+        part[idx], pos[idx] = k, np.arange(len(idx))
+    return part, pos
+
+
 class LinearOperator:
-    """Matrix between two state spaces, with the indefinite adjoint."""
+    """Sparse map between two state spaces, with the indefinite adjoint.
+
+    The entries are the nonzero triplets (rows, cols, vals), duplicates
+    summed, sorted by row and then by column.  `matrix` builds the dense
+    array on each call; products join the triplets on the inner index.
+    """
 
     def __init__(self, src: StateSpace, dst: StateSpace, matrix: np.ndarray):
+        """The operator of a dense (dst.dim, src.dim) array."""
         if matrix.shape != (dst.dim, src.dim):
             raise DataFormatError(
                 f"matrix shape {matrix.shape} does not map"
@@ -226,17 +242,67 @@ class LinearOperator:
             )
         self.src = src
         self.dst = dst
-        self.matrix = matrix
+        self.rows, self.cols = np.nonzero(matrix)
+        self.vals = matrix[self.rows, self.cols].astype(complex)
+
+    @classmethod
+    def from_triplets(cls, src, dst, rows, cols, vals) -> "LinearOperator":
+        """The sum of the entries vals[i] at (rows[i], cols[i]); each
+        entry is summed in the order given, as `np.add.at` would."""
+        keys, at = np.unique(rows * src.dim + cols, return_inverse=True)
+        summed = np.zeros(len(keys), dtype=complex)
+        np.add.at(summed, at, vals)
+        op = cls.__new__(cls)
+        op.src, op.dst = src, dst
+        nz = summed != 0
+        op.rows, op.cols = np.divmod(keys[nz], max(src.dim, 1))
+        op.vals = summed[nz]
+        return op
+
+    @classmethod
+    def from_blocks(cls, src, dst, parts, blocks) -> "LinearOperator":
+        """Dense blocks[k] at rows and columns parts[k], disjoint index arrays."""
+        found = [(idx, block, np.nonzero(block)) for idx, block in zip(parts, blocks)]
+        rows = [np.zeros(0, np.intp)] + [idx[r] for idx, _, (r, _) in found]
+        cols = [np.zeros(0, np.intp)] + [idx[c] for idx, _, (_, c) in found]
+        vals = [np.zeros(0, complex)] + [block[nz] for _, block, nz in found]
+        return cls.from_triplets(src, dst, *map(np.concatenate, (rows, cols, vals)))
 
     @classmethod
     def identity(cls, space: StateSpace) -> "LinearOperator":
-        return cls(space, space, np.eye(space.dim, dtype=complex))
+        diag = np.arange(space.dim)
+        return cls.from_triplets(space, space, diag, diag, np.ones(space.dim))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((self.dst.dim, self.src.dim), dtype=complex)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def dense_blocks(self, row_parts, col_parts) -> Iterator[np.ndarray]:
+        """The dense block at rows row_parts[k] and columns col_parts[k]
+        for each k, the parts of each side disjoint index arrays; entries
+        in no such block are left out."""
+        rpart, rpos = _places(self.dst.dim, row_parts)
+        cpart, cpos = _places(self.src.dim, col_parts)
+        part = rpart[self.rows]
+        inside = np.flatnonzero((part >= 0) & (part == cpart[self.cols]))
+        inside = inside[np.argsort(part[inside], kind="stable")]
+        bounds = np.searchsorted(part[inside], np.arange(len(row_parts) + 1))
+        for k, (r, c) in enumerate(zip(row_parts, col_parts)):
+            at = inside[bounds[k] : bounds[k + 1]]
+            block = np.zeros((len(r), len(c)), dtype=complex)
+            block[rpos[self.rows[at]], cpos[self.cols[at]]] = self.vals[at]
+            yield block
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other."""
         if other.dst is not self.src:
             raise DataFormatError("composition spaces do not match")
-        return LinearOperator(other.src, self.dst, self.matrix @ other.matrix)
+        i, j = _join(self.cols, other.rows)
+        return LinearOperator.from_triplets(
+            other.src, self.dst, self.rows[i], other.cols[j], self.vals[i] * other.vals[j]
+        )
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -244,15 +310,23 @@ class LinearOperator:
     def __sub__(self, other):
         if other.src is not self.src or other.dst is not self.dst:
             raise DataFormatError("operator spaces do not match")
-        return LinearOperator(self.src, self.dst, self.matrix - other.matrix)
+        pairs = ((self.rows, other.rows), (self.cols, other.cols), (self.vals, -other.vals))
+        return LinearOperator.from_triplets(self.src, self.dst, *map(np.concatenate, pairs))
+
+    def norm(self) -> float:
+        """The Frobenius norm."""
+        return float(np.linalg.norm(self.vals))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        out = np.zeros((self.dst.dim,) + vec.shape[1:], dtype=complex)
+        vals = self.vals.reshape((-1,) + (1,) * (vec.ndim - 1))
+        np.add.at(out, self.rows, vals * vec[self.cols])
+        return out
 
     def adjoint(self) -> "LinearOperator":
         """Adjoint for the indefinite pairings of source and target."""
-        mat = self.src.eta[:, None] * self.matrix.conj().T / self.dst.eta[None, :]
-        return LinearOperator(self.dst, self.src, mat)
+        vals = self.src.eta[self.cols] * self.vals.conj() / self.dst.eta[self.rows]
+        return LinearOperator.from_triplets(self.dst, self.src, self.cols, self.rows, vals)
 
     def __repr__(self):
-        return f"LinearOperator({self.src.dim} -> {self.dst.dim})"
+        return f"LinearOperator({self.src.dim} -> {self.dst.dim}, nnz {len(self.vals)})"

@@ -424,3 +424,14 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ground_dim"] == 4
         assert "ground dimension" in proc.stderr
+
+    def test_import_leaves_scipy_out(self):
+        # importing scipy costs every launch about 0.3 s
+        path = [str(Path(rlw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, rlw.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

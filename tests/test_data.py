@@ -1,8 +1,10 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rlw import (
     DataFormatError,
@@ -23,6 +25,7 @@ from rlw.data import (
     load_data,
     parse_family_spec,
 )
+from rlw import data as data_module
 from rlw.group import QMODZ
 
 F15 = QMODZ.parse("1/5")
@@ -137,6 +140,58 @@ class TestBuiltinFamily:
         for bad in ("P:3", "X:2:1", "F:2:1", "P:a:1"):
             with pytest.raises(DataFormatError):
                 parse_family_spec(bad)
+
+
+# small fractions, integers and multiples of 1/6 among them
+_FRACTIONS = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13])
+)
+
+# no multiple of 1/6, so few sums of them are singular
+_GENERIC = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([4, 5, 7, 11, 13])).filter(
+    lambda f: f.denominator > 3
+)
+
+
+class TestIntegerDegreeTest:
+    """The builtin blocks decide the degree constraint on integer pairs;
+    the oracle is the same rule on `Fraction` sums."""
+
+    @given(st.lists(_FRACTIONS, min_size=1, max_size=4), st.booleans())
+    def test_whole_matches_fraction_sum(self, fractions, close):
+        if close:  # make the sum an integer
+            fractions.append(-sum(fractions) + len(fractions))
+        pairs = [(f.numerator, f.denominator) for f in fractions]
+        assert data_module._whole(*pairs) == (sum(fractions).denominator == 1)
+
+    @settings(max_examples=200)
+    @given(st.lists(_GENERIC, min_size=4, max_size=4), st.integers(0, 2))
+    def test_blocks_match_fraction_rule(self, values, mode):
+        fam = BuiltinFamily("P", 2, 1.0)
+        g1, g2, g4, extra = values
+        if mode == 0:  # the 6j constraint holds by construction
+            g3, g5 = g1 + g2, g1 + g2 + g4
+            degs = (g1, g2, g3, g4, g5, g5 - g1)
+            triple = (g1, g2, -(g1 + g2))
+        elif mode == 1:  # one sum is off by `extra`
+            g3, g5 = g1 + g2 + extra, g1 + g2 + g4
+            degs = (g1, g2, g3, g4, g5, g5 - g1)
+            triple = (g1, g2, extra - g1 - g2)
+        else:
+            degs = (g1, g2, g4, extra, g1 + extra, g2 - g4)
+            triple = (g1, g2, g4)
+        elements = [QMODZ.element(v) for v in degs]
+        assume(all(fam.singular.is_generic(g) for g in elements))
+        v1, v2, v3, v4, v5, v6 = degs
+        sums = (v1 + v2 - v3, v3 + v4 - v5, v5 - v6 - v1, v6 - v4 - v2)
+        assert bool(fam.sixj_block(elements).any()) == all(
+            Fraction(s).denominator == 1 for s in sums
+        )
+        triple_elements = [QMODZ.element(v) for v in triple]
+        assume(all(fam.singular.is_generic(g) for g in triple_elements))
+        assert bool(fam.delta_block(*triple_elements).any()) == (
+            Fraction(sum(triple)).denominator == 1
+        )
 
 
 def _triple(fam):

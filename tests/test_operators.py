@@ -42,12 +42,13 @@ FAMILIES = {
 
 
 def reference_walk(
-    self, g, src, dst, matrix, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
+    self, g, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
 ):
     """Depth-first reference for `StringNetModel._contract`, with its
     signature: one source column and one string at a time, labels, duals
     and 6j symbols read pointwise, and the branching slots of all corners
-    contracted by one einsum at each leaf.
+    contracted by one einsum at each leaf.  The entries are summed into a
+    dense matrix, whose nonzero triplets it returns.
 
     The A slots chain cyclically around the walk and the C slots chain
     per vertex across its visits; first-visit C slots are sliced at the
@@ -158,9 +159,12 @@ def reference_walk(
             if not dead:
                 rec(s, j + 1, grown, col)
 
+    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
     for s in data.labels(self.blocks.element(g)):
         for col in np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1)):
             rec(s, 0, [], col)
+    rows, cols = np.nonzero(matrix)
+    return rows, cols, matrix[rows, cols]
 
 
 @pytest.fixture
@@ -329,6 +333,52 @@ class TestWalkPaths:
             replay = StringNetModel(data, theta_coloring, probe=model.probe)
             for p, matrix in zip(replay.graph.plaquettes, want):
                 assert np.array_equal(replay.plaquette_B(p).matrix, matrix)
+
+
+def dense_scatter(model, p, g, coloring):
+    """The dense B_p^g that the walk's entries scatter to by `np.add.at`:
+    the oracle the stored triplets must equal bit for bit."""
+    caught = []
+    fresh = StringNetModel(model.data, model.coloring, strict=model.strict, probe=model.probe)
+
+    def catch(*args):
+        caught.append(StringNetModel._contract(fresh, *args))
+        return caught[-1]
+
+    fresh._contract = catch
+    op = fresh.plaquette_Bg(p, g, coloring)
+    (rows, cols, vals), = caught
+    matrix = np.zeros((op.dst.dim, op.src.dim), dtype=complex)
+    np.add.at(matrix, (rows, cols), vals)
+    return matrix
+
+
+class TestTriplets:
+    """B_p^g is stored as the nonzero triplets of the walk's scatter."""
+
+    @pytest.mark.parametrize("surface", ["theta", "grid2"])
+    @pytest.mark.parametrize("name", ["P21", "P32", "M21", "F212", "forced-P21"])
+    def test_walk_triplets_match_dense_scatter(
+        self, name, surface, theta_coloring, grid_coloring
+    ):
+        grid = surface == "grid2"
+        model = block_model(name, grid_coloring if grid else theta_coloring, strict=grid)
+        g = model.probe
+        for p in model.graph.plaquettes:
+            for h, col in ((-g, model.coloring), (g, gauge_shift(model.coloring, p, g))):
+                op = model.plaquette_Bg(p, h, col)
+                matrix = dense_scatter(model, p, h, col)
+                rows, cols = np.nonzero(matrix)
+                assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
+                assert op.vals.tobytes() == matrix[rows, cols].tobytes()
+
+    def test_genus_two_inclusive_storage(self):
+        holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
+        col = coloring_from_holonomy(build_genus(2), holonomy)
+        model = StringNetModel(FAMILIES["P21"], col)
+        op = model.plaquette_Bg(0, model.probe)
+        assert op.src.dim == op.dst.dim == 5840  # 545 MB as a dense complex array
+        assert sum(x.nbytes for x in (op.rows, op.cols, op.vals)) < 1e6
 
 
 class TestExactForms:

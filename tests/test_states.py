@@ -294,6 +294,73 @@ class TestLinearOperator:
         with pytest.raises(DataFormatError):
             ident - other
 
+    @pytest.fixture
+    def spaces(self, theta_coloring):
+        data = BuiltinFamily("M", 2, 1.0)
+        shifted = coloring_from_holonomy(build_torus("theta"), (q("2/5"), q("1/5")))
+        return StateSpace(data, theta_coloring), StateSpace(data, shifted, strict=True)
+
+    @staticmethod
+    def random_triplets(rng, src, dst, count):
+        """Entries with repeated positions, explicit zeros and entries that
+        cancel, and their dense sum."""
+        rows = rng.integers(0, dst.dim, count)
+        cols = rng.integers(0, src.dim, count)
+        vals = rng.normal(size=count) + 1j * rng.normal(size=count)
+        vals[::7] = 0
+        rows, cols = np.concatenate([rows, rows[:5]]), np.concatenate([cols, cols[:5]])
+        vals = np.concatenate([vals, -vals[:5]])
+        dense = np.zeros((dst.dim, src.dim), dtype=complex)
+        np.add.at(dense, (rows, cols), vals)
+        return LinearOperator.from_triplets(src, dst, rows, cols, vals), dense
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triplets_match_dense(self, spaces, seed):
+        rng = np.random.default_rng(seed)
+        big, small = spaces
+        a, dense_a = self.random_triplets(rng, small, big, 3 * big.dim)
+        b, dense_b = self.random_triplets(rng, big, small, 3 * big.dim)
+        c, dense_c = self.random_triplets(rng, small, big, 2 * big.dim)
+        # duplicates summed in order, zeros dropped, sorted by row, then column
+        assert np.array_equal(a.matrix, dense_a)
+        rows, cols = np.nonzero(dense_a)
+        assert np.array_equal(a.rows, rows) and np.array_equal(a.cols, cols)
+        assert a.vals.tobytes() == dense_a[rows, cols].tobytes()
+        assert np.array_equal(LinearOperator(small, big, dense_a).vals, a.vals)
+        x = rng.normal(size=(small.dim, 3)) + 1j * rng.normal(size=(small.dim, 3))
+        assert np.allclose(a.apply(x), dense_a @ x, rtol=0, atol=1e-12)
+        assert np.allclose(a.apply(x[:, 0]), dense_a @ x[:, 0], rtol=0, atol=1e-12)
+        adjoint = small.eta[:, None] * dense_a.conj().T / big.eta[None, :]
+        assert np.array_equal(a.adjoint().matrix, adjoint)
+        assert np.array_equal((a - c).matrix, dense_a - dense_c)
+        assert (a - a).vals.size == 0
+        assert np.allclose((a @ b).matrix, dense_a @ dense_b, rtol=0, atol=1e-12)
+        assert np.allclose((b @ a).matrix, dense_b @ dense_a, rtol=0, atol=1e-12)
+        assert abs(a.norm() - np.linalg.norm(dense_a)) <= 1e-12
+        with pytest.raises(DataFormatError):
+            a @ a
+        with pytest.raises(DataFormatError):
+            a - b
+
+    def test_dense_blocks(self, spaces):
+        rng = np.random.default_rng(7)
+        big, small = spaces
+        a, dense = self.random_triplets(rng, small, big, 4 * big.dim)
+        rows = np.array_split(rng.permutation(big.dim), 3)
+        cols = np.array_split(rng.permutation(small.dim), 3)
+        rows, cols = [np.sort(r) for r in rows], [np.sort(c) for c in cols]
+        for r, c, block in zip(rows, cols, a.dense_blocks(rows, cols)):
+            assert np.array_equal(block, dense[np.ix_(r, c)])
+        square = [np.sort(r) for r in np.array_split(rng.permutation(big.dim), 4)]
+        blocks = [rng.normal(size=(len(r), len(r))) for r in square]
+        blocks[0][0] = 0
+        op = LinearOperator.from_blocks(big, big, square, blocks)
+        want = np.zeros((big.dim, big.dim))
+        for r, block in zip(square, blocks):
+            want[np.ix_(r, r)] = block
+        assert np.array_equal(op.matrix, want)
+        assert np.array_equal(LinearOperator.identity(big).matrix, np.eye(big.dim))
+
 
 def labeling_count(data, coloring):
     """The inclusive dimension summed over every labeling, a chunk at a time."""
