@@ -5,18 +5,25 @@ certify a slice: the caller supplies sample degrees, the validator closes
 them under negation and walks every tuple whose derived degrees (pairwise
 sums as each equation requires) stay generic.  Every check is evaluated
 blockwise, so a run over k samples touches every label and branching
-index exhaustively at those degrees; degrees are `BlockCache` ids.  Each
-check but the pentagon is an evaluator of one degree tuple, run tuple by
-tuple by the one loop `_run`, which records residuals and witnesses and
-turns missing table data into skips with notes.  The pentagon multiplies
-only the nonzero entries of its operands, by an index plan built once per
-nonzero pattern, and evaluates the tuples that share a plan together in
-bounded batches.
+index exhaustively at those degrees; degrees are `BlockCache` ids.
+
+Every check is run by the one driver `_run`.  A check names the interned
+arrays each degree tuple reads (its operands) and the law that turns them
+into |lhs - rhs| arrays.  The driver evaluates the law once per distinct
+tuple of operand identities, which for the built-in families is once or
+a few times per check, and records the result for every degree tuple
+that shares it, in tuple order and under each tuple's own degrees: the
+residuals, counts, witnesses and notes are those of a tuple-by-tuple
+run.  Missing table data skips a tuple with a note.  The pentagon's law
+multiplies only the nonzero entries of its operands, by an index plan
+built once per nonzero pattern, and evaluates the distinct operand tuples
+that share a plan together in bounded batches.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,6 +105,19 @@ class _Slice(BlockCache):
             if t % stride == 0:
                 yield combo
 
+    @cached_property
+    def sextuples(self) -> List[Tuple[int, ...]]:
+        """Degree sextuples (g1..g6) built from three free roots, read by
+        the four sextuple checks."""
+        found = []
+        for g1, g2, g4 in self.tuples(3):
+            g3 = self.add(g1, g2)
+            g5 = self.add(g3, g4)
+            g6 = self.add(g5, self.neg(g1))
+            if self.generic[g3] and self.generic[g5] and self.generic[g6]:
+                found.append((g1, g2, g3, g4, g5, g6))
+        return found
+
 
 class _Runner:
     """Accumulates residuals, witnesses, and incompleteness notes."""
@@ -111,7 +131,7 @@ class _Runner:
         self.notes: List[str] = []
         self._skipped = 0
 
-    def record(self, residual: float, witness: Callable[[], dict]):
+    def record(self, residual: float, witness: Optional[Callable[[], dict]]):
         self.checked += 1
         if not math.isfinite(residual):
             residual = math.inf  # NaN compares false: count it as the worst
@@ -148,165 +168,234 @@ def _argmax_entry(diff: np.ndarray) -> list:
     return [int(i) for i in np.unravel_index(flat, diff.shape)]
 
 
-def _run(name: str, tol: float, items: Iterable, evaluate: Callable) -> CheckResult:
-    """Run one check: `evaluate(item)` yields the (residual, witness) pairs
-    of an item.  All of them are drawn, so every fetch is made, before any
-    is recorded; an item whose data is missing is skipped with a note."""
+_PENT_LOAD = 1 << 14  # items, product terms and output slots evaluated at once
+
+
+def _run(
+    name: str,
+    tol: float,
+    items: Iterable,
+    operands: Callable[..., tuple],
+    law: Callable[[List[tuple]], list],
+    witness: Callable[..., dict],
+    cost: Optional[Callable[[tuple], int]] = None,
+) -> CheckResult:
+    """Run one check over `items`, its degree tuples in report order.
+
+    `operands(item)` fetches the interned arrays the item's law reads, all
+    of them before anything is recorded; a `MissingDataError` skips the
+    item with a note.  `law(batch)` maps a list of operand tuples to, per
+    tuple, its |lhs - rhs| arrays, one residual each.  The law sees each
+    distinct tuple of operand identities once: at once, or, for a check
+    with a `cost`, when the cost of the new tuples reaches `_PENT_LOAD`.
+    Then the items are recorded in order.  The first item of an operand
+    tuple records its residuals, and `witness(item, k, diff)` names the
+    k-th one if it is the worst yet and over `tol`.  A later item records
+    the same residuals, which cannot replace that witness, so no diff
+    array is kept past the batch it was evaluated in."""
     run = _Runner(name, tol)
+    seen: Dict[tuple, List[float]] = {}  # operand ids -> residuals of its law
+    fresh: Dict[tuple, tuple] = {}  # operand ids -> operands, to evaluate
+    pending: list = []  # per item: (item, operand ids) or (its error, None)
+
+    def flush():
+        found = dict(zip(fresh, law(list(fresh.values())))) if fresh else {}
+        fresh.clear()
+        for item, key in pending:
+            if key is None:
+                run.skip_missing(item)
+            elif key in found:
+                seen[key] = []
+                for k, diff in enumerate(found.pop(key)):
+                    seen[key].append(float(diff.max(initial=0.0)))
+                    run.record(seen[key][-1], lambda: witness(item, k, diff))
+            else:
+                for residual in seen[key]:
+                    run.record(residual, None)  # never above the residual so far
+        pending.clear()
+
+    load = 0
     for item in items:
         try:
-            found = list(evaluate(item))
+            ops = operands(item)
         except MissingDataError as exc:
-            run.skip_missing(exc)
-            continue
-        for residual, witness in found:
-            run.record(residual, witness)
+            pending.append((exc, None))
+        else:
+            key = tuple(map(id, ops))
+            if key not in seen and key not in fresh:
+                fresh[key] = ops
+                load += cost(ops) if cost else math.inf
+            pending.append((item, key))
+        load += 1
+        if load >= _PENT_LOAD:
+            flush()
+            load = 0
+    flush()
     return run.result()
 
 
-def _compare(
-    sl: _Slice, degs: Sequence[int], diff: np.ndarray, law: Optional[str] = None
-) -> Tuple[float, Callable[[], dict]]:
-    """The residual of `diff` (|lhs - rhs| over a block) and its witness:
-    the degrees, the law compared if there are several, the worst entry."""
+def _each(law: Callable[..., list]) -> Callable[[List[tuple]], list]:
+    """A law of one operand tuple, applied to each tuple of a batch."""
+    return lambda batch: [law(*ops) for ops in batch]
 
-    def witness() -> dict:
+
+def _block_witness(sl: _Slice, laws: Optional[Sequence[str]] = None) -> Callable:
+    """`witness(item, k, diff)` of `_run` for laws over whole blocks: the
+    degrees, the name `laws[k]` of the k-th law if there are several, the
+    worst entry."""
+
+    def witness(degs, k, diff):
         found = {"degrees": sl.names(degs)}
-        if law is not None:
-            found["law"] = law
+        if laws is not None:
+            found["law"] = laws[k]
         found["entry"] = _argmax_entry(diff)
         return found
 
-    return float(diff.max(initial=0.0)), witness
+    return witness
 
 
 # -- the ten checks, in report order -----------------------------------------
 
 
 def _check_dual_involution(sl: _Slice, tol: float) -> CheckResult:
-    def evaluate(g):
-        name = str(sl.element(g))
-        for lbl in sl.data.labels(sl.element(g)):
-            dual = sl.data.dual(lbl)
-            ok = sl.id(dual.degree) == sl.neg(g) and sl.data.dual(dual).id == lbl.id
-            yield 0.0 if ok else 1.0, lambda lbl=lbl: {
-                "degree": name,
-                "label": str(lbl.id),
-            }
+    # `perm(g)` indexes the duals of labels(g) in labels(-g) (`LWData.dual`
+    # looks them up there); each label's dual must map back to it
+    def involution(perm, back):
+        return list((back[perm] != np.arange(len(perm))).astype(float)[:, None])
 
-    return _run("dual_involution", tol, sl.degrees, evaluate)
+    def witness(g, k, diff):
+        label = sl.data.labels(sl.element(g))[k]
+        return {"degree": str(sl.element(g)), "label": str(label.id)}
+
+    return _run(
+        "dual_involution", tol, sl.degrees,
+        lambda g: (sl.perm(g), sl.perm(sl.neg(g))), _each(involution), witness,
+    )
 
 
 def _check_scalar_reality_duality(sl: _Slice, tol: float) -> CheckResult:
     # reality of d, b, beta, gamma is structural (stored as reals);
     # what remains is invariance under the dual involution
-    def evaluate(g):
-        here = sl.scalars(g)
-        there = sl.scalars(sl.neg(g))
-        perm = sl.perm(g)
-        for name, a, b in zip(("d", "b", "beta"), here, there):
-            diff = np.abs(a - b[perm])
-            yield float(diff.max()), lambda name=name, diff=diff: {
-                "degree": str(sl.element(g)),
-                "scalar": name,
-                "label": sl.label_at(g, diff),
-            }
+    names = ("d", "b", "beta")
 
-    return _run("scalar_reality_duality", tol, sl.degrees, evaluate)
+    def invariance(*scalars):
+        here, there, perm = scalars[:3], scalars[3:6], scalars[6]
+        return [np.abs(a - b[perm]) for a, b in zip(here, there)]
 
-
-def _check_delta_symmetry(sl: _Slice, tol: float) -> CheckResult:
-    def evaluate(degs):
-        g1, g2, g3 = degs
-        block = sl.delta(g1, g2, g3)
-        if sl.add(g1, g2) != sl.neg(g3):
-            yield _compare(sl, degs, np.abs(block).astype(float), "degree constraint")
-            return
-        cyclic = np.transpose(sl.delta(g2, g3, g1), (2, 0, 1))
-        dual = sl.dualized(sl.delta, (g3, g2, g1), (0, 1, 2))
-        dual = np.transpose(dual, (2, 1, 0))
-        for law, other in (("cyclic", cyclic), ("dual reversal", dual)):
-            yield _compare(sl, degs, np.abs(block - other).astype(float), law)
-
-    return _run("delta_symmetry", tol, sl.tuples(3), evaluate)
-
-
-def _check_b_recursion(sl: _Slice, tol: float) -> CheckResult:
-    def evaluate(degs):
-        g1, g2 = degs
-        g = sl.add(g1, g2)
-        if not sl.generic[g]:
-            return
-        b = sl.scalars(g)[1]
-        b1 = sl.scalars(g1)[1]
-        b2 = sl.scalars(g2)[1]
-        # delta(j*, j1, j2) with the first axis re-indexed by j
-        dual_delta = sl.dualized(sl.delta, (g, g1, g2), (0,))
-        rhs = np.einsum("iab,a,b->i", dual_delta, b1, b2)
-        diff = np.abs(b - rhs)
-        yield float(diff.max()), lambda: {
-            "degrees": sl.names(degs),
+    def witness(g, k, diff):
+        return {
+            "degree": str(sl.element(g)),
+            "scalar": names[k],
             "label": sl.label_at(g, diff),
         }
 
-    return _run("b_recursion", tol, sl.tuples(2), evaluate)
+    return _run(
+        "scalar_reality_duality", tol, sl.degrees,
+        lambda g: (*sl.scalars(g), *sl.scalars(sl.neg(g)), sl.perm(g)),
+        _each(invariance), witness,
+    )
+
+
+def _check_delta_symmetry(sl: _Slice, tol: float) -> CheckResult:
+    def meets(degs):
+        g1, g2, g3 = degs
+        return sl.add(g1, g2) == sl.neg(g3)
+
+    def operands(degs):
+        g1, g2, g3 = degs
+        block = sl.delta(g1, g2, g3)
+        if not meets(degs):
+            return (block,)
+        cyclic = sl.delta(g2, g3, g1)
+        return block, cyclic, sl.dualized(sl.delta, (g3, g2, g1), (0, 1, 2))
+
+    def symmetry(block, cyclic=None, dual=None):
+        if cyclic is None:
+            return [np.abs(block).astype(float)]
+        others = (np.transpose(cyclic, (2, 0, 1)), np.transpose(dual, (2, 1, 0)))
+        return [np.abs(block - other).astype(float) for other in others]
+
+    def witness(degs, k, diff):
+        laws = ("cyclic", "dual reversal") if meets(degs) else ("degree constraint",)
+        return _block_witness(sl, laws)(degs, k, diff)
+
+    return _run("delta_symmetry", tol, sl.tuples(3), operands, _each(symmetry), witness)
+
+
+def _check_b_recursion(sl: _Slice, tol: float) -> CheckResult:
+    def operands(degs):
+        g1, g2 = degs
+        g = sl.add(g1, g2)
+        b, b1, b2 = (sl.scalars(h)[1] for h in (g, g1, g2))
+        # delta(j*, j1, j2) with the first axis re-indexed by j
+        return b, b1, b2, sl.dualized(sl.delta, (g, g1, g2), (0,))
+
+    def recursion(b, b1, b2, dual_delta):
+        return [np.abs(b - np.einsum("iab,a,b->i", dual_delta, b1, b2))]
+
+    def witness(degs, k, diff):
+        return {"degrees": sl.names(degs), "label": sl.label_at(sl.add(*degs), diff)}
+
+    items = (degs for degs in sl.tuples(2) if sl.generic[sl.add(*degs)])
+    return _run("b_recursion", tol, items, operands, _each(recursion), witness)
 
 
 def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
     rng = np.arange(1, sl.data.mult_bound + 1)
 
-    def evaluate(degs):
-        g1, g2 = degs
-        g3 = sl.neg(sl.add(g1, g2))
-        if not sl.generic[g3]:
-            return
+    def operands(degs):
+        g1, g2, g3 = degs
         bounds = sl.delta(g1, g2, g3)
         forward = sl.gamma(g1, g2, g3)
         reverse = sl.dualized(sl.gamma, (g3, g2, g1), (0, 1, 2))
+        return (bounds, forward, reverse, *(sl.scalars(g)[2] for g in degs))
+
+    def normalization(bounds, forward, reverse, *betas):
         reverse = np.transpose(reverse, (2, 1, 0, 3))
-        betas = [sl.scalars(g)[2] for g in (g1, g2, g3)]
         beta = np.einsum("a,b,c->abc", *betas)
         product = forward * reverse * beta[..., None]
         mask = rng <= bounds[..., None]
-        diff = np.where(mask, np.abs(product - 1.0), 0.0)
-        yield _compare(sl, (g1, g2, g3), diff)
+        return [np.where(mask, np.abs(product - 1.0), 0.0)]
 
-    return _run("gamma_beta_normalization", tol, sl.tuples(2), evaluate)
-
-
-def _sextuple_roots(sl: _Slice):
-    """Degree sextuples (g1..g6) built from three free roots."""
-    for g1, g2, g4 in sl.tuples(3):
-        g3 = sl.add(g1, g2)
-        g5 = sl.add(g3, g4)
-        g6 = sl.add(g5, sl.neg(g1))
-        if all(sl.generic[g] for g in (g3, g5, g6)):
-            yield (g1, g2, g3, g4, g5, g6)
+    triples = ((g1, g2, sl.neg(sl.add(g1, g2))) for g1, g2 in sl.tuples(2))
+    items = (degs for degs in triples if sl.generic[degs[2]])
+    return _run(
+        "gamma_beta_normalization", tol, items, operands,
+        _each(normalization), _block_witness(sl),
+    )
 
 
 def _check_sixj_support(sl: _Slice, tol: float) -> CheckResult:
-    def evaluate(degs):
-        block = sl.sixj(*degs)
-        outside = ~sl.support(degs)
-        yield _compare(sl, degs, np.where(outside, np.abs(block), 0.0))
+    def outside(block, support):
+        return [np.where(support, 0.0, np.abs(block))]
 
-    return _run("sixj_support", tol, _sextuple_roots(sl), evaluate)
+    return _run(
+        "sixj_support", tol, sl.sextuples,
+        lambda degs: (sl.sixj(*degs), sl.support(degs)), _each(outside),
+        _block_witness(sl),
+    )
 
 
 def _check_tetrahedral_symmetry(sl: _Slice, tol: float) -> CheckResult:
-    def evaluate(degs):
+    def operands(degs):
         g1, g2, g3, g4, g5, g6 = degs
-        block = sl.sixj(*degs)
-        # first identity: labels (j2, j3*, j1*, j5, j6, j4), slots (a1 a3; a4 a2)
-        first = sl.dualized(sl.sixj, (g2, g3, g1, g5, g6, g4), (1, 2))
-        first = np.transpose(first, (2, 0, 1, 5, 3, 4, 6, 9, 7, 8))
-        # second identity: labels (j3, j4, j5, j6*, j1, j2*), slots (a2 a3; a1 a4)
-        second = sl.dualized(sl.sixj, (g3, g4, g5, g6, g1, g2), (3, 5))
-        second = np.transpose(second, (4, 5, 0, 1, 2, 3, 8, 6, 7, 9))
-        for law, other in (("rotation", first), ("column flip", second)):
-            yield _compare(sl, degs, np.abs(block - other), law)
+        return (
+            sl.sixj(*degs),
+            # first identity: labels (j2, j3*, j1*, j5, j6, j4), slots (a1 a3; a4 a2)
+            sl.dualized(sl.sixj, (g2, g3, g1, g5, g6, g4), (1, 2)),
+            # second identity: labels (j3, j4, j5, j6*, j1, j2*), slots (a2 a3; a1 a4)
+            sl.dualized(sl.sixj, (g3, g4, g5, g6, g1, g2), (3, 5)),
+        )
 
-    return _run("tetrahedral_symmetry", tol, _sextuple_roots(sl), evaluate)
+    def symmetry(block, first, second):
+        first = np.transpose(first, (2, 0, 1, 5, 3, 4, 6, 9, 7, 8))
+        second = np.transpose(second, (4, 5, 0, 1, 2, 3, 8, 6, 7, 9))
+        return [np.abs(block - other) for other in (first, second)]
+
+    return _run(
+        "tetrahedral_symmetry", tol, sl.sextuples, operands, _each(symmetry),
+        _block_witness(sl, ("rotation", "column flip")),
+    )
 
 
 _PENT_T1 = ["x1", "x2", "x5", "x3", "x6", "xj", "a1", "a2", "c1", "c2"]
@@ -316,7 +405,6 @@ _PENT_T4 = ["x5", "x3", "x6", "x4", "x0", "x8", "a2", "a3", "c4", "a5"]
 _PENT_T5 = ["x1", "x2", "x5", "x8", "x0", "x7", "a1", "c4", "a0", "a4"]
 _PENT_OUT = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x0"]
 _PENT_OUT += ["a0", "a1", "a2", "a3", "a4", "a5"]
-_PENT_LOAD = 1 << 14  # product terms and output slots evaluated at once
 
 
 def _key(coords: dict, axes: Sequence[str], sizes: dict, count: int) -> np.ndarray:
@@ -366,8 +454,8 @@ class _PentagonPlan:
         self.shape = tuple(sizes[a] for a in _PENT_OUT)
         self.load = len(lhs_keys) + len(rhs_keys) + len(self.keys)
 
-    def residuals(self, batch: Sequence[Sequence[np.ndarray]]):
-        """Per operand tuple: max |lhs - rhs|, and its first output index."""
+    def diffs(self, batch: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+        """Per operand tuple, |lhs - rhs| over the output slots `keys`."""
         t1, t2, t3, d, t4, t5 = (
             np.stack([ops[k].take(read) for ops in batch])
             for k, read in enumerate(self.reads)
@@ -376,79 +464,67 @@ class _PentagonPlan:
         # the left side multiplies in the order of the dense einsum it replaced
         np.add.at(lhs, (slice(None), self.lhs_at), (t1 * t2) * (t3 * d))
         np.add.at(rhs, (slice(None), self.rhs_at), t4 * t5)
-        diff = np.abs(lhs - rhs)
-        arg = diff.argmax(axis=1)
-        return diff[np.arange(len(batch)), arg], self.keys[arg]
+        return np.abs(lhs - rhs)
 
 
 def _check_pentagon(sl: _Slice, tol: float) -> CheckResult:
-    run = _Runner("pentagon", tol)
     plans: Dict[tuple, _PentagonPlan] = {}  # keyed on the operands' patterns
-    patterns: dict = {}  # id(array) -> (array, shape and nonzero entries)
-    pending: list = []  # per tuple: (degrees, plan, operands) or its MissingDataError
+    patterns: Dict[int, tuple] = {}  # id(array) -> shape and nonzero entries
 
-    def pattern(block: np.ndarray) -> tuple:
-        # once per array; holding the array keeps its id from being reused
-        if id(block) not in patterns:
-            nonzero = np.flatnonzero(block).tobytes()
-            patterns[id(block)] = (block, (block.shape, nonzero))
-        return patterns[id(block)][1]
+    def plan(ops) -> _PentagonPlan:
+        key = []
+        for op in ops:  # the cache keeps every operand alive: ids stay unique
+            if id(op) not in patterns:
+                patterns[id(op)] = (op.shape, np.flatnonzero(op).tobytes())
+            key.append(patterns[id(op)])
+        key = tuple(key)
+        return plans.get(key) or plans.setdefault(key, _PentagonPlan(ops))
 
-    def flush():
-        # evaluate the tuples of each plan together, then record in order
+    def items():
+        for g1, g2, g3, g4 in sl.tuples(4):
+            gj = sl.add(g2, g3)
+            g5 = sl.add(g1, g2)
+            g6 = sl.add(g5, g3)
+            g0 = sl.add(g6, g4)
+            g7 = sl.add(gj, g4)
+            g8 = sl.add(g3, g4)
+            if all(sl.generic[g] for g in (gj, g5, g6, g0, g7, g8)):
+                yield g1, g2, g3, g4, gj, g5, g6, g0, g7, g8
+
+    def operands(degs):
+        g1, g2, g3, g4, gj, g5, g6, g0, g7, g8 = degs
+        t1, t2, t3, t4, t5 = (
+            sl.sixj(g1, g2, g5, g3, g6, gj),
+            sl.sixj(g1, gj, g6, g4, g0, g7),
+            sl.sixj(g2, g3, gj, g4, g7, g8),
+            sl.sixj(g5, g3, g6, g4, g0, g8),
+            sl.sixj(g1, g2, g5, g8, g0, g7),
+        )
+        return t1, t2, t3, sl.scalars(gj)[0], t4, t5
+
+    def law(batch):
+        # evaluate the operand tuples of each plan together
         groups: Dict[_PentagonPlan, List[int]] = {}
-        for k, item in enumerate(pending):
-            if isinstance(item, tuple):
-                groups.setdefault(item[1], []).append(k)
-        found = {}
-        for plan, ks in groups.items():
-            found.update(zip(ks, zip(*plan.residuals([pending[k][2] for k in ks]))))
-        for k, item in enumerate(pending):
-            if not isinstance(item, tuple):
-                run.skip_missing(item)
-                continue
-            res, key = found[k]
-            run.record(
-                res,
-                lambda degs=item[0], key=key, shape=item[1].shape: {
-                    "degrees": sl.names(degs),
-                    "entry": [int(i) for i in np.unravel_index(key, shape)],
-                },
-            )
-        pending.clear()
+        for k, ops in enumerate(batch):
+            groups.setdefault(plan(ops), []).append(k)
+        found: list = [None] * len(batch)
+        for p, ks in groups.items():
+            for k, diff in zip(ks, p.diffs([batch[k] for k in ks])):
+                found[k] = [diff]
+        return found
 
-    load = 0
-    for g1, g2, g3, g4 in sl.tuples(4):
-        gj = sl.add(g2, g3)
-        g5 = sl.add(g1, g2)
-        g6 = sl.add(g5, g3)
-        g0 = sl.add(g6, g4)
-        g7 = sl.add(gj, g4)
-        g8 = sl.add(g3, g4)
-        if not all(sl.generic[g] for g in (gj, g5, g6, g0, g7, g8)):
-            continue
-        try:
-            t1, t2, t3, t4, t5 = (
-                sl.sixj(g1, g2, g5, g3, g6, gj),
-                sl.sixj(g1, gj, g6, g4, g0, g7),
-                sl.sixj(g2, g3, gj, g4, g7, g8),
-                sl.sixj(g5, g3, g6, g4, g0, g8),
-                sl.sixj(g1, g2, g5, g8, g0, g7),
-            )
-            ops = (t1, t2, t3, sl.scalars(gj)[0], t4, t5)
-        except MissingDataError as exc:
-            pending.append(exc)
-            load += 1
-        else:
-            key = tuple(map(pattern, ops))
-            plan = plans.get(key) or plans.setdefault(key, _PentagonPlan(ops))
-            pending.append(((g1, g2, g3, g4), plan, ops))
-            load += plan.load
-        if load >= _PENT_LOAD:
-            flush()
-            load = 0
-    flush()
-    return run.result()
+    def witness(degs, k, diff):
+        p = plan(operands(degs))
+        key = p.keys[int(np.argmax(diff))]
+        return {
+            "degrees": sl.names(degs[:4]),
+            "entry": [int(i) for i in np.unravel_index(key, p.shape)],
+        }
+
+    return _run(
+        "pentagon", tol, items(), operands, law, witness,
+        cost=lambda ops: plan(ops).load,
+    )
 
 
 _ORTHO_T1 = ["i", "j", "p", "l", "m", "n", "a1", "a2", "a3", "a4"]
@@ -473,16 +549,20 @@ def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
     rng = np.arange(1, m_bound + 1)
     eye_a = np.eye(m_bound)
 
-    def evaluate(degs):
+    def operands(degs):
         gi, gj, gp, gl, gm, gn = degs
-        t1 = sl.sixj(*degs)
-        t2 = sl.dualized(sl.sixj, (gp, gj, gi, gn, gm, gl), (1,))
-        d_n = sl.scalars(gn)[0]
-        d_k = sl.scalars(gp)[0]
+        return (
+            sl.sixj(*degs),
+            sl.dualized(sl.sixj, (gp, gj, gi, gn, gm, gl), (1,)),
+            sl.scalars(gn)[0],
+            sl.scalars(gp)[0],
+            sl.dualized(sl.delta, (gi, gj, gp), (2,)),
+            sl.dualized(sl.delta, (gp, gl, gm), (2,)),
+        )
+
+    def orthogonality(t1, t2, d_n, d_k, top, bottom):
         lhs = np.einsum(_ORTHO_LHS, t1, t2, d_n.astype(complex))
         eye_pk = np.eye(len(d_k))
-        top = sl.dualized(sl.delta, (gi, gj, gp), (2,))
-        bottom = sl.dualized(sl.delta, (gp, gl, gm), (2,))
         v_top = (rng <= top[..., None]).astype(float)
         v_bottom = (rng <= bottom[..., None]).astype(float)
         rhs = np.einsum(
@@ -490,10 +570,15 @@ def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
             eye_pk, eye_a, eye_a, 1.0 / d_k,
             v_top, v_bottom, v_top, v_bottom,
         )
-        # the witness names the three free roots
-        yield _compare(sl, (gi, gj, gl), np.abs(lhs - rhs))
+        return [np.abs(lhs - rhs)]
 
-    return _run("orthogonality", tol, _sextuple_roots(sl), evaluate)
+    def witness(degs, k, diff):
+        # the witness names the three free roots
+        return _block_witness(sl)((degs[0], degs[1], degs[3]), k, diff)
+
+    return _run(
+        "orthogonality", tol, sl.sextuples, operands, _each(orthogonality), witness
+    )
 
 
 _CONJ_SPEC = _subscripts(
@@ -508,21 +593,28 @@ _CONJ_SPEC = _subscripts(
 
 
 def _check_conjugation(sl: _Slice, tol: float) -> CheckResult:
-    def evaluate(degs):
+    def operands(degs):
         g1, g2, g3, g4, g5, g6 = degs
-        block = sl.sixj(*degs)
-        # labels (j2*, j1*, j3*, j5, j4, j6), slots (a1 a2; a4 a3)
-        partner = sl.dualized(sl.sixj, (g2, g1, g3, g5, g4, g6), (0, 1, 2))
-        partner = np.transpose(partner, (1, 0, 2, 4, 3, 5, 6, 7, 9, 8))
-        gam1 = sl.dualized(sl.gamma, (g1, g2, g3), (2,))
-        gam2 = sl.dualized(sl.gamma, (g3, g4, g5), (2,))
-        gam3 = sl.dualized(sl.gamma, (g1, g5, g6), (0, 2))
-        gam4 = sl.dualized(sl.gamma, (g2, g6, g4), (0, 2))
-        betas = [sl.scalars(g)[2] for g in degs]
-        rhs = np.einsum(_CONJ_SPEC, partner, gam1, gam2, gam3, gam4, *betas)
-        yield _compare(sl, degs, np.abs(np.conj(block) - rhs))
+        return (
+            sl.sixj(*degs),
+            # labels (j2*, j1*, j3*, j5, j4, j6), slots (a1 a2; a4 a3)
+            sl.dualized(sl.sixj, (g2, g1, g3, g5, g4, g6), (0, 1, 2)),
+            sl.dualized(sl.gamma, (g1, g2, g3), (2,)),
+            sl.dualized(sl.gamma, (g3, g4, g5), (2,)),
+            sl.dualized(sl.gamma, (g1, g5, g6), (0, 2)),
+            sl.dualized(sl.gamma, (g2, g6, g4), (0, 2)),
+            *(sl.scalars(g)[2] for g in degs),
+        )
 
-    return _run("conjugation", tol, _sextuple_roots(sl), evaluate)
+    def conjugation(block, partner, *factors):
+        partner = np.transpose(partner, (1, 0, 2, 4, 3, 5, 6, 7, 9, 8))
+        rhs = np.einsum(_CONJ_SPEC, partner, *factors)
+        return [np.abs(np.conj(block) - rhs)]
+
+    return _run(
+        "conjugation", tol, sl.sextuples, operands, _each(conjugation),
+        _block_witness(sl),
+    )
 
 
 _CHECKS = [

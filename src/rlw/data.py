@@ -11,8 +11,8 @@ families compute their blocks; finite tables store them, read once
 from a file.  A recording wrapper keeps the blocks a computation was
 served, so the slice can be exported as a table and replayed bit for
 bit.  `BlockCache` is the one cached, degree-blocked read path
-(interned degrees, read-only blocks) that the validator, the plaquette
-walk and the state spaces share.
+(interned degrees, blocks interned by content and read-only) that the
+validator, the plaquette walk and the state spaces share.
 
 Conventions baked into the interface:
 
@@ -142,9 +142,11 @@ class LWData:
         )
 
     def dual_perm(self, g: GroupElement) -> np.ndarray:
-        """Index in labels(-g) of the dual of each label of degree g."""
+        """Index in labels(-g) of the dual of each label of degree g (the
+        labels of g are read first: a missing g is the degree named)."""
+        duals = [self.dual(lbl) for lbl in self.labels(g)]
         target = {lbl.id: i for i, lbl in enumerate(self.labels(-g))}
-        return np.array([target[lbl.id] for lbl in map(self.dual, self.labels(g))])
+        return np.array([target[lbl.id] for lbl in duals])
 
     def scalar_vectors(self, g: GroupElement):
         """(d, b, beta) arrays over labels(g)."""
@@ -251,6 +253,7 @@ class BuiltinFamily(LWData):
         # integer sums; blocks are shared read-only arrays
         self._label_cache: dict = {}
         self._apart_cache: dict = {}
+        self._checked: dict = {}  # degree -> its key, once the degree is checked
         self._blocks: dict = {}
 
     @property
@@ -335,16 +338,19 @@ class BuiltinFamily(LWData):
         ]
 
     def _keys(self, degs) -> list:
-        keys = [self._degkey(g) for g in degs]
-        for g, key in zip(degs, keys):
-            if key not in self._label_cache:
+        keys = []
+        for g in degs:
+            key = self._checked.get(g)
+            if key is None:
                 self.labels(g)  # checks the degree, once
+                key = self._checked[g] = self._degkey(g)
+            keys.append(key)
         return keys
 
     def _shared(self, kind: str, meets: bool = True) -> np.ndarray:
-        """The one "delta" or "sixj" block of every degree tuple that meets
-        the degree constraint, or the one zero block of every tuple that
-        does not."""
+        """The one "delta", "gamma" or "sixj" block of every degree tuple
+        that meets the degree constraint, or the one zero block of every
+        tuple that does not."""
         block = self._blocks.get((kind, meets))
         if block is None:
             n = self.N
@@ -359,6 +365,8 @@ class BuiltinFamily(LWData):
                     & ((x6 - x4 - x2) % n == 0)
                 )
                 block = (self._sixj_val * support).reshape((n,) * 6 + (1,) * 4)
+            elif kind == "gamma":
+                block = (self._gamma * self._shared("delta")).astype(float)[..., None]
             else:
                 x1, x2, x3 = self._apart_grid(3)
                 block = ((x1 + x2 + x3) % n == 0).astype(int)
@@ -370,14 +378,19 @@ class BuiltinFamily(LWData):
         return self._shared("delta", _whole(*self._keys((g1, g2, g3))))
 
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
-        return (self._gamma * self.delta_block(g1, g2, g3)).astype(float)[..., None]
+        return self._shared("gamma", _whole(*self._keys((g1, g2, g3))))
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
         keys = self._keys(degs)
         k1, k2, k3, k4, k5, k6 = keys
         m1, m2, m3, m4, m5, m6 = [(-num, den) for num, den in keys]
-        sums = ((k1, k2, m3), (k3, k4, m5), (k5, m6, m1), (k6, m4, m2))
-        return self._shared("sixj", all(_whole(*terms) for terms in sums))
+        meets = (
+            _whole(k1, k2, m3)
+            and _whole(k3, k4, m5)
+            and _whole(k5, m6, m1)
+            and _whole(k6, m4, m2)
+        )
+        return self._shared("sixj", meets)
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         for den in itertools.count(2):
@@ -757,14 +770,22 @@ _SUPPORT_SPEC = "abcd,cefg,fhai,hebj->abcefhdgij"
 
 
 class BlockCache:
-    """Degree blocks of one provider, each fetched once and kept read-only.
+    """Degree blocks of one provider, each fetched once, interned and kept
+    read-only.
 
     Degrees are interned as small ints: `id(g)` and `element(i)` map
     between them, `add` and `neg` are memoized and `generic[i]` is the
     singular-set test of id i, made once.  Block accessors take ids; the
     provider's `*_block`, `dual_perm` and `scalar_vectors` are called with
-    the degrees once per distinct key.  The validator, the plaquette walk
-    and the state spaces all read the data through one of these.
+    the degrees once per distinct key.  Every array they return is
+    interned by content: arrays equal in dtype, shape and every byte
+    become one read-only object, found by a digest of the bytes and
+    confirmed byte for byte, so equal blocks, perms and scalar vectors of
+    different degrees are the same object.  `dualized` and `support` are
+    memoized on the identities of the arrays they read.  Every array the
+    cache hands out stays alive as long as the cache, so its `id` can key
+    a memo.  The validator, the plaquette walk and the state spaces all
+    read the data through one of these.
     """
 
     def __init__(self, data: LWData):
@@ -774,7 +795,14 @@ class BlockCache:
         self.generic: list = []
         self._add: dict = {}
         self._neg: dict = {}
-        self._blocks: dict = {}  # (accessor, ids) -> the provider's arrays
+        # per accessor: ids -> the interned arrays
+        self._delta, self._gamma, self._sixj, self._perm, self._scalars = (
+            {}, {}, {}, {}, {}
+        )
+        self._interned: dict = {}  # id -> each interned array
+        self._digests: dict = {}  # (dtype, shape, digest) -> interned arrays
+        self._derived: dict = {}  # dualized and support, on operand identities
+        self._dualized: dict = {}  # (accessor, ids, dual) -> dualized block
 
     def id(self, g: GroupElement) -> int:
         i = self._ids.get(g)
@@ -799,49 +827,90 @@ class BlockCache:
             k = self._neg[i] = self.id(-self._elements[i])
         return k
 
-    def _fetch(self, name: str, ids: tuple, read):
-        value = self._blocks.get((name, ids))
+    def _intern(self, arr: np.ndarray) -> np.ndarray:
+        """The one read-only array equal to `arr` in dtype, shape and bytes."""
+        if id(arr) in self._interned:
+            return arr
+        data = arr.tobytes()
+        same = self._digests.setdefault((arr.dtype, arr.shape, hash(data)), [])
+        for known in same:
+            if known.tobytes() == data:
+                return known
+        arr.flags.writeable = False
+        same.append(arr)
+        self._interned[id(arr)] = arr
+        return arr
+
+    def _fetch(self, cache: dict, ids: tuple, read):
+        value = cache.get(ids)
         if value is None:
             value = read(*map(self._elements.__getitem__, ids))
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
-            self._blocks[name, ids] = value
+            if isinstance(value, tuple):
+                value = tuple(map(self._intern, value))
+            else:
+                value = self._intern(value)
+            cache[ids] = value
         return value
 
     def delta(self, i: int, j: int, k: int) -> np.ndarray:
-        return self._fetch("delta", (i, j, k), self.data.delta_block)
+        return self._fetch(self._delta, (i, j, k), self.data.delta_block)
 
     def gamma(self, i: int, j: int, k: int) -> np.ndarray:
-        return self._fetch("gamma", (i, j, k), self.data.gamma_block)
+        return self._fetch(self._gamma, (i, j, k), self.data.gamma_block)
 
     def sixj(self, *ids: int) -> np.ndarray:
-        return self._fetch("sixj", ids, lambda *degs: self.data.sixj_block(degs))
+        return self._fetch(self._sixj, ids, self._sixj_block)
+
+    def _sixj_block(self, *degs) -> np.ndarray:
+        return self.data.sixj_block(degs)
 
     def perm(self, i: int) -> np.ndarray:
-        return self._fetch("perm", (i,), self.data.dual_perm)
+        return self._fetch(self._perm, (i,), self.data.dual_perm)
 
     def scalars(self, i: int):
-        return self._fetch("scalars", (i,), self.data.scalar_vectors)
+        return self._fetch(self._scalars, (i,), self.data.scalar_vectors)
 
     def dualized(self, read, ids: Sequence[int], dual: Sequence[int]) -> np.ndarray:
         """Block `read` (delta, gamma or sixj) at the degrees `ids`, those
         at the positions in `dual` negated: a dual axis is re-indexed by
-        labels(g) through `perm`, so its index x reads the dual of label x."""
-        block = read(*(self.neg(g) if k in dual else g for k, g in enumerate(ids)))
-        for k in dual:
-            block = np.take(block, self.perm(ids[k]), axis=k)
-        return block
+        labels(g) through `perm`, so its index x reads the dual of label x.
+        One array per raw block, dual positions and perms read, looked up
+        by the degrees once they have been read."""
+        at_degrees = (read.__name__, tuple(ids), tuple(dual))
+        out = self._dualized.get(at_degrees)
+        if out is None:
+            at = list(ids)
+            for k in dual:
+                at[k] = self.neg(at[k])
+            block = read(*at)
+            perms = [self.perm(ids[k]) for k in dual]
+            key = (id(block), tuple(dual), *map(id, perms))
+            out = self._derived.get(key)
+            if out is None:
+                out = block
+                for k, perm in zip(dual, perms):
+                    out = np.take(out, perm, axis=k)
+                out = self._derived[key] = self._intern(out)
+            self._dualized[at_degrees] = out
+        return out
 
     def support(self, ids: Sequence[int]) -> np.ndarray:
-        """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4."""
+        """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4:
+        one array per set of the four dualized delta blocks it reads."""
         g1, g2, g3, g4, g5, g6 = ids
-        rng = np.arange(1, self.data.mult_bound + 1)
         triples = ((g1, g2, g3), (g3, g4, g5), (g5, g6, g1), (g6, g4, g2))
-        conds = [
-            (rng <= self.dualized(self.delta, t, dual)[..., None]).astype(int)
+        deltas = [
+            self.dualized(self.delta, t, dual)
             for t, dual in zip(triples, ((2,), (2,), (1, 2), (1, 2)))
         ]
-        return np.einsum(_SUPPORT_SPEC, *conds) > 0
+        key = ("support", *map(id, deltas))
+        mask = self._derived.get(key)
+        if mask is None:
+            rng = np.arange(1, self.data.mult_bound + 1)
+            conds = [(rng <= delta[..., None]).astype(int) for delta in deltas]
+            mask = np.einsum(_SUPPORT_SPEC, *conds) > 0
+            mask = self._derived[key] = self._intern(mask)
+        return mask
 
 
 def parse_family_spec(spec: str) -> BuiltinFamily:

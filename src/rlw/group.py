@@ -36,8 +36,9 @@ class _Factor:
 
     def normalize(self, value):
         if self.kind == "QmodZ":
-            v = Fraction(value)
-            return v - (v.numerator // v.denominator)
+            v = value if type(value) is Fraction else Fraction(value)
+            whole = v.numerator // v.denominator
+            return v - whole if whole else v
         if self.kind == "Z":
             return int(value)
         if self.kind == "Zmod":

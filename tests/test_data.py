@@ -26,6 +26,7 @@ from rlw.data import (
     parse_family_spec,
 )
 from rlw import data as data_module
+from multiplicity import ForcedMultiplicity
 from rlw.group import QMODZ
 
 F15 = QMODZ.parse("1/5")
@@ -461,10 +462,65 @@ class TestBlockCache:
         assert not fam.sixj_block((F15,) * 6).any()
         three = QMODZ.parse("3/5")
         assert fam.delta_block(F15, F25, three) is fam.delta_block(F25, F15, three)
+        gamma = fam.gamma_block(F15, F25, F25)  # degrees summing to 0
+        assert fam.gamma_block(F25, F17, -(F25 + F17)) is gamma
+        assert np.array_equal(gamma[..., 0], fam.delta_block(F15, F25, F25))
+        zero = fam.gamma_block(F15, F25, three)
+        assert fam.gamma_block(F17, F17, F15) is zero is not gamma
+        assert gamma.any() and not zero.any()
+        with pytest.raises(ValueError):
+            gamma[(0,) * gamma.ndim] = 7
         with pytest.raises(ValueError):
             block[(0,) * block.ndim] = 7
         with pytest.raises(DomainError):
             fam.sixj_block((QMODZ.parse("1/2"),) + other[1:])
+
+
+    def test_interning_keeps_dtype_shape_and_bytes(self):
+        blocks = BlockCache(BuiltinFamily("P", 3, 2.0))
+        first = np.zeros(4, np.int64)
+        assert blocks._intern(first) is first
+        assert blocks._intern(np.zeros(4, np.int64)) is first
+        # the same bytes as another dtype or shape, or one byte apart
+        same_bytes = [np.zeros(4, np.float64), np.zeros((2, 2), np.int64)]
+        one_byte = first.copy()
+        one_byte[3] = 1
+        signed = [np.array([0.0]), np.array([-0.0])]  # equal values, not bytes
+        for arr in same_bytes + [one_byte] + signed:
+            assert blocks._intern(arr) is arr
+        assert blocks._intern(np.array([-0.0])) is signed[1]
+
+    def test_every_interned_array_is_read_only(self):
+        blocks = BlockCache(ForcedMultiplicity(BuiltinFamily("P", 2, 1.0)))
+        ids = [blocks.id(g) for g in _supported_sextuple()]
+        blocks.support(ids)
+        blocks.dualized(blocks.gamma, ids[:3], (2,))
+        blocks.dualized(blocks.sixj, ids, (0, 1, 2))
+        blocks.scalars(ids[0])
+        assert len(blocks._interned) > 5
+        for arr in blocks._interned.values():
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 7
+
+    def test_dualized_is_one_array_per_block_and_perms(self):
+        blocks = BlockCache(BuiltinFamily("P", 3, 2.0))
+        first = [blocks.id(g) for g in _supported_sextuple()]
+        g1, g2, g4 = F25, F17, F15
+        second = [blocks.id(g) for g in (g1, g2, g1 + g2, g4, g1 + g2 + g4, g2 + g4)]
+        assert first != second
+        # the tetrahedral check's first identity: labels (j2, j3*, j1*, j5, j6, j4)
+        reads = [[ids[k] for k in (1, 2, 0, 4, 5, 3)] for ids in (first, second)]
+        raw = [blocks.sixj(*[blocks.neg(g) if k in (1, 2) else g for k, g in enumerate(at)])
+               for at in reads]
+        assert raw[0] is raw[1] and raw[0].any()
+        assert blocks.perm(reads[0][1]) is blocks.perm(reads[1][1])
+        one = blocks.dualized(blocks.sixj, reads[0], (1, 2))
+        assert blocks.dualized(blocks.sixj, reads[1], (1, 2)) is one
+        expected = raw[0]
+        for k in (1, 2):
+            expected = np.take(expected, blocks.perm(reads[0][k]), axis=k)
+        assert np.array_equal(one, expected)
+        assert blocks.support(first) is blocks.support(second)
 
 
 CLOSED_FORMS = {

@@ -10,23 +10,11 @@ import numpy as np
 import pytest
 
 from rlw import BuiltinFamily, QMODZ, RecordingData, TableData
-from rlw.data import _subscripts
-from rlw.errors import DomainError, MissingDataError
+from rlw.errors import DomainError
 from rlw.group import GroupSignature, SingularSet, _Factor
-from rlw.axioms import (
-    _PENT_OUT,
-    _PENT_T1,
-    _PENT_T2,
-    _PENT_T3,
-    _PENT_T4,
-    _PENT_T5,
-    _Runner,
-    _Slice,
-    _argmax_entry,
-    _check_pentagon,
-    validate,
-)
+from rlw.axioms import _Runner, _Slice, _check_pentagon, validate
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity
+from reference_checks import closure, dense_pentagon, reference_report
 
 CHECK_ORDER = [
     "dual_involution",
@@ -419,64 +407,11 @@ class TestReport:
 # -- the dense pentagon oracle ---------------------------------------------------
 
 
-def dense_pentagon(sl, tol):
-    """The pentagon as first written, kept as the oracle of the sparse one:
-    per degree tuple, dense N^9 left and right sides by einsum (size-1
-    branching axes dropped, the left side's contraction order found once)."""
-    run = _Runner("pentagon", tol)
-    m = sl.data.mult_bound
-    axes = [
-        [a for a in op if m > 1 or a.startswith("x")]
-        for op in (_PENT_T1, _PENT_T2, _PENT_T3, ["xj"], _PENT_T4, _PENT_T5, _PENT_OUT)
-    ]
-    lhs_spec = _subscripts(*axes[:4], axes[6])
-    rhs_spec = _subscripts(*axes[4:6], axes[6])
-    lhs_path = None
-    for g1, g2, g3, g4 in sl.tuples(4):
-        gj = sl.add(g2, g3)
-        g5 = sl.add(g1, g2)
-        g6 = sl.add(g5, g3)
-        g0 = sl.add(g6, g4)
-        g7 = sl.add(gj, g4)
-        g8 = sl.add(g3, g4)
-        if not all(sl.generic[g] for g in (gj, g5, g6, g0, g7, g8)):
-            continue
-        try:
-            t1, t2, t3, t4, t5 = (
-                t.reshape(t.shape[: len(axes[0])])
-                for t in (
-                    sl.sixj(g1, g2, g5, g3, g6, gj),
-                    sl.sixj(g1, gj, g6, g4, g0, g7),
-                    sl.sixj(g2, g3, gj, g4, g7, g8),
-                    sl.sixj(g5, g3, g6, g4, g0, g8),
-                    sl.sixj(g1, g2, g5, g8, g0, g7),
-                )
-            )
-            ops = (t1, t2, t3, sl.scalars(gj)[0].astype(complex))
-            if lhs_path is None:
-                lhs_path = np.einsum_path(lhs_spec, *ops, optimize="optimal")[0]
-            lhs = np.einsum(lhs_spec, *ops, optimize=lhs_path)
-            rhs = np.einsum(rhs_spec, t4, t5)
-            diff = np.abs(lhs - rhs)
-            diff = diff.reshape(diff.shape[:9] + (m,) * 6)  # witness: all 15 axes
-            run.record(
-                float(diff.max()),
-                lambda g1=g1, g2=g2, g3=g3, g4=g4, diff=diff: {
-                    "degrees": sl.names((g1, g2, g3, g4)),
-                    "entry": _argmax_entry(diff),
-                },
-            )
-        except MissingDataError as exc:
-            run.skip_missing(exc)
-    return run.result()
-
-
 def pentagons(data, values, max_tuples=4096):
     """The sparse and the dense pentagon over the closure of the samples,
     each on its own block cache."""
-    closure = sorted({h for g in samples(*values) for h in (g, -g)}, key=str)
     return [
-        check(_Slice(data, closure, max_tuples), 1e-9).to_dict()
+        check(_Slice(data, closure(samples(*values)), max_tuples), 1e-9).to_dict()
         for check in (_check_pentagon, dense_pentagon)
     ]
 
@@ -538,3 +473,69 @@ class TestPentagonOracle:
         assert sparse["residual"] == pytest.approx(dense["residual"], rel=1e-12)
         assert sparse["witness"]["degrees"] == dense["witness"]["degrees"]
         assert sparse["checked"] == dense["checked"]
+
+
+# -- the memoizing driver against the tuple-by-tuple evaluators ------------------
+
+
+def perturbed_table():
+    """A recorded P(3,2) table whose every 6j entry is moved by its own
+    amount, so that no two 6j blocks are equal."""
+    table = recorded_table(BuiltinFamily("P", 3, 2.0), samples("1/5", "2/5"))
+    for k, row in enumerate(table["sixj"]):
+        row["re"] += 1e-3 * (k + 1)
+    return TableData.from_dict(table)
+
+
+# (data factory, sample degrees, max_tuples); tables are built in the test
+ORACLE_CASES = [
+    *(
+        pytest.param(lambda name=name: ORACLE_FAMILIES[name], values, 4096,
+                     id=f"{name}-{key}")
+        for name in ORACLE_FAMILIES
+        for key, values in (("5", ("1/5", "2/5")), ("7-5-13", AXIOM_STYLE))
+    ),
+    *(
+        pytest.param(lambda name=name: ForcedMultiplicity(FAMILIES[name]),
+                     ("1/5", "2/5"), 4096, id=f"forced-{name}")
+        for name in FAMILIES
+    ),
+    pytest.param(edited_table(lambda table: None), ("1/5", "2/5"), 4096, id="table"),
+    pytest.param(perturbed_table, ("1/5", "2/5"), 4096, id="table-no-repeats"),
+    # one scalar off: equal 6j blocks read with unequal scalar operands
+    pytest.param(edited_table(set_label("d", 3.0)), ("1/5", "2/5"), 4096, id="table-d"),
+    pytest.param(edited_table(set_label("beta", 2.0)), ("1/5", "2/5"), 4096,
+                 id="table-beta"),
+    pytest.param(edited_table(lambda table: None), ("1/5", "2/5", "1/7"), 50,
+                 id="table-missing-stride"),
+]
+
+
+class TestMemoizingDriver:
+    @pytest.mark.parametrize("make, values, cap", ORACLE_CASES)
+    def test_report_matches_per_tuple_evaluators(self, make, values, cap):
+        data = make()
+        report = validate(data, samples(*values), max_tuples=cap)
+        assert [c.to_dict() for c in report.checks] == reference_report(
+            data, samples(*values), max_tuples=cap
+        )
+
+    def test_sextuple_laws_run_once(self, monkeypatch):
+        # with builtin data every sextuple reads the same interned operands
+        module = sys.modules["rlw.axioms"]
+        run, evaluated = module._run, {}
+
+        def counting(name, tol, items, operands, law, witness, **kwargs):
+            def counted(batch):
+                evaluated[name] = evaluated.get(name, 0) + len(batch)
+                return law(batch)
+
+            return run(name, tol, items, operands, counted, witness, **kwargs)
+
+        monkeypatch.setattr(module, "_run", counting)
+        report = validate(ORACLE_FAMILIES["P32"], samples(*AXIOM_STYLE))
+        checked = {c.name: c.checked for c in report.checks}
+        for name in ("sixj_support", "tetrahedral_symmetry", "orthogonality", "conjugation"):
+            assert checked[name] >= 150
+            assert evaluated[name] == 1
+        assert sum(evaluated.values()) < sum(checked.values()) / 100
