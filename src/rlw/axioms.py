@@ -105,6 +105,16 @@ class _Slice(BlockCache):
             if t % stride == 0:
                 yield combo
 
+    def dual_misses(self, g: int) -> np.ndarray:
+        """Per label of degree g, 1.0 if its dual is not a label of degree
+        -g or does not dualize back to it, else 0.0."""
+        misses = []
+        for lbl in self.data.labels(self.element(g)):
+            dual = self.data.dual(lbl)
+            ok = self.id(dual.degree) == self.neg(g) and self.data.dual(dual).id == lbl.id
+            misses.append(0.0 if ok else 1.0)
+        return self._intern(np.array(misses))
+
     @cached_property
     def sextuples(self) -> List[Tuple[int, ...]]:
         """Degree sextuples (g1..g6) built from three free roots, read by
@@ -186,13 +196,15 @@ def _run(
     of them before anything is recorded; a `MissingDataError` skips the
     item with a note.  `law(batch)` maps a list of operand tuples to, per
     tuple, its |lhs - rhs| arrays, one residual each.  The law sees each
-    distinct tuple of operand identities once: at once, or, for a check
-    with a `cost`, when the cost of the new tuples reaches `_PENT_LOAD`.
-    Then the items are recorded in order.  The first item of an operand
-    tuple records its residuals, and `witness(item, k, diff)` names the
-    k-th one if it is the worst yet and over `tol`.  A later item records
-    the same residuals, which cannot replace that witness, so no diff
-    array is kept past the batch it was evaluated in."""
+    distinct tuple of operand identities once.  A check without a `cost`
+    has its law called on each new operand tuple alone, as soon as the
+    tuple is met; the pentagon gives a `cost`, and its new tuples wait
+    and are evaluated together once their cost reaches `_PENT_LOAD`.
+    Then the items met so far are recorded in order.  The first item of
+    an operand tuple records its residuals, and `witness(item, k, diff)`
+    names the k-th one if it is the worst yet and over `tol`.  A later
+    item records the same residuals, which cannot replace that witness,
+    so no diff array is kept past the batch it was evaluated in."""
     run = _Runner(name, tol)
     seen: Dict[tuple, List[float]] = {}  # operand ids -> residuals of its law
     fresh: Dict[tuple, tuple] = {}  # operand ids -> operands, to evaluate
@@ -224,10 +236,11 @@ def _run(
             key = tuple(map(id, ops))
             if key not in seen and key not in fresh:
                 fresh[key] = ops
-                load += cost(ops) if cost else math.inf
+                if cost:
+                    load += cost(ops)
             pending.append((item, key))
         load += 1
-        if load >= _PENT_LOAD:
+        if load >= _PENT_LOAD or (cost is None and fresh):
             flush()
             load = 0
     flush()
@@ -258,18 +271,13 @@ def _block_witness(sl: _Slice, laws: Optional[Sequence[str]] = None) -> Callable
 
 
 def _check_dual_involution(sl: _Slice, tol: float) -> CheckResult:
-    # `perm(g)` indexes the duals of labels(g) in labels(-g) (`LWData.dual`
-    # looks them up there); each label's dual must map back to it
-    def involution(perm, back):
-        return list((back[perm] != np.arange(len(perm))).astype(float)[:, None])
-
     def witness(g, k, diff):
         label = sl.data.labels(sl.element(g))[k]
         return {"degree": str(sl.element(g)), "label": str(label.id)}
 
     return _run(
-        "dual_involution", tol, sl.degrees,
-        lambda g: (sl.perm(g), sl.perm(sl.neg(g))), _each(involution), witness,
+        "dual_involution", tol, sl.degrees, lambda g: (sl.dual_misses(g),),
+        _each(lambda misses: list(misses[:, None])), witness,
     )
 
 

@@ -142,11 +142,14 @@ class LWData:
         )
 
     def dual_perm(self, g: GroupElement) -> np.ndarray:
-        """Index in labels(-g) of the dual of each label of degree g (the
-        labels of g are read first: a missing g is the degree named)."""
-        duals = [self.dual(lbl) for lbl in self.labels(g)]
+        """Index in labels(-g) of the dual of each label of degree g."""
         target = {lbl.id: i for i, lbl in enumerate(self.labels(-g))}
-        return np.array([target[lbl.id] for lbl in duals])
+        index = []
+        for dual in map(self.dual, self.labels(g)):
+            if dual.id not in target:
+                raise MissingDataError(f"dual label {dual.id!r} not found at degree {-g}")
+            index.append(target[dual.id])
+        return np.array(index)
 
     def scalar_vectors(self, g: GroupElement):
         """(d, b, beta) arrays over labels(g)."""
@@ -253,7 +256,6 @@ class BuiltinFamily(LWData):
         # integer sums; blocks are shared read-only arrays
         self._label_cache: dict = {}
         self._apart_cache: dict = {}
-        self._checked: dict = {}  # degree -> its key, once the degree is checked
         self._blocks: dict = {}
 
     @property
@@ -262,8 +264,7 @@ class BuiltinFamily(LWData):
 
     @staticmethod
     def _degkey(g: GroupElement) -> tuple:
-        v = g.values[0]
-        return (v.numerator, v.denominator)
+        return g.values[0].as_integer_ratio()
 
     def labels(self, g: GroupElement) -> tuple:
         cached = self._label_cache.get(self._degkey(g))
@@ -338,13 +339,10 @@ class BuiltinFamily(LWData):
         ]
 
     def _keys(self, degs) -> list:
-        keys = []
-        for g in degs:
-            key = self._checked.get(g)
-            if key is None:
+        keys = [self._degkey(g) for g in degs]
+        for g, key in zip(degs, keys):
+            if key not in self._label_cache:
                 self.labels(g)  # checks the degree, once
-                key = self._checked[g] = self._degkey(g)
-            keys.append(key)
         return keys
 
     def _shared(self, kind: str, meets: bool = True) -> np.ndarray:
@@ -782,10 +780,11 @@ class BlockCache:
     become one read-only object, found by a digest of the bytes and
     confirmed byte for byte, so equal blocks, perms and scalar vectors of
     different degrees are the same object.  `dualized` and `support` are
-    memoized on the identities of the arrays they read.  Every array the
-    cache hands out stays alive as long as the cache, so its `id` can key
-    a memo.  The validator, the plaquette walk and the state spaces all
-    read the data through one of these.
+    memoized on the identities of the arrays they read; what they derive
+    is read-only but not interned.  Every array the cache hands out stays
+    alive as long as the cache, so its `id` can key a memo.  The
+    validator, the plaquette walk and the state spaces all read the data
+    through one of these.
     """
 
     def __init__(self, data: LWData):
@@ -802,7 +801,6 @@ class BlockCache:
         self._interned: dict = {}  # id -> each interned array
         self._digests: dict = {}  # (dtype, shape, digest) -> interned arrays
         self._derived: dict = {}  # dualized and support, on operand identities
-        self._dualized: dict = {}  # (accessor, ids, dual) -> dualized block
 
     def id(self, g: GroupElement) -> int:
         i = self._ids.get(g)
@@ -874,24 +872,20 @@ class BlockCache:
         """Block `read` (delta, gamma or sixj) at the degrees `ids`, those
         at the positions in `dual` negated: a dual axis is re-indexed by
         labels(g) through `perm`, so its index x reads the dual of label x.
-        One array per raw block, dual positions and perms read, looked up
-        by the degrees once they have been read."""
-        at_degrees = (read.__name__, tuple(ids), tuple(dual))
-        out = self._dualized.get(at_degrees)
+        One array per raw block, dual positions and perms read."""
+        at = list(ids)
+        for k in dual:
+            at[k] = self.neg(at[k])
+        block = read(*at)
+        perms = [self.perm(ids[k]) for k in dual]
+        key = (id(block), tuple(dual), *map(id, perms))
+        out = self._derived.get(key)
         if out is None:
-            at = list(ids)
-            for k in dual:
-                at[k] = self.neg(at[k])
-            block = read(*at)
-            perms = [self.perm(ids[k]) for k in dual]
-            key = (id(block), tuple(dual), *map(id, perms))
-            out = self._derived.get(key)
-            if out is None:
-                out = block
-                for k, perm in zip(dual, perms):
-                    out = np.take(out, perm, axis=k)
-                out = self._derived[key] = self._intern(out)
-            self._dualized[at_degrees] = out
+            out = block
+            for k, perm in zip(dual, perms):
+                out = np.take(out, perm, axis=k)
+            out.flags.writeable = False
+            self._derived[key] = out
         return out
 
     def support(self, ids: Sequence[int]) -> np.ndarray:
@@ -909,7 +903,8 @@ class BlockCache:
             rng = np.arange(1, self.data.mult_bound + 1)
             conds = [(rng <= delta[..., None]).astype(int) for delta in deltas]
             mask = np.einsum(_SUPPORT_SPEC, *conds) > 0
-            mask = self._derived[key] = self._intern(mask)
+            mask.flags.writeable = False
+            self._derived[key] = mask
         return mask
 
 

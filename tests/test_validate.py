@@ -258,6 +258,16 @@ class SkewedDual(BuiltinFamily):
         return self.labels(-label.degree)[(self._apart(label) + 1) % self.N]
 
 
+class DualOfOwnDegree(BuiltinFamily):
+    """P(3,2) whose dual of a label is the label itself, of degree g, not -g."""
+
+    def __init__(self):
+        super().__init__("P", 3, 2.0)
+
+    def dual(self, label):
+        return label
+
+
 def edited_table(edit):
     """A recorded P(3,2) table at 1/5, 2/5 after `edit` changes its rows."""
 
@@ -355,6 +365,21 @@ class TestFailureReports:
 
     def test_every_check_has_one(self):
         assert [expected["name"] for _, expected in GOLDEN] == CHECK_ORDER
+
+    def test_dual_of_another_degree(self):
+        # dual_involution names the label; the checks that read the dual
+        # permutation cannot index such a dual and skip with a note
+        report = validate(DualOfOwnDegree(), samples("1/5", "2/5"))
+        checks = {c.name: c.to_dict() for c in report.checks}
+        assert checks["dual_involution"] == {
+            "name": "dual_involution", "passed": False, "residual": 1.0, "checked": 12,
+            "witness": {"degree": "1/5", "label": "0@1/5"}, "notes": [],
+        }
+        scalars = checks["scalar_reality_duality"]
+        assert scalars["checked"] == 0
+        assert scalars["notes"][0] == "dual label '0@1/5' not found at degree 4/5"
+        assert scalars["notes"][-1] == "4 tuple(s) skipped for missing table entries"
+        assert checks["pentagon"]["checked"] == 24  # reads no dual
 
 
 class TestPreconditions:
@@ -502,6 +527,8 @@ ORACLE_CASES = [
     ),
     pytest.param(edited_table(lambda table: None), ("1/5", "2/5"), 4096, id="table"),
     pytest.param(perturbed_table, ("1/5", "2/5"), 4096, id="table-no-repeats"),
+    pytest.param(SkewedDual, ("1/5", "2/5"), 4096, id="skewed-dual"),
+    pytest.param(DualOfOwnDegree, ("1/5", "2/5"), 4096, id="dual-own-degree"),
     # one scalar off: equal 6j blocks read with unequal scalar operands
     pytest.param(edited_table(set_label("d", 3.0)), ("1/5", "2/5"), 4096, id="table-d"),
     pytest.param(edited_table(set_label("beta", 2.0)), ("1/5", "2/5"), 4096,
