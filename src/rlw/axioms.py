@@ -10,14 +10,13 @@ index exhaustively at those degrees; degrees are `BlockCache` ids.
 Every check is run by the one driver `_run`.  A check names the interned
 arrays each degree tuple reads (its operands) and the law that turns them
 into |lhs - rhs| arrays.  The driver evaluates the law once per distinct
-tuple of operand identities, which for the built-in families is once or
-a few times per check, and records the result for every degree tuple
-that shares it, in tuple order and under each tuple's own degrees: the
-residuals, counts, witnesses and notes are those of a tuple-by-tuple
-run.  Missing table data skips a tuple with a note.  The pentagon's law
-multiplies only the nonzero entries of its operands, by an index plan
-built once per nonzero pattern, and evaluates the distinct operand tuples
-that share a plan together in bounded batches.
+tuple of operand identities, as soon as it meets that tuple, which for
+the built-in families is once or a few times per check, and records the
+result for every degree tuple that shares it, in tuple order and under
+each tuple's own degrees: the residuals, counts, witnesses and notes are
+those of a tuple-by-tuple run.  Missing table data skips a tuple with a
+note.  The pentagon's law multiplies only the nonzero entries of its
+operands, by an index plan built once per nonzero pattern.
 """
 
 import itertools
@@ -35,6 +34,11 @@ from .group import GroupElement
 __all__ = ["CheckResult", "ValidationReport", "validate"]
 
 
+def _json_residual(residual: float) -> Optional[float]:
+    """A residual as strict JSON can hold it: a non-finite one is null."""
+    return float(residual) if math.isfinite(residual) else None
+
+
 @dataclass
 class CheckResult:
     """Outcome of a single axiom check."""
@@ -50,7 +54,7 @@ class CheckResult:
         return {
             "name": self.name,
             "passed": self.passed,
-            "residual": float(self.residual),
+            "residual": _json_residual(self.residual),
             "checked": self.checked,
             "witness": self.witness,
             "notes": list(self.notes),
@@ -75,7 +79,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "max_residual": float(self.max_residual),
+            "max_residual": _json_residual(self.max_residual),
             "tol": self.tol,
             "max_tuples": self.max_tuples,
             "degrees": [str(g) for g in self.degrees],
@@ -178,78 +182,43 @@ def _argmax_entry(diff: np.ndarray) -> list:
     return [int(i) for i in np.unravel_index(flat, diff.shape)]
 
 
-_PENT_LOAD = 1 << 14  # items, product terms and output slots evaluated at once
-
-
 def _run(
     name: str,
     tol: float,
     items: Iterable,
     operands: Callable[..., tuple],
-    law: Callable[[List[tuple]], list],
+    law: Callable[..., list],
     witness: Callable[..., dict],
-    cost: Optional[Callable[[tuple], int]] = None,
 ) -> CheckResult:
     """Run one check over `items`, its degree tuples in report order.
 
     `operands(item)` fetches the interned arrays the item's law reads, all
     of them before anything is recorded; a `MissingDataError` skips the
-    item with a note.  `law(batch)` maps a list of operand tuples to, per
-    tuple, its |lhs - rhs| arrays, one residual each.  The law sees each
-    distinct tuple of operand identities once.  A check without a `cost`
-    has its law called on each new operand tuple alone, as soon as the
-    tuple is met; the pentagon gives a `cost`, and its new tuples wait
-    and are evaluated together once their cost reaches `_PENT_LOAD`.
-    Then the items met so far are recorded in order.  The first item of
-    an operand tuple records its residuals, and `witness(item, k, diff)`
-    names the k-th one if it is the worst yet and over `tol`.  A later
-    item records the same residuals, which cannot replace that witness,
-    so no diff array is kept past the batch it was evaluated in."""
+    item with a note.  `law(*ops)` maps one operand tuple to its |lhs - rhs|
+    arrays, one residual each, and is called once per distinct tuple of
+    operand identities, on the first item that reads it.  That item
+    records the residuals, and `witness(item, k, diff)` names the k-th one
+    if it is the worst yet and over `tol`.  A later item records the same
+    residuals, which cannot replace that witness, so no diff array is kept
+    past its first item."""
     run = _Runner(name, tol)
     seen: Dict[tuple, List[float]] = {}  # operand ids -> residuals of its law
-    fresh: Dict[tuple, tuple] = {}  # operand ids -> operands, to evaluate
-    pending: list = []  # per item: (item, operand ids) or (its error, None)
-
-    def flush():
-        found = dict(zip(fresh, law(list(fresh.values())))) if fresh else {}
-        fresh.clear()
-        for item, key in pending:
-            if key is None:
-                run.skip_missing(item)
-            elif key in found:
-                seen[key] = []
-                for k, diff in enumerate(found.pop(key)):
-                    seen[key].append(float(diff.max(initial=0.0)))
-                    run.record(seen[key][-1], lambda: witness(item, k, diff))
-            else:
-                for residual in seen[key]:
-                    run.record(residual, None)  # never above the residual so far
-        pending.clear()
-
-    load = 0
     for item in items:
         try:
             ops = operands(item)
         except MissingDataError as exc:
-            pending.append((exc, None))
-        else:
-            key = tuple(map(id, ops))
-            if key not in seen and key not in fresh:
-                fresh[key] = ops
-                if cost:
-                    load += cost(ops)
-            pending.append((item, key))
-        load += 1
-        if load >= _PENT_LOAD or (cost is None and fresh):
-            flush()
-            load = 0
-    flush()
+            run.skip_missing(exc)
+            continue
+        key = tuple(map(id, ops))
+        if key in seen:
+            for residual in seen[key]:
+                run.record(residual, None)  # never above the residual so far
+            continue
+        seen[key] = []
+        for k, diff in enumerate(law(*ops)):
+            seen[key].append(float(diff.max(initial=0.0)))
+            run.record(seen[key][-1], lambda: witness(item, k, diff))
     return run.result()
-
-
-def _each(law: Callable[..., list]) -> Callable[[List[tuple]], list]:
-    """A law of one operand tuple, applied to each tuple of a batch."""
-    return lambda batch: [law(*ops) for ops in batch]
 
 
 def _block_witness(sl: _Slice, laws: Optional[Sequence[str]] = None) -> Callable:
@@ -277,7 +246,7 @@ def _check_dual_involution(sl: _Slice, tol: float) -> CheckResult:
 
     return _run(
         "dual_involution", tol, sl.degrees, lambda g: (sl.dual_misses(g),),
-        _each(lambda misses: list(misses[:, None])), witness,
+        lambda misses: list(misses[:, None]), witness,
     )
 
 
@@ -300,7 +269,7 @@ def _check_scalar_reality_duality(sl: _Slice, tol: float) -> CheckResult:
     return _run(
         "scalar_reality_duality", tol, sl.degrees,
         lambda g: (*sl.scalars(g), *sl.scalars(sl.neg(g)), sl.perm(g)),
-        _each(invariance), witness,
+        invariance, witness,
     )
 
 
@@ -327,7 +296,7 @@ def _check_delta_symmetry(sl: _Slice, tol: float) -> CheckResult:
         laws = ("cyclic", "dual reversal") if meets(degs) else ("degree constraint",)
         return _block_witness(sl, laws)(degs, k, diff)
 
-    return _run("delta_symmetry", tol, sl.tuples(3), operands, _each(symmetry), witness)
+    return _run("delta_symmetry", tol, sl.tuples(3), operands, symmetry, witness)
 
 
 def _check_b_recursion(sl: _Slice, tol: float) -> CheckResult:
@@ -345,7 +314,7 @@ def _check_b_recursion(sl: _Slice, tol: float) -> CheckResult:
         return {"degrees": sl.names(degs), "label": sl.label_at(sl.add(*degs), diff)}
 
     items = (degs for degs in sl.tuples(2) if sl.generic[sl.add(*degs)])
-    return _run("b_recursion", tol, items, operands, _each(recursion), witness)
+    return _run("b_recursion", tol, items, operands, recursion, witness)
 
 
 def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
@@ -369,7 +338,7 @@ def _check_gamma_beta_normalization(sl: _Slice, tol: float) -> CheckResult:
     items = (degs for degs in triples if sl.generic[degs[2]])
     return _run(
         "gamma_beta_normalization", tol, items, operands,
-        _each(normalization), _block_witness(sl),
+        normalization, _block_witness(sl),
     )
 
 
@@ -379,7 +348,7 @@ def _check_sixj_support(sl: _Slice, tol: float) -> CheckResult:
 
     return _run(
         "sixj_support", tol, sl.sextuples,
-        lambda degs: (sl.sixj(*degs), sl.support(degs)), _each(outside),
+        lambda degs: (sl.sixj(*degs), sl.support(degs)), outside,
         _block_witness(sl),
     )
 
@@ -401,7 +370,7 @@ def _check_tetrahedral_symmetry(sl: _Slice, tol: float) -> CheckResult:
         return [np.abs(block - other) for other in (first, second)]
 
     return _run(
-        "tetrahedral_symmetry", tol, sl.sextuples, operands, _each(symmetry),
+        "tetrahedral_symmetry", tol, sl.sextuples, operands, symmetry,
         _block_witness(sl, ("rotation", "column flip")),
     )
 
@@ -447,7 +416,7 @@ class _PentagonPlan:
     (t1, t2, t3, d(j), t4, t5): the entries each nonzero product term of
     the left (t1 t2 t3 d) and right (t4 t5) side reads, and the output
     slot it adds to.  The slots are the union of both sides' supports in
-    row-major order, then one padding slot; all else is 0 on both sides."""
+    row-major order; all else is 0 on both sides."""
 
     def __init__(self, ops: Sequence[np.ndarray]):
         names = (_PENT_T1, _PENT_T2, _PENT_T3, ["xj"], _PENT_T4, _PENT_T5)
@@ -456,37 +425,25 @@ class _PentagonPlan:
         rhs_reads, rhs_keys = _sparse_terms(ops[4:], names[4:], sizes)
         self.reads = lhs_reads + rhs_reads
         keys = np.sort(np.concatenate([lhs_keys, rhs_keys]))
-        self.keys = np.append(keys[np.diff(keys, prepend=-1) != 0], 0)
-        self.lhs_at = np.searchsorted(self.keys[:-1], lhs_keys)
-        self.rhs_at = np.searchsorted(self.keys[:-1], rhs_keys)
+        self.keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.lhs_at = np.searchsorted(self.keys, lhs_keys)
+        self.rhs_at = np.searchsorted(self.keys, rhs_keys)
         self.shape = tuple(sizes[a] for a in _PENT_OUT)
-        self.load = len(lhs_keys) + len(rhs_keys) + len(self.keys)
 
-    def diffs(self, batch: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-        """Per operand tuple, |lhs - rhs| over the output slots `keys`."""
-        t1, t2, t3, d, t4, t5 = (
-            np.stack([ops[k].take(read) for ops in batch])
-            for k, read in enumerate(self.reads)
-        )
-        lhs, rhs = np.zeros((2, len(batch), len(self.keys)), complex)
+    def diff(self, ops: Sequence[np.ndarray]) -> np.ndarray:
+        """|lhs - rhs| of one operand tuple over the output slots `keys`."""
+        t1, t2, t3, d, t4, t5 = (op.take(read) for op, read in zip(ops, self.reads))
+        lhs, rhs = np.zeros((2, len(self.keys)), complex)
         # the left side multiplies in the order of the dense einsum it replaced
-        np.add.at(lhs, (slice(None), self.lhs_at), (t1 * t2) * (t3 * d))
-        np.add.at(rhs, (slice(None), self.rhs_at), t4 * t5)
+        np.add.at(lhs, self.lhs_at, (t1 * t2) * (t3 * d))
+        np.add.at(rhs, self.rhs_at, t4 * t5)
         return np.abs(lhs - rhs)
 
 
 def _check_pentagon(sl: _Slice, tol: float) -> CheckResult:
     plans: Dict[tuple, _PentagonPlan] = {}  # keyed on the operands' patterns
     patterns: Dict[int, tuple] = {}  # id(array) -> shape and nonzero entries
-
-    def plan(ops) -> _PentagonPlan:
-        key = []
-        for op in ops:  # the cache keeps every operand alive: ids stay unique
-            if id(op) not in patterns:
-                patterns[id(op)] = (op.shape, np.flatnonzero(op).tobytes())
-            key.append(patterns[id(op)])
-        key = tuple(key)
-        return plans.get(key) or plans.setdefault(key, _PentagonPlan(ops))
+    plan: Optional[_PentagonPlan] = None  # the plan of the last law call
 
     def items():
         for g1, g2, g3, g4 in sl.tuples(4):
@@ -510,29 +467,24 @@ def _check_pentagon(sl: _Slice, tol: float) -> CheckResult:
         )
         return t1, t2, t3, sl.scalars(gj)[0], t4, t5
 
-    def law(batch):
-        # evaluate the operand tuples of each plan together
-        groups: Dict[_PentagonPlan, List[int]] = {}
-        for k, ops in enumerate(batch):
-            groups.setdefault(plan(ops), []).append(k)
-        found: list = [None] * len(batch)
-        for p, ks in groups.items():
-            for k, diff in zip(ks, p.diffs([batch[k] for k in ks])):
-                found[k] = [diff]
-        return found
+    def law(*ops):
+        nonlocal plan
+        for op in ops:  # the cache keeps every operand alive: ids stay unique
+            if id(op) not in patterns:
+                patterns[id(op)] = (op.shape, np.flatnonzero(op).tobytes())
+        key = tuple(patterns[id(op)] for op in ops)
+        plan = plans.get(key) or plans.setdefault(key, _PentagonPlan(ops))
+        return [plan.diff(ops)]
 
     def witness(degs, k, diff):
-        p = plan(operands(degs))
-        key = p.keys[int(np.argmax(diff))]
+        # `_run` asks right after the law evaluated this item's operands
+        key = plan.keys[int(np.argmax(diff))]
         return {
             "degrees": sl.names(degs[:4]),
-            "entry": [int(i) for i in np.unravel_index(key, p.shape)],
+            "entry": [int(i) for i in np.unravel_index(key, plan.shape)],
         }
 
-    return _run(
-        "pentagon", tol, items(), operands, law, witness,
-        cost=lambda ops: plan(ops).load,
-    )
+    return _run("pentagon", tol, items(), operands, law, witness)
 
 
 _ORTHO_T1 = ["i", "j", "p", "l", "m", "n", "a1", "a2", "a3", "a4"]
@@ -584,9 +536,7 @@ def _check_orthogonality(sl: _Slice, tol: float) -> CheckResult:
         # the witness names the three free roots
         return _block_witness(sl)((degs[0], degs[1], degs[3]), k, diff)
 
-    return _run(
-        "orthogonality", tol, sl.sextuples, operands, _each(orthogonality), witness
-    )
+    return _run("orthogonality", tol, sl.sextuples, operands, orthogonality, witness)
 
 
 _CONJ_SPEC = _subscripts(
@@ -620,7 +570,7 @@ def _check_conjugation(sl: _Slice, tol: float) -> CheckResult:
         return [np.abs(np.conj(block) - rhs)]
 
     return _run(
-        "conjugation", tol, sl.sextuples, operands, _each(conjugation),
+        "conjugation", tol, sl.sextuples, operands, conjugation,
         _block_witness(sl),
     )
 
@@ -646,20 +596,19 @@ def validate(
     max_tuples: int = 4096,
 ) -> ValidationReport:
     """Run every axiom check over the closure of the sample degrees."""
+    if max_tuples < 1:
+        raise DomainError(f"max_tuples must be at least 1, got {max_tuples}")
     if data.signature.is_finite and not data.singular.is_empty_on():
         raise DomainError(
             "singular set is not small: a finite group is covered by"
             " translates of any nonempty subset"
         )
-    closure = []
-    seen = set()
+    closure = set()
     for g in degree_samples:
         for h in (g, -g):
             data.check_degree(h)
-            if h not in seen:
-                seen.add(h)
-                closure.append(h)
-    closure.sort(key=str)
+            closure.add(h)
+    closure = sorted(closure, key=str)
     if not closure:
         raise DomainError("no degree samples supplied")
     sl = _Slice(data, closure, max_tuples)

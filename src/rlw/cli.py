@@ -92,7 +92,11 @@ def _parser() -> argparse.ArgumentParser:
         source = sub.add_mutually_exclusive_group(required=True)
         source.add_argument("--family", help="builtin data P:N:c, M:N:c or F:N:c:gamma0")
         source.add_argument("--data", help="path to a JSON data table")
-        sub.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+        sub.add_argument(
+            "--tol", type=float, default=1e-9,
+            help="residual tolerance; ground dimensions use at least 1e-9,"
+            " spectrum at least 1e-10 (1e-7 for eigenvalue rounding)",
+        )
         sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
     def add_surface(sub):

@@ -180,6 +180,16 @@ class TestValidate:
         assert code == 2
         assert report is None
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_tuples_below_one_exits_two(self, capsys, cap):
+        code, report, err = run(
+            capsys, "validate", "--family", "P:2:1", "--degrees", "1/5,2/5",
+            "--max-tuples", cap,
+        )
+        assert code == 2
+        assert "checks" not in report
+        assert f"max_tuples must be at least 1, got {cap}" in err
+
     def test_family_config_file(self, capsys, tmp_path):
         config = tmp_path / "family.json"
         config.write_text(json.dumps({"family": "P", "N": 2, "c": 1.0}))
@@ -353,6 +363,50 @@ class TestCheck:
         names = {row["name"] for row in report["rows"]}
         assert "triangulation_invariance" not in names
         assert any("torus" in note for note in report["notes"])
+
+
+def strict_json(text):
+    """Parse `text` as RFC 8259 JSON: NaN and the infinities are errors."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--family", "P:3:2", "--degrees", "1/5,2/5"),
+            ("ground-dim", "--family", "P:3:2", *THETA),
+            ("spectrum", "--family", "P:3:2", *THETA),
+            ("check", "--family", "P:3:2", *THETA),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command(self, capsys, argv):
+        code = main(list(argv))
+        report = strict_json(capsys.readouterr().out)
+        assert code == 0
+        assert report["command"] == argv[0]
+
+    def test_non_finite_residual_is_null(self, capsys, tmp_path):
+        # d = 0 makes orthogonality divide by zero: its residual is infinite
+        degrees = [QMODZ.element(Fraction(v)) for v in ("1/5", "2/5", "1/7")]
+        recorder = RecordingData(BuiltinFamily("P", 3, 2.0))
+        validate(recorder, degrees)
+        table = recorder.export_table().to_dict()
+        next(row for row in table["labels"] if row["id"] == "0@1/5")["d"] = 0.0
+        path = tmp_path / "zero_d.json"
+        path.write_text(json.dumps(table))
+        with np.errstate(divide="ignore"):
+            code = main(["validate", "--data", str(path), "--degrees", "1/5,2/5,1/7"])
+        report = strict_json(capsys.readouterr().out)
+        assert code == 1
+        assert report["passed"] is False and report["max_residual"] is None
+        ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
+        assert ortho["passed"] is False and ortho["residual"] is None
 
 
 class TestPlumbing:
