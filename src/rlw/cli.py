@@ -8,6 +8,7 @@ pass, 1 a check failed or the run hit an inadmissible/unstable input,
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -77,6 +78,20 @@ def _split_csv(text: str) -> List[str]:
     return parts
 
 
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative `--tol`: a NaN or infinite one would pass
+    every finite residual."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rlw",
@@ -93,7 +108,7 @@ def _parser() -> argparse.ArgumentParser:
         source.add_argument("--family", help="builtin data P:N:c, M:N:c or F:N:c:gamma0")
         source.add_argument("--data", help="path to a JSON data table")
         sub.add_argument(
-            "--tol", type=float, default=1e-9,
+            "--tol", type=_tolerance, default=1e-9,
             help="residual tolerance; ground dimensions use at least 1e-9,"
             " spectrum at least 1e-10 (1e-7 for eigenvalue rounding)",
         )
@@ -209,7 +224,23 @@ def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     model = _build_model(config, data)
     multiplicities = model.spectrum(tol=max(config.tol, 1e-10))
-    eigenvalues = np.linalg.eigvals(model.hamiltonian().matrix)
+    # H is block diagonal on the invariant blocks: cross-check the splitting
+    # with the eigenvalues of each block, once the blocks hold every entry
+    hamiltonian, parts = model.hamiltonian(), model._invariant_blocks()
+    eigenvalues, inside = [np.zeros(0, complex)], 0
+    for block in hamiltonian.dense_blocks(parts, parts):
+        inside += np.count_nonzero(block)
+        eigenvalues.append(np.linalg.eigvals(block))
+    if inside < len(hamiltonian.vals):
+        part = np.empty(model.space().dim, np.intp)
+        for k, idx in enumerate(parts):
+            part[idx] = k
+        at = np.flatnonzero(part[hamiltonian.rows] != part[hamiltonian.cols])[0]
+        raise InstabilityError(
+            f"Hamiltonian entry ({hamiltonian.rows[at]}, {hamiltonian.cols[at]})"
+            " lies outside the invariant blocks"
+        )
+    eigenvalues = np.concatenate(eigenvalues)
     rounding = float(max(abs(v - round(v.real)) for v in eigenvalues))
     if rounding > max(config.tol, 1e-7):
         raise InstabilityError(
@@ -297,6 +328,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
             for v in range(model.graph.num_vertices)
         ),
     )
+    del bs, fused  # the dense blocks are read no further
 
     g = model.probe
     adjoint_dev = 0.0

@@ -319,13 +319,7 @@ class BuiltinFamily(LWData):
             or (a6 - a4 - a2) % n
         ):
             return 0j
-        g1, g2, g3, g4, g5, g6 = (j.degree.values[0] for j in js)
-        if (
-            (g1 + g2 - g3).denominator != 1
-            or (g3 + g4 - g5).denominator != 1
-            or (g5 - g6 - g1).denominator != 1
-            or (g6 - g4 - g2).denominator != 1
-        ):
+        if not self._meets([self._degkey(j.degree) for j in js]):
             return 0j
         return self._sixj_val
 
@@ -378,17 +372,21 @@ class BuiltinFamily(LWData):
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
         return self._shared("gamma", _whole(*self._keys((g1, g2, g3))))
 
-    def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        keys = self._keys(degs)
+    @staticmethod
+    def _meets(keys) -> bool:
+        """Whether the degrees of these six keys meet the 6j degree
+        constraint: the four corner sums are integers."""
         k1, k2, k3, k4, k5, k6 = keys
         m1, m2, m3, m4, m5, m6 = [(-num, den) for num, den in keys]
-        meets = (
+        return (
             _whole(k1, k2, m3)
             and _whole(k3, k4, m5)
             and _whole(k5, m6, m1)
             and _whole(k6, m4, m2)
         )
-        return self._shared("sixj", meets)
+
+    def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
+        return self._shared("sixj", self._meets(self._keys(degs)))
 
     def probe_degrees(self) -> Iterator[GroupElement]:
         for den in itertools.count(2):

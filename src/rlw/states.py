@@ -12,7 +12,8 @@ it, by contracting the vertex branching numbers over the edge labels.
 
 The basis is integer arrays, one row per state: `label_array[r, e]`
 indexes labels(Phi(e)) and `slot_array[r, v]` is the slot at v.  Rows
-run in lexicographic order of (labels, slots), which `rows` searches.
+run in lexicographic order of (labels, slots), which `rows` searches
+as byte strings.
 Enumeration grows the labelings breadth-first over the edges in order,
 reading the branching number of each vertex from one delta block per
 inward-degree triple as soon as its last edge is labeled (inward labels
@@ -50,12 +51,27 @@ _CONTRACT_LIMIT = 1 << 20
 _INT64_BOUND = 2**63
 
 
-def _records(arr: np.ndarray) -> np.ndarray:
-    """Each row of an integer array as one record; records order
-    lexicographically, field by field."""
-    arr = np.ascontiguousarray(arr, dtype=np.intp)
-    fields = [(f"f{i}", np.intp) for i in range(arr.shape[1])]
-    return arr.view(np.dtype(fields)).reshape(len(arr))
+def _lookup(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each row of `keys` in `basis`, a sorted array of
+    distinct nonnegative integer rows; -1 where absent.
+
+    Each row is searched as one fixed-width byte string of big-endian
+    unsigned entries, as wide as the basis maximum needs, whose bytes
+    order as the rows do.  numpy drops trailing NULs when it compares
+    such strings, which keeps that order between strings of one width.
+    A key entry the width cannot hold is in no basis row, so its row is
+    absent rather than wrapped."""
+    top = int(basis.max(initial=0))
+    size = next(n for n in (1, 2, 4, 8) if top < 1 << 8 * n)
+    dtype = np.dtype(f">u{size}")
+    width = np.dtype(f"S{basis.shape[1] * size}")
+    fits = ((keys >= 0) & (keys < 1 << 8 * size)).all(axis=1)
+    table = np.ascontiguousarray(basis, dtype=dtype).view(width).reshape(len(basis))
+    query = np.ascontiguousarray(keys, dtype=dtype).view(width).reshape(len(keys))
+    pos = np.searchsorted(table, query)
+    hit = fits & (pos < len(table))
+    hit[hit] = table[pos[hit]] == query[hit]
+    return np.where(hit, pos, -1)
 
 
 class _Labelings:
@@ -199,12 +215,7 @@ class StateSpace:
 
     def rows(self, labels: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Basis row of each state (labels[r], slots[r]); -1 where absent."""
-        keys = _records(np.hstack([labels, slots]))
-        basis = _records(self._basis)
-        pos = np.searchsorted(basis, keys)
-        hit = pos < self.dim
-        hit[hit] = basis[pos[hit]] == keys[hit]
-        return np.where(hit, pos, -1)
+        return _lookup(self._basis, np.hstack([labels, slots]))
 
     # -- pairing -------------------------------------------------------------
 

@@ -293,6 +293,63 @@ class TestSpectrum:
             assert flag in report["error"] and flag in err
 
 
+    def test_no_dense_hamiltonian(self, capsys, monkeypatch):
+        # the cross-check reads H one invariant block at a time
+        def dense(self):
+            raise AssertionError(f"dense read of {self!r}")
+
+        monkeypatch.setattr(LinearOperator, "matrix", property(dense))
+        code, report, _ = run(
+            capsys, "spectrum", "--family", "M:3:2", "--strict-fusion",
+            "--surface", "torus:grid:2", "--holonomy", "1/7,2/7",
+        )
+        assert code == 0
+        assert report["spectrum"] == {"0": 9, "2": 108, "3": 72, "4": 54}
+
+    def test_off_block_entry_fails(self, capsys, monkeypatch):
+        # one Hamiltonian entry joining the first states of two invariant
+        # blocks: the per-block eigenvalues would leave it out
+        original = StringNetModel.hamiltonian
+        planted = {}
+
+        def hamiltonian(self):
+            op = original(self)
+            first, second = (int(part[0]) for part in self._invariant_blocks()[:2])
+            planted["at"] = (second, first)
+            rows, cols, vals = (
+                np.append(op.rows, second), np.append(op.cols, first), np.append(op.vals, 0.5)
+            )
+            return LinearOperator.from_triplets(op.src, op.dst, rows, cols, vals)
+
+        monkeypatch.setattr(StringNetModel, "hamiltonian", hamiltonian)
+        code, report, err = run(capsys, "spectrum", "--family", "M:3:2", *THETA)
+        message = "Hamiltonian entry ({}, {}) lies outside the invariant blocks"
+        assert code == 1
+        assert "spectrum" not in report
+        assert report["error"] == message.format(*planted["at"])
+        assert report["error"] in err
+
+    @pytest.mark.parametrize("family", ["P:3:2", "M:3:2"])
+    def test_inclusive_matches_dense_eigvals(self, capsys, family):
+        # 54 inclusive states in two invariant blocks, against the
+        # eigenvalues of the dense full H
+        code, report, _ = run(capsys, "spectrum", "--family", family, *THETA)
+        model = StringNetModel(
+            rlw.parse_family_spec(family),
+            coloring_from_holonomy(
+                build_torus("theta"), tuple(QMODZ.element(Fraction(x)) for x in ("1/5", "2/5"))
+            ),
+        )
+        assert len(model._invariant_blocks()) == 2
+        eigenvalues = np.linalg.eigvals(model.hamiltonian().matrix)
+        energies, counts = np.unique(np.round(eigenvalues.real).astype(int), return_counts=True)
+        assert code == 0
+        assert report["spectrum"] == {str(e): int(n) for e, n in zip(energies, counts)}
+        assert report["hilbert_dim"] == 54
+        dense = max(abs(v - round(v.real)) for v in eigenvalues)
+        assert max(report["rounding_residual"], dense) <= 1e-12
+
+
 class TestCheck:
     def test_theta_suite_passes(self, capsys):
         code, report, _ = run(
@@ -457,6 +514,24 @@ class TestPlumbing:
         assert report["config"]["family"] == "P:2:1"
         assert report["config"]["tol"] == 1e-8
         assert report["config"]["holonomy"] == ["1/5", "2/5"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--family", "P:2:1", "--degrees", "1/5,2/5"),
+            ("ground-dim", "--family", "P:2:1", *THETA),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_not_finite_or_negative_exits_two(self, capsys, argv, tol):
+        # a NaN or infinite tolerance would pass every finite residual
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--tol", tol])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert f"argument --tol: tolerance must be a finite number >= 0, got '{tol}'" in captured.err
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as info:

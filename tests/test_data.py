@@ -106,6 +106,12 @@ class TestBuiltinFamily:
         for idx in np.ndindex(*block.shape[:6]):
             js = [ls[t][idx[t]] for t in range(6)]
             assert block[idx + (0, 0, 0, 0)] == fam.sixj(js, (1, 1, 1, 1))
+        # 1/5 + 2/5 - 1/7 is not an integer: both reads give zero
+        missed = (F15, F25, F17, F15, F25, F17)
+        assert not fam.sixj_block(missed).any()
+        ls = [fam.labels(g) for g in missed]
+        for idx in np.ndindex(*block.shape[:6]):
+            assert fam.sixj([ls[t][idx[t]] for t in range(6)], (1, 1, 1, 1)) == 0
         d3 = fam.delta_block(F15, F15, QMODZ.parse("3/5"))
         for idx in np.ndindex(*d3.shape):
             i, j, k = (fam.labels(g)[t] for g, t in zip((F15, F15, QMODZ.parse("3/5")), idx))

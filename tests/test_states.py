@@ -168,6 +168,51 @@ class TestEnumeration:
         labels[2, 2] = 5
         assert space.rows(labels, slots).tolist() == [-1, -1, -1]
 
+    def test_rows_ending_in_zeros(self, theta_coloring):
+        # numpy drops trailing NULs when it compares byte strings
+        space = StateSpace(BuiltinFamily("P", 2, 1.0), theta_coloring)
+        assert (space.slot_array[:, -1] == 0).any()
+        everything = space.rows(space.label_array, space.slot_array)
+        assert np.array_equal(everything, np.arange(space.dim))
+        basis = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0]])
+        keys = np.array([[1, 0, 0], [1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0]])
+        assert states._lookup(basis, keys).tolist() == [1, 2, -1, 3, -1]
+
+    def test_rows_of_a_wide_basis(self):
+        # entries >= 256 take two big-endian bytes each, and keep the order
+        values = [0, 1, 2, 255, 256, 257, 511, 513, 70000]
+        basis = np.array(list(itertools.product(values, repeat=3)))
+        rng = np.random.default_rng(0)
+        order = rng.permutation(len(basis))
+        assert np.array_equal(states._lookup(basis, basis[order]), order)
+        keys = np.array([[1, 1, 3], [0, 258, 0], [257, 1, -1], [1 << 40, 0, 0]])
+        assert states._lookup(basis, keys).tolist() == [-1, -1, -1, -1]
+
+    def test_rows_out_of_byte_range(self, theta_coloring):
+        # 256 and -1 do not wrap to 0 and 255 against a one-byte basis
+        basis = np.array([[0, 0], [0, 255], [255, 0]])
+        keys = np.array([[256, 0], [-1, 0], [0, -1], [0, 256], [255, 0], [0, 0]])
+        assert states._lookup(basis, keys).tolist() == [-1, -1, -1, -1, 2, 0]
+        space = StateSpace(BuiltinFamily("P", 2, 1.0), theta_coloring, strict=True)
+        labels = space.label_array[[0, 0]]
+        assert (labels[:, 0] == 0).all()
+        labels[0, 0], labels[1, 0] = 256, -256
+        assert space.rows(labels, space.slot_array[[0, 0]]).tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("family", ["P:2:1", "P:3:2", "F:2:1:2"])
+    def test_rows_match_dict_of_tuples(self, family):
+        col = coloring_from_holonomy(build_torus("grid", 2), (q("1/7"), q("2/7")))
+        space = StateSpace(parse_family_spec(family), col, strict=True)
+        basis = np.hstack([space.label_array, space.slot_array])
+        where = {tuple(row): r for r, row in enumerate(basis.tolist())}
+        rng = np.random.default_rng(1)
+        keys = basis[rng.integers(0, space.dim, 400)]
+        hit = rng.random(keys.shape) < 0.02
+        keys[hit] = rng.integers(-1, int(basis.max()) + 3, hit.sum())
+        found = space.rows(keys[:, : space.label_array.shape[1]], keys[:, space.label_array.shape[1] :])
+        assert found.tolist() == [where.get(tuple(row), -1) for row in keys.tolist()]
+        assert (found < 0).any() and (found >= 0).any()
+
     def test_slot_zero_present_inclusive(self, theta_coloring):
         space = StateSpace(BuiltinFamily("P", 2, 1.0), theta_coloring)
         slots = set(map(tuple, space.slot_array.tolist()))
