@@ -7,12 +7,14 @@ pass, 1 a check failed or the run hit an inadmissible/unstable input,
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -92,6 +94,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _dim_cap(text: str) -> int:
+    """A `--dim-cap` of at least one state."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"dim cap must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rlw",
@@ -124,7 +137,7 @@ def _parser() -> argparse.ArgumentParser:
             help="comma-separated degrees, one per handle pair",
         )
         sub.add_argument("--probe", help="probe degree (default: first usable)")
-        sub.add_argument("--dim-cap", type=int, default=8192, help="state-space size limit")
+        sub.add_argument("--dim-cap", type=_dim_cap, default=8192, help="state-space size limit")
         sub.add_argument(
             "--strict-fusion", action="store_true",
             help="build only the fused states (no zero branching slot) for"
@@ -152,7 +165,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> Tuple[RunConfig, LWData]:
+def _resolve(args) -> Tuple[RunConfig, LWData, Optional[TextIO]]:
     config = RunConfig(
         command=args.command,
         family=args.family,
@@ -171,7 +184,9 @@ def _resolve(args) -> Tuple[RunConfig, LWData]:
         config.dim_cap = args.dim_cap
         config.strict_fusion = args.strict_fusion
     data = load_data(config.data) if config.data else parse_family_spec(config.family)
-    return config, data
+    # opened before any work, so a path that cannot be written is a usage error
+    out = open(config.out, "w", encoding="utf-8") if config.out else None
+    return config, data, out
 
 
 # -- model construction shared by the surface commands -------------------------
@@ -292,43 +307,21 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         )
 
     plaquettes = model.graph.plaquettes
-    # every B_p vanishes off the invariant blocks, and so do the matrices
-    # below: each norm is the root of the sum of squares over the blocks
-    blocks = model._invariant_blocks()
-    bs = [list(model.plaquette_B(p).dense_blocks(blocks, blocks)) for p in plaquettes]
-
-    def block_norm(mats):
-        return np.sqrt(sum(np.linalg.norm(m) ** 2 for m in mats))
-
-    residual_row(
-        "projector_idempotency",
-        max(block_norm(x @ x - x for x in b) for b in bs),
-    )
-    residual_row(
-        "plaquette_commutation",
-        max(
-            (
-                block_norm(x @ y - y @ x for x, y in zip(a, b))
-                for i, a in enumerate(bs)
-                for b in bs[i + 1 :]
-            ),
-            default=0.0,
-        ),
-    )
+    bs = [model.plaquette_B(p) for p in plaquettes]
+    residual_row("projector_idempotency", max((b @ b - b).norm() for b in bs))
+    commutators = ((a @ b - b @ a).norm() for a, b in itertools.combinations(bs, 2))
+    residual_row("plaquette_commutation", max(commutators, default=0.0))
     # Q_v is the 0/1 diagonal `fused[:, v]`, so [B, Q_v] keeps the entries
     # of B whose row and column differ in being fused at v
-    fused = [space.slot_array[b] >= 1 for b in blocks]
+    fused = space.slot_array >= 1
     residual_row(
         "vertex_commutation",
         max(
-            block_norm(
-                np.where(q[:, v, None] != q[None, :, v], x, 0) for x, q in zip(b, fused)
-            )
+            np.linalg.norm(b.vals[fused[b.rows, v] != fused[b.cols, v]])
             for b in bs
             for v in range(model.graph.num_vertices)
         ),
     )
-    del bs, fused  # the dense blocks are read no further
 
     g = model.probe
     adjoint_dev = 0.0
@@ -438,19 +431,14 @@ _COMMANDS = {
 }
 
 
-def _emit(report: dict, out: Optional[str]):
-    text = json.dumps(report, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(report: dict, stream: TextIO):
+    stream.write(json.dumps(report, indent=2) + "\n")
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config, data = _resolve(args)
+        config, data, out = _resolve(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -459,17 +447,18 @@ def main(argv=None) -> int:
         "version": __version__,
         "config": asdict(config),
     }
-    started = time.perf_counter()
-    try:
-        body, ok = _COMMANDS[config.command](config, data)
-    except _CHECK_ERRORS + _USAGE_ERRORS as exc:
-        envelope["error"] = str(exc)
-        _emit(envelope, config.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, _CHECK_ERRORS) else 2
-    elapsed = time.perf_counter() - started
-    envelope.update(body)
-    _emit(envelope, config.out)
+    with out or contextlib.nullcontext(sys.stdout) as stream:
+        started = time.perf_counter()
+        try:
+            body, ok = _COMMANDS[config.command](config, data)
+        except _CHECK_ERRORS + _USAGE_ERRORS as exc:
+            envelope["error"] = str(exc)
+            _emit(envelope, stream)
+            print(f"error: {exc}", file=sys.stderr)
+            return 1 if isinstance(exc, _CHECK_ERRORS) else 2
+        elapsed = time.perf_counter() - started
+        envelope.update(body)
+        _emit(envelope, stream)
     status = "ok" if ok else "FAILED"
     print(f"{config.command}: {status} in {elapsed:.2f}s", file=sys.stderr)
     return 0 if ok else 1

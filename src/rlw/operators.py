@@ -44,8 +44,8 @@ The projectors are block diagonal: the connected components of the
 union of the B_p nonzero patterns split the space into blocks that
 every B_p and Q_v keeps.  The ground projector, its idempotency
 residual and the spectrum splitting run on dense sub-blocks cut out of
-the triplets one block at a time, and B_p itself is formed one component
-at a time of its two factors.
+the triplets one block at a time.  B_p itself is the sparse product of
+its two factors, joined on the intermediate states.
 """
 
 from __future__ import annotations
@@ -297,30 +297,15 @@ class StringNetModel:
     def plaquette_B(
         self, p: Union[int, Plaquette], g: Optional[GroupElement] = None
     ) -> LinearOperator:
-        """The plaquette projector B_p^g B_p^(-g) at a probe degree g.
-
-        The product is formed one component at a time of the graph whose
-        nodes are the states and the intermediate states, joined by the
-        nonzeros of the two factors: outside a component's own rows and
-        columns both factors vanish on it."""
+        """The plaquette projector B_p^g B_p^(-g) at a probe degree g."""
         p = self._plaquette(p)
         g = g if g is not None else self.probe
         key = (p.index, g)
         if key in self._b_cache:
             return self._b_cache[key]
         lower = self.plaquette_Bg(p, -g)
-        mid = gauge_shift(self.coloring, p, g)
-        raise_ = self.plaquette_Bg(p, g, mid)
-        n = lower.src.dim
-        nodes = _components(
-            n + lower.dst.dim,
-            np.concatenate([lower.cols, raise_.rows]),
-            np.concatenate([lower.rows, raise_.cols]) + n,
-        )
-        packs = _pack(nodes)
-        bs, ms = [part[part < n] for part in packs], [part[part >= n] - n for part in packs]
-        products = map(np.matmul, raise_.dense_blocks(bs, ms), lower.dense_blocks(ms, bs))
-        op = LinearOperator.from_blocks(lower.src, raise_.dst, bs, products)
+        raise_ = self.plaquette_Bg(p, g, gauge_shift(self.coloring, p, g))
+        op = raise_ @ lower
         self._b_cache[key] = op
         return op
 

@@ -411,6 +411,50 @@ class TestCheck:
         assert row["passed"] is False
         assert row["residual"] == dense == 0.5
 
+    def test_product_rows_fail_on_planted_fault(self, capsys, monkeypatch):
+        # B_0 gains 0.5 x y^T, where every other B_p kills x and y^T B_1 = 0:
+        # a product of all the commuting B_p is unchanged, so the ground
+        # dimension stands, but B_0 is no projector and no longer commutes
+        # with B_2 and B_3
+        original = StringNetModel.plaquette_B
+
+        def planted(self, p, g=None):
+            op = original(self, p, g)
+            plaquettes = self.graph.plaquettes
+            if len(plaquettes) < 2 or self._plaquette(p).index != 0:
+                return op
+            others = [original(self, other, g).matrix for other in plaquettes[1:]]
+            ident = np.eye(op.src.dim)
+            x = ident[:, 0]
+            for b in others:
+                x = x - b @ x
+            y = ident[0] - ident[0] @ others[0]
+            return LinearOperator(op.src, op.dst, op.matrix + 0.5 * np.outer(x, y))
+
+        monkeypatch.setattr(StringNetModel, "plaquette_B", planted)
+        code, report, _ = run(
+            capsys, "check", "--family", "P:2:1", "--strict-fusion",
+            "--surface", "torus:grid:2", "--holonomy", "1/7,2/7",
+        )
+        coloring = coloring_from_holonomy(
+            build_torus("grid", 2), tuple(QMODZ.element(Fraction(x)) for x in ("1/7", "2/7"))
+        )
+        model = StringNetModel(BuiltinFamily("P", 2, 1.0), coloring, strict=True)
+        bs = [model.plaquette_B(p).matrix for p in model.graph.plaquettes]
+        dense = {
+            "projector_idempotency": max(np.linalg.norm(b @ b - b) for b in bs),
+            "plaquette_commutation": max(
+                np.linalg.norm(a @ b - b @ a) for i, a in enumerate(bs) for b in bs[i + 1 :]
+            ),
+        }
+        assert code == 1 and report["passed"] is False
+        assert report["ground_dim"] == 4
+        for row in report["rows"]:
+            if row["name"] in dense:
+                assert row["passed"] is False
+                assert dense[row["name"]] > 0.01
+                assert row["residual"] == pytest.approx(dense[row["name"]], rel=1e-12)
+
     def test_genus_skips_triangulation_row(self, capsys):
         code, report, _ = run(
             capsys, "check", "--family", "P:2:1", "--strict-fusion",
@@ -504,6 +548,30 @@ class TestPlumbing:
         assert code == 0
         assert report is None  # nothing on stdout
         assert json.loads(out.read_text())["ground_dim"] == 4
+
+    def test_out_unwritable_exits_two_before_work(self, capsys, monkeypatch, tmp_path):
+        def built(self, *args, **kwargs):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(StringNetModel, "__init__", built)
+        out = tmp_path / "missing" / "report.json"
+        code, report, err = run(
+            capsys, "ground-dim", "--family", "P:2:1", *THETA, "--out", str(out),
+        )
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["ground-dim", "spectrum", "check"])
+    def test_dim_cap_below_one_exits_two(self, capsys, command, cap):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--family", "P:2:1", *THETA, "--dim-cap", cap])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert f"argument --dim-cap: dim cap must be an integer >= 1, got '{cap}'" in captured.err
 
     def test_config_embedded(self, capsys):
         _, report, _ = run(

@@ -578,6 +578,18 @@ class TestInvariantBlocks:
         if name == "P32" and grid:
             assert [len(b) for b in blocks] == [27] * 9
 
+    @pytest.mark.parametrize("surface", ["theta", "grid2"])
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_Bp_is_dense_product_of_factors(self, name, surface, theta_coloring, grid_coloring):
+        # B_p = B_p^g B_p^(-g), the raise acting from the shifted coloring
+        grid = surface == "grid2"
+        model = block_model(name, grid_coloring if grid else theta_coloring, strict=grid)
+        g = model.probe
+        for p in model.graph.plaquettes:
+            mid = gauge_shift(model.coloring, p, g)
+            dense = model.plaquette_Bg(p, g, mid).matrix @ model.plaquette_Bg(p, -g).matrix
+            assert np.abs(model.plaquette_B(p).matrix - dense).max() <= 1e-12
+
     @pytest.mark.parametrize("name", BLOCK_CASES)
     def test_grid_spectrum_matches_dense(self, name, grid_coloring):
         model = block_model(name, grid_coloring, strict=True)
