@@ -21,7 +21,7 @@ operands, by an index plan built once per nonzero pattern.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,14 +51,7 @@ class CheckResult:
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": _json_residual(self.residual),
-            "checked": self.checked,
-            "witness": self.witness,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "residual": _json_residual(self.residual)}
 
 
 @dataclass

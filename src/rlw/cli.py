@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
@@ -80,29 +80,21 @@ def _split_csv(text: str) -> List[str]:
     return parts
 
 
-def _tolerance(text: str) -> float:
-    """A finite, nonnegative `--tol`: a NaN or infinite one would pass
+def _at_least(cast, low, rule: str):
+    """An argparse type: `cast(text)`, finite and at least `low`, else the
+    usage error "`rule`, got 'text'".  A NaN or infinite `--tol` would pass
     every finite residual."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number >= 0, got {text!r}"
-        )
-    return value
 
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
 
-def _dim_cap(text: str) -> int:
-    """A `--dim-cap` of at least one state."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"dim cap must be an integer >= 1, got {text!r}")
-    return value
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -121,7 +113,8 @@ def _parser() -> argparse.ArgumentParser:
         source.add_argument("--family", help="builtin data P:N:c, M:N:c or F:N:c:gamma0")
         source.add_argument("--data", help="path to a JSON data table")
         sub.add_argument(
-            "--tol", type=_tolerance, default=1e-9,
+            "--tol", type=_at_least(float, 0, "tolerance must be a finite number >= 0"),
+            default=RunConfig.tol,
             help="residual tolerance; ground dimensions use at least 1e-9,"
             " spectrum at least 1e-10 (1e-7 for eigenvalue rounding)",
         )
@@ -134,10 +127,13 @@ def _parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--holonomy", required=True,
-            help="comma-separated degrees, one per handle pair",
+            help="comma-separated degrees, 2*genus of them, one per handle curve",
         )
         sub.add_argument("--probe", help="probe degree (default: first usable)")
-        sub.add_argument("--dim-cap", type=_dim_cap, default=8192, help="state-space size limit")
+        sub.add_argument(
+            "--dim-cap", type=_at_least(int, 1, "dim cap must be an integer >= 1"),
+            default=RunConfig.dim_cap, help="state-space size limit",
+        )
         sub.add_argument(
             "--strict-fusion", action="store_true",
             help="build only the fused states (no zero branching slot) for"
@@ -147,7 +143,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("validate", help="run every axiom check over a degree slice")
     add_common(sub)
     sub.add_argument("--degrees", required=True, help="comma-separated sample degrees")
-    sub.add_argument("--max-tuples", type=int, default=4096, help="cap on degree tuples per check")
+    sub.add_argument(
+        "--max-tuples", type=int, default=RunConfig.max_tuples, help="cap on degree tuples per check"
+    )
 
     sub = commands.add_parser("ground-dim", help="dimension of the joint projector image")
     add_common(sub)
@@ -156,7 +154,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("check", help="operator-identity and invariance suite")
     add_common(sub)
     add_surface(sub)
-    sub.add_argument("--seed", type=int, default=0, help="seed for the randomized rows")
+    sub.add_argument(
+        "--seed", type=_at_least(int, 0, "seed must be an integer >= 0"),
+        default=RunConfig.seed, help="seed for the randomized rows",
+    )
 
     sub = commands.add_parser("spectrum", help="integer spectrum with multiplicities")
     add_common(sub)
@@ -166,23 +167,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> Tuple[RunConfig, LWData, Optional[TextIO]]:
+    # each subcommand's options are RunConfig fields of the same name
     config = RunConfig(
-        command=args.command,
-        family=args.family,
-        data=args.data,
-        tol=args.tol,
-        seed=getattr(args, "seed", 0),
-        out=args.out,
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
-    if args.command == "validate":
-        config.degrees = _split_csv(args.degrees)
-        config.max_tuples = args.max_tuples
-    else:
-        config.surface = args.surface
-        config.holonomy = _split_csv(args.holonomy)
-        config.probe = args.probe
-        config.dim_cap = args.dim_cap
-        config.strict_fusion = args.strict_fusion
+    for name in ("degrees", "holonomy"):
+        if hasattr(args, name):
+            setattr(config, name, _split_csv(getattr(args, name)))
     data = load_data(config.data) if config.data else parse_family_spec(config.family)
     # opened before any work, so a path that cannot be written is a usage error
     out = open(config.out, "w", encoding="utf-8") if config.out else None

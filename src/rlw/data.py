@@ -232,13 +232,15 @@ class BuiltinFamily(LWData):
     def __init__(self, kind: str, N: int, c: float, gamma0: Optional[float] = None):
         if kind not in ("P", "M", "F"):
             raise DataFormatError(f"unknown family kind {kind!r}")
-        if N < 1:
-            raise DataFormatError("family size N must be positive")
-        if c <= 0:
-            raise DataFormatError("family parameter c must be positive")
+        # a bool or a float N is refused, not truncated; a NaN or infinite
+        # c or gamma0 would only surface as inf residuals or a singular eta
+        if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+            raise DataFormatError(f"family size N must be an integer >= 1, got {N!r}")
+        if not 0 < c < math.inf:
+            raise DataFormatError(f"family parameter c must be finite and > 0, got {c!r}")
         if kind == "F":
-            if gamma0 is None or gamma0 <= 0:
-                raise DataFormatError("family F needs gamma0 > 0")
+            if gamma0 is None or not 0 < gamma0 < math.inf:
+                raise DataFormatError(f"family F needs a finite gamma0 > 0, got {gamma0!r}")
         elif gamma0 is not None:
             raise DataFormatError(f"family {kind} takes no gamma0")
         self.kind = kind
@@ -255,7 +257,6 @@ class BuiltinFamily(LWData):
         # labels and the closed forms are answered from small dicts and
         # integer sums; blocks are shared read-only arrays
         self._label_cache: dict = {}
-        self._apart_cache: dict = {}
         self._blocks: dict = {}
 
     @property
@@ -283,16 +284,11 @@ class BuiltinFamily(LWData):
                 for a in range(self.N)
             )
             self._label_cache[self._degkey(g)] = cached
-            for a, lab in enumerate(cached):
-                self._apart_cache[lab.id] = a
         return cached
 
-    def _apart(self, label: Label) -> int:
-        a = self._apart_cache.get(label.id)
-        if a is None:
-            a = int(label.id.split("@", 1)[0])
-            self._apart_cache[label.id] = a
-        return a
+    @staticmethod
+    def _apart(label: Label) -> int:
+        return int(label.id.split("@", 1)[0])
 
     def delta(self, i: Label, j: Label, k: Label) -> int:
         if (self._apart(i) + self._apart(j) + self._apart(k)) % self.N:
@@ -930,7 +926,7 @@ def data_from_config(obj: dict) -> LWData:
         gamma0 = obj.get("gamma0")
         return BuiltinFamily(
             kind,
-            int(obj.get("N", 1)),
+            obj.get("N", 1),
             float(obj.get("c", 1.0)),
             float(gamma0) if gamma0 is not None else None,
         )

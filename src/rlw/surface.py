@@ -267,7 +267,7 @@ def parse_surface(spec: str) -> RibbonGraph:
 
 
 def coloring_from_holonomy(graph: RibbonGraph, hol: Sequence[GroupElement]) -> Coloring:
-    """A cocycle with the prescribed holonomies, one per handle pair.
+    """A cocycle with 2*genus prescribed holonomies, one per handle curve.
 
     Only built graphs carry a construction recipe; each recipe is exact
     (rational divisions only) and lands the requested class.

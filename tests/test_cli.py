@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, report shape, reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 import rlw
 from rlw import BuiltinFamily, QMODZ, RecordingData, build_torus, coloring_from_holonomy
-from rlw.cli import main
+from rlw.cli import RunConfig, _parser, main
 from rlw.operators import StringNetModel
 from rlw.states import LinearOperator
 from rlw.axioms import validate
@@ -572,6 +574,61 @@ class TestPlumbing:
         assert info.value.code == 2
         assert captured.out == ""
         assert f"argument --dim-cap: dim cap must be an integer >= 1, got '{cap}'" in captured.err
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_seed_not_a_natural_number_exits_two_before_work(self, capsys, monkeypatch, seed):
+        def built(self, *args, **kwargs):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(StringNetModel, "__init__", built)
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--family", "P:2:1", *THETA, "--seed", seed])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert f"argument --seed: seed must be an integer >= 0, got '{seed}'" in captured.err
+
+    def test_options_are_run_config_fields(self):
+        # `_resolve` fills RunConfig by option dest, so a renamed flag or
+        # field must show up here rather than as a silently dropped value
+        commands = next(
+            a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = {
+            action.dest
+            for sub in commands.choices.values()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert dests == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+
+    @pytest.mark.parametrize(
+        "source, field",
+        [
+            (("--family", "P:2:nan"), "parameter c"),
+            (("--family", "P:2:inf"), "parameter c"),
+            (("--family", "F:2:1:nan"), "gamma0"),
+            ({"family": "P", "N": 2.5, "c": 1}, "size N"),
+            ({"family": "P", "N": True, "c": 1}, "size N"),
+        ],
+        ids=["nan-c", "inf-c", "nan-gamma0", "float-N", "bool-N"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [("validate", "--degrees", "1/5,2/5"), ("ground-dim", *THETA)],
+        ids=lambda command: command[0],
+    )
+    def test_bad_family_parameter_exits_two(self, capsys, tmp_path, command, source, field):
+        # a NaN c used to fail six axioms with inf residuals, an infinite one
+        # to call eta singular, and a float N to run as its integer part
+        if isinstance(source, dict):
+            path = tmp_path / "family.json"
+            path.write_text(json.dumps(source))
+            source = ("--data", str(path))
+        code, report, err = run(capsys, command[0], *source, *command[1:])
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ") and field in err
 
     def test_config_embedded(self, capsys):
         _, report, _ = run(
