@@ -7,6 +7,7 @@ pass, 1 a check failed or the run hit an inadmissible/unstable input,
 """
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from typing import List, Optional, TextIO, Tuple
 import numpy as np
 
 from . import __version__
+from .axioms import _json_residual, validate
 from .data import LWData, load_data, parse_family_spec
 from .errors import (
     AdmissibilityError,
@@ -33,9 +35,8 @@ from .errors import (
     ProbeSearchError,
 )
 from .operators import StringNetModel, probe_candidates
-from .states import count_states
+from .states import _places, count_states
 from .surface import build_torus, coloring_from_holonomy, gauge_shift, is_admissible, parse_surface
-from .axioms import validate
 
 _USAGE_ERRORS = (
     DataFormatError,
@@ -50,6 +51,7 @@ _CHECK_ERRORS = (
     AdmissibilityError,
     DimensionCapError,
     InstabilityError,
+    MemoryError,
     ProbeSearchError,
 )
 
@@ -144,7 +146,8 @@ def _parser() -> argparse.ArgumentParser:
     add_common(sub)
     sub.add_argument("--degrees", required=True, help="comma-separated sample degrees")
     sub.add_argument(
-        "--max-tuples", type=int, default=RunConfig.max_tuples, help="cap on degree tuples per check"
+        "--max-tuples", type=_at_least(int, 1, "max tuples must be an integer >= 1"),
+        default=RunConfig.max_tuples, help="cap on degree tuples per check",
     )
 
     sub = commands.add_parser("ground-dim", help="dimension of the joint projector image")
@@ -234,13 +237,11 @@ def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     # with the eigenvalues of each block, once the blocks hold every entry
     hamiltonian, parts = model.hamiltonian(), model._invariant_blocks()
     eigenvalues, inside = [np.zeros(0, complex)], 0
-    for block in hamiltonian.dense_blocks(parts, parts):
+    for block in hamiltonian.dense_blocks(parts):
         inside += np.count_nonzero(block)
         eigenvalues.append(np.linalg.eigvals(block))
     if inside < len(hamiltonian.vals):
-        part = np.empty(model.space().dim, np.intp)
-        for k, idx in enumerate(parts):
-            part[idx] = k
+        part = _places(model.space().dim, parts)[0]
         at = np.flatnonzero(part[hamiltonian.rows] != part[hamiltonian.cols])[0]
         raise InstabilityError(
             f"Hamiltonian entry ({hamiltonian.rows[at]}, {hamiltonian.cols[at]})"
@@ -252,10 +253,7 @@ def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         raise InstabilityError(
             f"eigenvalue rounding residual {rounding:.3e} exceeds tolerance"
         )
-    dense_counts = {}
-    for v in eigenvalues:
-        dense_counts[int(round(v.real))] = dense_counts.get(int(round(v.real)), 0) + 1
-    if dense_counts != multiplicities:
+    if collections.Counter(int(round(v.real)) for v in eigenvalues) != multiplicities:
         raise InstabilityError(
             "dense eigenvalue multiplicities disagree with the projector splitting"
         )
@@ -290,24 +288,27 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     model = _build_model(config, data)
     space = model.space()
     rng = np.random.default_rng(config.seed)
-    rows = []
+    rows, residuals = [], {}
 
-    def residual_row(name, value):
+    def residual_row(name, values):
+        # the row's worst value; a NaN compares false with any bound, so it counts as inf
+        worst = max((v if math.isfinite(v) else math.inf for v in values), default=0.0)
+        residuals[name] = worst
         rows.append(
-            {"name": name, "residual": float(value), "passed": bool(value <= config.tol)}
+            {"name": name, "residual": _json_residual(worst), "passed": bool(worst <= config.tol)}
         )
 
     plaquettes = model.graph.plaquettes
     bs = [model.plaquette_B(p) for p in plaquettes]
-    residual_row("projector_idempotency", max((b @ b - b).norm() for b in bs))
+    residual_row("projector_idempotency", ((b @ b - b).norm() for b in bs))
     commutators = ((a @ b - b @ a).norm() for a, b in itertools.combinations(bs, 2))
-    residual_row("plaquette_commutation", max(commutators, default=0.0))
+    residual_row("plaquette_commutation", commutators)
     # Q_v is the 0/1 diagonal `fused[:, v]`, so [B, Q_v] keeps the entries
     # of B whose row and column differ in being fused at v
     fused = space.slot_array >= 1
     residual_row(
         "vertex_commutation",
-        max(
+        (
             np.linalg.norm(b.vals[fused[b.rows, v] != fused[b.cols, v]])
             for b in bs
             for v in range(model.graph.num_vertices)
@@ -315,54 +316,51 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     )
 
     g = model.probe
-    adjoint_dev = 0.0
-    for p in plaquettes:
+
+    def flip(p):
         raised = model.plaquette_Bg(p, g)
-        shifted = gauge_shift(model.coloring, p, -g)
-        lowered = model.plaquette_Bg(p, -g, shifted)
-        adjoint_dev = max(adjoint_dev, (raised.adjoint() - lowered).norm())
-    residual_row("adjoint_degree_flip", adjoint_dev)
+        lowered = model.plaquette_Bg(p, -g, gauge_shift(model.coloring, p, -g))
+        return (raised.adjoint() - lowered).norm()
+
+    residual_row("adjoint_degree_flip", map(flip, plaquettes))
+
+    def composition(g1, g2):
+        """||B^g1 B^g2 - B^(g1+g2)|| at the first plaquette; None where a
+        degree or an intermediate coloring is not usable."""
+        p = plaquettes[0]
+        try:
+            second = model.plaquette_Bg(p, g2)
+            first = model.plaquette_Bg(p, g1, gauge_shift(model.coloring, p, -g2))
+            combined = model.plaquette_Bg(p, g1 + g2)
+            return (first @ second - combined).norm()
+        except (GaugeAdmissibilityError, DomainError, MissingDataError):
+            return None
 
     candidates = list(probe_candidates(data, model.coloring, limit=8))
-    composed = None
-    for g1 in candidates:
-        for g2 in candidates:
-            try:
-                second = model.plaquette_Bg(plaquettes[0], g2)
-                mid = gauge_shift(model.coloring, plaquettes[0], -g2)
-                first = model.plaquette_Bg(plaquettes[0], g1, mid)
-                combined = model.plaquette_Bg(plaquettes[0], g1 + g2)
-                composed = (first @ second - combined).norm()
-            except (GaugeAdmissibilityError, DomainError, MissingDataError):
-                continue
-            break
-        if composed is not None:
-            break
-    if composed is None:
+    tried = (composition(g1, g2) for g1, g2 in itertools.product(candidates, repeat=2))
+    deviation = next((d for d in tried if d is not None), None)
+    if deviation is None:
         notes.append("no probe pair admits the composition test; skipped")
     else:
-        residual_row("degree_composition", composed)
+        residual_row("degree_composition", [deviation])
 
     if len(candidates) >= 2:
         first, second = (model.plaquette_B(plaquettes[0], g=h) for h in candidates[:2])
-        residual_row("probe_independence", (first - second).norm())
+        residual_row("probe_independence", [(first - second).norm()])
     else:
         notes.append("fewer than two probe candidates; independence skipped")
 
     hamiltonian = model.hamiltonian()
-    residual_row("pseudo_hermiticity", (hamiltonian - hamiltonian.adjoint()).norm())
-    pair_dev = 0.0
-    for _ in range(20):
-        psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        phi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        pair_dev = max(
-            pair_dev,
-            abs(
-                space.inner_indef(psi, hamiltonian.apply(phi))
-                - space.inner_indef(hamiltonian.apply(psi), phi)
-            ),
-        )
-    residual_row("symmetric_pairing", pair_dev)
+    residual_row("pseudo_hermiticity", [(hamiltonian - hamiltonian.adjoint()).norm()])
+
+    def draw():
+        return rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+
+    def asymmetry(psi, phi):
+        left = space.inner_indef(psi, hamiltonian.apply(phi))
+        return abs(left - space.inner_indef(hamiltonian.apply(psi), phi))
+
+    residual_row("symmetric_pairing", (asymmetry(draw(), draw()) for _ in range(20)))
 
     base_dim = model.ground_dim(tol=max(config.tol, 1e-9))
     shifts = 0
@@ -401,7 +399,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     ok = all(row["passed"] for row in rows)
     for row in rows:
         status = "pass" if row["passed"] else "FAIL"
-        extra = f"  residual {row['residual']:.3e}" if "residual" in row else ""
+        extra = f"  residual {residuals[row['name']]:.3e}" if row["name"] in residuals else ""
         print(f"  {row['name']:28s} {status}{extra}", file=sys.stderr)
     body = {
         "hilbert_dim": space.dim,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,6 +211,10 @@ def _whole(*fractions) -> bool:
     return num % den == 0
 
 
+def _finite_positive(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
+
+
 class BuiltinFamily(LWData):
     """Closed-form families over G = Q/Z with X = {x : 6x = 0}.
 
@@ -232,14 +237,14 @@ class BuiltinFamily(LWData):
     def __init__(self, kind: str, N: int, c: float, gamma0: Optional[float] = None):
         if kind not in ("P", "M", "F"):
             raise DataFormatError(f"unknown family kind {kind!r}")
-        # a bool or a float N is refused, not truncated; a NaN or infinite
-        # c or gamma0 would only surface as inf residuals or a singular eta
+        # a bool, a float N or a string is refused, not converted; a NaN or
+        # infinite c or gamma0 would only surface as inf residuals or a singular eta
         if isinstance(N, bool) or not isinstance(N, int) or N < 1:
             raise DataFormatError(f"family size N must be an integer >= 1, got {N!r}")
-        if not 0 < c < math.inf:
+        if not _finite_positive(c):
             raise DataFormatError(f"family parameter c must be finite and > 0, got {c!r}")
         if kind == "F":
-            if gamma0 is None or not 0 < gamma0 < math.inf:
+            if not _finite_positive(gamma0):
                 raise DataFormatError(f"family F needs a finite gamma0 > 0, got {gamma0!r}")
         elif gamma0 is not None:
             raise DataFormatError(f"family {kind} takes no gamma0")
@@ -922,14 +927,7 @@ def parse_family_spec(spec: str) -> BuiltinFamily:
 
 def data_from_config(obj: dict) -> LWData:
     if "family" in obj:
-        kind = str(obj["family"])
-        gamma0 = obj.get("gamma0")
-        return BuiltinFamily(
-            kind,
-            obj.get("N", 1),
-            float(obj.get("c", 1.0)),
-            float(gamma0) if gamma0 is not None else None,
-        )
+        return BuiltinFamily(str(obj["family"]), obj.get("N", 1), obj.get("c", 1.0), obj.get("gamma0"))
     return TableData.from_dict(obj)
 
 

@@ -126,19 +126,14 @@ def probe_candidates(
             continue
         try:
             data.labels(g), data.labels(-g)
-            ok = True
-            for phi in degrees:
-                for shifted in (phi + g, phi - g):
-                    if not data.singular.is_generic(shifted):
-                        ok = False
-                        break
-                    data.labels(shifted)
-                if not ok:
+            for shifted in (s for phi in degrees for s in (phi + g, phi - g)):
+                if not data.singular.is_generic(shifted):
                     break
+                data.labels(shifted)
+            else:
+                yield g
         except MissingDataError:
             continue
-        if ok:
-            yield g
 
 
 def choose_probe(data: LWData, coloring: Coloring) -> GroupElement:
@@ -209,15 +204,9 @@ class StringNetModel:
     ):
         if not coloring.is_cocycle():
             raise AdmissibilityError("base coloring violates a vertex condition")
-        if not is_admissible(coloring, data.singular):
-            edge = next(
-                e
-                for e, value in enumerate(coloring.values)
-                if not data.singular.is_generic(value)
-            )
-            raise AdmissibilityError(
-                f"edge {edge} carries singular degree {coloring.values[edge]}"
-            )
+        for edge, value in enumerate(coloring.values):
+            if not data.singular.is_generic(value):
+                raise AdmissibilityError(f"edge {edge} carries singular degree {value}")
         self.data = data
         self.coloring = coloring
         self.graph = coloring.graph
@@ -341,34 +330,29 @@ class StringNetModel:
             # while the walk labels still pass through a singular degree
             raise GaugeAdmissibilityError(str(exc)) from exc
 
+        # corner i is ready once the labels it reads are chosen; first[x] <= x,
+        # so only the new labels at i and nxt and the leg's set that step
         leg_uses_new = [False] * n
-        deps = [set() for _ in range(n)]
+        ready_at = [[] for _ in range(n)]
         for c in walk.corners:
             i = c.pos
             nxt = (i + 1) % n
-            deps[i].update((i, nxt))
-            if walk.first[nxt] != nxt:
-                deps[i].add(walk.first[nxt])
-            if walk.first[i] != i:
-                deps[i].add(walk.first[i])
-            if c.leg_pos is None:
-                continue
-            m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
-            need = add(o_deg[i], neg(o_deg[nxt]))
-            if need == sign(o_deg[m]):
-                if walk.first[m] != m:
-                    deps[i].add(walk.first[m])
-            elif need == sign(n_deg[m]):
-                leg_uses_new[i] = True
-                deps[i].add(m)
-            else:
-                raise InstabilityError(
-                    "no leg label of the required degree at corner"
-                    f" {i} of plaquette {p.index}"
-                )
-        ready_at = [[] for _ in range(n)]
-        for i in range(n):
-            ready_at[max(deps[i])].append(i)
+            ready = max(i, nxt)
+            if c.leg_pos is not None:
+                m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
+                need = add(o_deg[i], neg(o_deg[nxt]))
+                if need == sign(o_deg[m]):
+                    if walk.first[m] != m:
+                        ready = max(ready, walk.first[m])
+                elif need == sign(n_deg[m]):
+                    leg_uses_new[i] = True
+                    ready = max(ready, m)
+                else:
+                    raise InstabilityError(
+                        "no leg label of the required degree at corner"
+                        f" {i} of plaquette {p.index}"
+                    )
+            ready_at[ready].append(i)
 
         return self._contract(
             gid, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
@@ -539,7 +523,7 @@ class StringNetModel:
         """Per invariant block: its index array, then the dense sub-block
         of every B_p on it."""
         parts = self._invariant_blocks()
-        bs = [self.plaquette_B(p).dense_blocks(parts, parts) for p in self.graph.plaquettes]
+        bs = [self.plaquette_B(p).dense_blocks(parts) for p in self.graph.plaquettes]
         return zip(parts, *bs)
 
     def ground_projector(self) -> LinearOperator:
@@ -570,7 +554,7 @@ class StringNetModel:
         proj = fused.ground_projector()
         # P vanishes off the invariant blocks, so P P - P is summed over them
         parts = fused._invariant_blocks()
-        squares = sum(np.linalg.norm(x @ x - x) ** 2 for x in proj.dense_blocks(parts, parts))
+        squares = sum(np.linalg.norm(x @ x - x) ** 2 for x in proj.dense_blocks(parts))
         residual = float(np.sqrt(squares))
         if residual > tol * max(1.0, proj.norm()):
             raise InstabilityError(

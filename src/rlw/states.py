@@ -290,20 +290,18 @@ class LinearOperator:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def dense_blocks(self, row_parts, col_parts) -> Iterator[np.ndarray]:
-        """The dense block at rows row_parts[k] and columns col_parts[k]
-        for each k, the parts of each side disjoint index arrays; entries
-        in no such block are left out."""
-        rpart, rpos = _places(self.dst.dim, row_parts)
-        cpart, cpos = _places(self.src.dim, col_parts)
-        part = rpart[self.rows]
-        inside = np.flatnonzero((part >= 0) & (part == cpart[self.cols]))
+    def dense_blocks(self, parts) -> Iterator[np.ndarray]:
+        """The dense block at rows and columns parts[k] for each k, the
+        parts disjoint index arrays; entries in no such block are left out."""
+        where, pos = _places(self.src.dim, parts)
+        part = where[self.rows]
+        inside = np.flatnonzero((part >= 0) & (part == where[self.cols]))
         inside = inside[np.argsort(part[inside], kind="stable")]
-        bounds = np.searchsorted(part[inside], np.arange(len(row_parts) + 1))
-        for k, (r, c) in enumerate(zip(row_parts, col_parts)):
+        bounds = np.searchsorted(part[inside], np.arange(len(parts) + 1))
+        for k, idx in enumerate(parts):
             at = inside[bounds[k] : bounds[k + 1]]
-            block = np.zeros((len(r), len(c)), dtype=complex)
-            block[rpos[self.rows[at]], cpos[self.cols[at]]] = self.vals[at]
+            block = np.zeros((len(idx), len(idx)), dtype=complex)
+            block[pos[self.rows[at]], pos[self.cols[at]]] = self.vals[at]
             yield block
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":

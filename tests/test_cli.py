@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,10 @@ import pytest
 import rlw
 from rlw import BuiltinFamily, QMODZ, RecordingData, build_torus, coloring_from_holonomy
 from rlw.cli import RunConfig, _parser, main
+from rlw.errors import MissingDataError
 from rlw.operators import StringNetModel
 from rlw.states import LinearOperator
+from rlw.surface import gauge_shift
 from rlw.axioms import validate
 
 
@@ -182,15 +185,17 @@ class TestValidate:
         assert code == 2
         assert report is None
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("cap", ["0", "-3", "1.5"])
     def test_max_tuples_below_one_exits_two(self, capsys, cap):
-        code, report, err = run(
-            capsys, "validate", "--family", "P:2:1", "--degrees", "1/5,2/5",
-            "--max-tuples", cap,
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--family", "P:2:1", "--degrees", "1/5,2/5", "--max-tuples", cap])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert (
+            f"argument --max-tuples: max tuples must be an integer >= 1, got '{cap}'"
+            in captured.err
         )
-        assert code == 2
-        assert "checks" not in report
-        assert f"max_tuples must be at least 1, got {cap}" in err
 
     def test_family_config_file(self, capsys, tmp_path):
         config = tmp_path / "family.json"
@@ -457,6 +462,59 @@ class TestCheck:
                 assert dense[row["name"]] > 0.01
                 assert row["residual"] == pytest.approx(dense[row["name"]], rel=1e-12)
 
+    @staticmethod
+    def plant_composition(monkeypatch, blocked):
+        """Make the degree-composition attempts (g1, g2) that `blocked`
+        accepts raise MissingDataError; return the attempts made.
+
+        An attempt is the call B^(g1+g2) right after B^g2 and B^g1 on the
+        coloring shifted by -g2, all on one model."""
+        original = StringNetModel.plaquette_Bg
+        calls, attempts = [], []
+
+        def planted(self, p, g, coloring=None):
+            calls.append((self, g, coloring))
+            if coloring is None and len(calls) >= 3:
+                (m2, g2, c2), (m1, g1, c1) = calls[-3:-1]
+                if m2 is m1 is self and c2 is None and c1 is not None and g == g1 + g2:
+                    assert c1.values == gauge_shift(self.coloring, self._plaquette(p), -g2).values
+                    attempts.append((g1, g2))
+                    if blocked(g1, g2):
+                        raise MissingDataError(f"planted gap at {g1}, {g2}")
+            return original(self, p, g, coloring)
+
+        monkeypatch.setattr(StringNetModel, "plaquette_Bg", planted)
+        return attempts
+
+    def test_degree_composition_takes_first_working_pair(self, capsys, monkeypatch):
+        # the candidates are 1/4, 3/4, 1/7, 2/7; the pairs (1/4, 1/4) and
+        # (1/4, 3/4) hit a singular degree, and (1/4, 1/7) is planted missing
+        c0, c2, c3 = (QMODZ.element(Fraction(x)) for x in ("1/4", "1/7", "2/7"))
+        attempts = self.plant_composition(monkeypatch, lambda g1, g2: (g1, g2) == (c0, c2))
+        code, report, _ = run(capsys, "check", "--family", "M:2:1", *THETA)
+        assert code == 0
+        assert attempts[-2:] == [(c0, c2), (c0, c3)]
+        assert all(g1 == c0 for g1, _ in attempts)  # row-major: g2 varies fastest
+        model = StringNetModel(
+            BuiltinFamily("M", 2, 1.0),
+            coloring_from_holonomy(
+                build_torus("theta"), tuple(QMODZ.element(Fraction(x)) for x in ("1/5", "2/5"))
+            ),
+        )
+        p = model.graph.plaquettes[0]
+        first = model.plaquette_Bg(p, c0, gauge_shift(model.coloring, p, -c3))
+        want = (first @ model.plaquette_Bg(p, c3) - model.plaquette_Bg(p, c0 + c3)).norm()
+        row = next(r for r in report["rows"] if r["name"] == "degree_composition")
+        assert row == {"name": "degree_composition", "residual": want, "passed": True}
+
+    def test_degree_composition_skipped_when_every_pair_fails(self, capsys, monkeypatch):
+        attempts = self.plant_composition(monkeypatch, lambda g1, g2: True)
+        code, report, _ = run(capsys, "check", "--family", "M:2:1", *THETA)
+        last = QMODZ.element(Fraction("2/7"))
+        assert code == 0 and attempts[-1] == (last, last)  # every pair was tried
+        assert "degree_composition" not in {row["name"] for row in report["rows"]}
+        assert "no probe pair admits the composition test; skipped" in report["notes"]
+
     def test_genus_skips_triangulation_row(self, capsys):
         code, report, _ = run(
             capsys, "check", "--family", "P:2:1", "--strict-fusion",
@@ -510,6 +568,27 @@ class TestStrictJson:
         assert report["passed"] is False and report["max_residual"] is None
         ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
         assert ortho["passed"] is False and ortho["residual"] is None
+
+    def test_nan_check_residual_fails_as_null(self, capsys, monkeypatch):
+        # a NaN after a finite value used to lose to it in `max`, and pass
+        original = LinearOperator.norm
+        calls = []
+
+        def norm(self):
+            calls.append(self)
+            return math.nan if len(calls) == 2 else original(self)
+
+        monkeypatch.setattr(LinearOperator, "norm", norm)
+        code = main([
+            "check", "--family", "P:2:1", "--surface", "torus:grid:2",
+            "--holonomy", "1/7,2/7", "--strict-fusion",
+        ])
+        captured = capsys.readouterr()
+        report = strict_json(captured.out)
+        row = next(r for r in report["rows"] if r["name"] == "projector_idempotency")
+        assert code == 1 and report["passed"] is False
+        assert row == {"name": "projector_idempotency", "residual": None, "passed": False}
+        assert "projector_idempotency        FAIL  residual inf" in captured.err
 
 
 class TestPlumbing:
@@ -610,8 +689,12 @@ class TestPlumbing:
             (("--family", "F:2:1:nan"), "gamma0"),
             ({"family": "P", "N": 2.5, "c": 1}, "size N"),
             ({"family": "P", "N": True, "c": 1}, "size N"),
+            ({"family": "P", "N": 2, "c": "2"}, "parameter c"),
+            ({"family": "F", "N": 2, "c": 1, "gamma0": "2"}, "gamma0"),
+            ({"family": "P", "N": 2, "c": True}, "parameter c"),
         ],
-        ids=["nan-c", "inf-c", "nan-gamma0", "float-N", "bool-N"],
+        ids=["nan-c", "inf-c", "nan-gamma0", "float-N", "bool-N", "string-c",
+             "string-gamma0", "bool-c"],
     )
     @pytest.mark.parametrize(
         "command",
@@ -629,6 +712,22 @@ class TestPlumbing:
         assert code == 2
         assert report is None
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_memory_error_exits_one(self, capsys, monkeypatch, tmp_path, to_file):
+        # numpy refuses a 1.42 PiB array at once, without allocating it
+        def ground_projector(self):
+            return np.zeros((10**7, 10**7), complex)
+
+        monkeypatch.setattr(StringNetModel, "ground_projector", ground_projector)
+        out = tmp_path / "report.json"
+        code = main(["ground-dim", "--family", "P:2:1", *THETA, *(["--out", str(out)] * to_file)])
+        captured = capsys.readouterr()
+        report = json.loads(out.read_text() if to_file else captured.out)
+        assert code == 1
+        assert report["error"].startswith("Unable to allocate")
+        assert "ground_dim" not in report
+        assert captured.err.startswith("error: Unable to allocate")
 
     def test_config_embedded(self, capsys):
         _, report, _ = run(

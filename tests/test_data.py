@@ -139,6 +139,15 @@ class TestBuiltinFamily:
         with pytest.raises(DataFormatError):
             BuiltinFamily("P", 2, 1.0, gamma0=2.0)
 
+    @pytest.mark.parametrize(
+        "c, gamma0", [("2", None), (True, None), (1.0, "2"), (1.0, False)]
+    )
+    def test_parameters_are_not_converted(self, c, gamma0):
+        # a string or a bool is refused with the parameter named, not
+        # converted or compared into a bare TypeError
+        with pytest.raises(DataFormatError, match="c must be|gamma0 > 0"):
+            BuiltinFamily("F" if gamma0 is not None else "P", 2, c, gamma0)
+
     def test_parse_family_spec(self):
         fam = parse_family_spec("P:3:2")
         assert (fam.kind, fam.N, fam.c) == ("P", 3, 2.0)

@@ -390,12 +390,13 @@ class TestLinearOperator:
     def test_dense_blocks(self, spaces):
         rng = np.random.default_rng(7)
         big, small = spaces
-        a, dense = self.random_triplets(rng, small, big, 4 * big.dim)
-        rows = np.array_split(rng.permutation(big.dim), 3)
-        cols = np.array_split(rng.permutation(small.dim), 3)
-        rows, cols = [np.sort(r) for r in rows], [np.sort(c) for c in cols]
-        for r, c, block in zip(rows, cols, a.dense_blocks(rows, cols)):
-            assert np.array_equal(block, dense[np.ix_(r, c)])
+        a, dense = self.random_triplets(rng, big, big, 4 * big.dim)
+        parts = [np.sort(r) for r in np.array_split(rng.permutation(big.dim), 3)]
+        parts[1] = parts[1][: len(parts[1]) // 2]  # entries in no part are left out
+        blocks = list(a.dense_blocks(parts))
+        assert len(blocks) == len(parts)
+        for part, block in zip(parts, blocks):
+            assert np.array_equal(block, dense[np.ix_(part, part)])
         square = [np.sort(r) for r in np.array_split(rng.permutation(big.dim), 4)]
         blocks = [rng.normal(size=(len(r), len(r))) for r in square]
         blocks[0][0] = 0
