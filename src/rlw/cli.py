@@ -248,7 +248,7 @@ def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
             " lies outside the invariant blocks"
         )
     eigenvalues = np.concatenate(eigenvalues)
-    rounding = float(max(abs(v - round(v.real)) for v in eigenvalues))
+    rounding = float(max((abs(v - round(v.real)) for v in eigenvalues), default=0.0))
     if rounding > max(config.tol, 1e-7):
         raise InstabilityError(
             f"eigenvalue rounding residual {rounding:.3e} exceeds tolerance"
@@ -270,17 +270,6 @@ def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     summary = ", ".join(f"{e}:{m}" for e, m in sorted(multiplicities.items()))
     print(f"  spectrum {{{summary}}}, rounding residual {rounding:.3e}", file=sys.stderr)
     return body, True
-
-
-def _matched_torus_dim(config: RunConfig, data: LWData, kind: str, notes: List[str]):
-    """Ground dimension on the companion torus graph, same holonomy."""
-    if kind not in ("theta", "grid"):
-        notes.append("triangulation comparison limited to torus graphs; skipped")
-        return None
-    other = build_torus("grid", 2) if kind == "theta" else build_torus("theta")
-    holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
-    model = StringNetModel(data, coloring_from_holonomy(other, holonomy), dim_cap=config.dim_cap)
-    return model.ground_dim(tol=max(config.tol, 1e-9))
 
 
 def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
@@ -318,9 +307,9 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     g = model.probe
 
     def flip(p):
-        raised = model.plaquette_Bg(p, g)
-        lowered = model.plaquette_Bg(p, -g, gauge_shift(model.coloring, p, -g))
-        return (raised.adjoint() - lowered).norm()
+        # B_p's own factors: B^g from the +g-shifted coloring, B^(-g) into it
+        raised = model.plaquette_Bg(p, g, gauge_shift(model.coloring, p, g))
+        return (raised.adjoint() - model.plaquette_Bg(p, -g)).norm()
 
     residual_row("adjoint_degree_flip", map(flip, plaquettes))
 
@@ -336,7 +325,8 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         except (GaugeAdmissibilityError, DomainError, MissingDataError):
             return None
 
-    candidates = list(probe_candidates(data, model.coloring, limit=8))
+    # the model's own probe when none of the first eight degrees is usable
+    candidates = list(probe_candidates(data, model.coloring, limit=8)) or [g]
     tried = (composition(g1, g2) for g1, g2 in itertools.product(candidates, repeat=2))
     deviation = next((d for d in tried if d is not None), None)
     if deviation is None:
@@ -362,7 +352,18 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
     residual_row("symmetric_pairing", (asymmetry(draw(), draw()) for _ in range(20)))
 
-    base_dim = model.ground_dim(tol=max(config.tol, 1e-9))
+    tol = max(config.tol, 1e-9)
+    base_dim = model.ground_dim(tol=tol)
+
+    def ground_dim_over(coloring):
+        """Ground dimension over another coloring, from its strict model;
+        None where the coloring is inadmissible or the table lacks data."""
+        if is_admissible(coloring, data.singular):
+            with contextlib.suppress(MissingDataError):
+                other = StringNetModel(data, coloring, strict=True, dim_cap=config.dim_cap)
+                return other.ground_dim(tol=tol)
+        return None
+
     shifts = 0
     invariant = True
     coloring = model.coloring
@@ -372,12 +373,8 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         p = plaquettes[int(rng.integers(0, len(plaquettes)))]
         step = candidates[int(rng.integers(0, len(candidates)))]
         target = gauge_shift(coloring, p, step)
-        if not is_admissible(target, data.singular):
-            continue
-        try:
-            shifted = StringNetModel(data, target, dim_cap=config.dim_cap)
-            shifted_dim = shifted.ground_dim(tol=max(config.tol, 1e-9))
-        except MissingDataError:
+        shifted_dim = ground_dim_over(target)
+        if shifted_dim is None:
             continue
         invariant = invariant and shifted_dim == base_dim
         coloring = target
@@ -386,15 +383,23 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         notes.append("no admissible gauge shifts found; invariance untested")
     rows.append({"name": "gauge_invariance", "passed": invariant, "shifts": shifts})
 
-    matched = _matched_torus_dim(config, data, model.graph.kind[0], notes)
-    if matched is not None:
-        rows.append(
-            {
-                "name": "triangulation_invariance",
-                "passed": matched == base_dim,
-                "companion_dim": matched,
-            }
-        )
+    # the same holonomy on the companion torus graph
+    companion = {"theta": ("grid", 2), "grid": ("theta",)}.get(model.graph.kind[0])
+    if companion is None:
+        notes.append("triangulation comparison limited to torus graphs; skipped")
+    else:
+        holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
+        matched = ground_dim_over(coloring_from_holonomy(build_torus(*companion), holonomy))
+        if matched is None:
+            notes.append("companion coloring is inadmissible or lacks data; triangulation skipped")
+        else:
+            rows.append(
+                {
+                    "name": "triangulation_invariance",
+                    "passed": matched == base_dim,
+                    "companion_dim": matched,
+                }
+            )
 
     ok = all(row["passed"] for row in rows)
     for row in rows:

@@ -143,13 +143,6 @@ class Coloring:
                 return False
         return True
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coloring)
-            and other.graph is self.graph
-            and other.values == self.values
-        )
-
     def __repr__(self):
         return "Coloring(" + ", ".join(map(str, self.values)) + ")"
 

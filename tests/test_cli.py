@@ -357,6 +357,31 @@ class TestSpectrum:
         assert max(report["rounding_residual"], dense) <= 1e-12
 
 
+    def test_empty_fused_space(self, capsys, tmp_path):
+        # a table without delta rows fuses no state: the spectrum is empty,
+        # as ground-dim on the same arguments reports dimension 0
+        recorder = RecordingData(BuiltinFamily("P", 2, 1.0))
+        coloring = coloring_from_holonomy(
+            build_torus("theta"), tuple(QMODZ.element(Fraction(x)) for x in ("1/5", "2/5"))
+        )
+        probe = QMODZ.element(Fraction("1/4"))
+        StringNetModel(recorder, coloring, strict=True, probe=probe).ground_dim()
+        table = recorder.export_table().to_dict()
+        table["delta"] = []
+        path = tmp_path / "no_delta.json"
+        path.write_text(json.dumps(table))
+        argv = ("--data", str(path), *THETA, "--strict-fusion", "--probe", "1/4")
+        code, report, _ = run(capsys, "spectrum", *argv)
+        assert code == 0
+        assert report["hilbert_dim"] == 0
+        assert report["spectrum"] == {}
+        assert report["ground_dim"] == 0
+        assert report["rounding_residual"] == 0.0
+        assert report["gap"] is None
+        code, report, _ = run(capsys, "ground-dim", *argv)
+        assert code == 0 and report["ground_dim"] == 0
+
+
 class TestCheck:
     def test_theta_suite_passes(self, capsys):
         code, report, _ = run(
@@ -524,6 +549,65 @@ class TestCheck:
         names = {row["name"] for row in report["rows"]}
         assert "triangulation_invariance" not in names
         assert any("torus" in note for note in report["notes"])
+
+
+    def test_probe_falls_back_to_the_models_own(self, capsys):
+        # none of the first eight probe degrees keeps every shifted edge
+        # degree generic; the model's probe 3/7 does, and drives the gauge shifts
+        code, report, _ = run(
+            capsys, "check", "--family", "P:2:1", "--strict-fusion", "--surface", "genus:3",
+            "--holonomy", "5/14,11/14,3/10,1/15,20/21,1/12",
+        )
+        assert code == 0 and report["passed"] is True
+        names = {row["name"] for row in report["rows"]}
+        assert not names & {"degree_composition", "probe_independence"}
+        assert "no probe pair admits the composition test; skipped" in report["notes"]
+        assert "fewer than two probe candidates; independence skipped" in report["notes"]
+        gauge = next(row for row in report["rows"] if row["name"] == "gauge_invariance")
+        assert gauge["shifts"] == 5
+
+    def test_inadmissible_companion_skips_triangulation_row(self, capsys):
+        # holonomy 1/7,1/42 puts the singular degree 5/6 on an edge of the
+        # companion theta graph, not on the 2x2 grid itself
+        argv = ("--family", "P:2:1", "--strict-fusion", "--surface", "torus:grid:2",
+                "--holonomy", "1/7,1/42")
+        code, report, _ = run(capsys, "check", *argv)
+        assert code == 0 and report["passed"] is True
+        names = [row["name"] for row in report["rows"]]
+        assert names == [
+            "projector_idempotency",
+            "plaquette_commutation",
+            "vertex_commutation",
+            "adjoint_degree_flip",
+            "degree_composition",
+            "probe_independence",
+            "pseudo_hermiticity",
+            "symmetric_pairing",
+            "gauge_invariance",
+        ]
+        note = "companion coloring is inadmissible or lacks data; triangulation skipped"
+        assert note in report["notes"]
+        code, ground, _ = run(capsys, "ground-dim", *argv)
+        assert code == 0 and ground["ground_dim"] == report["ground_dim"]
+
+    def test_other_colorings_get_strict_models(self, capsys, monkeypatch):
+        # the gauge and triangulation rows build one strict model per
+        # coloring they compare, and no inclusive model besides the base
+        original = StringNetModel.__init__
+        built = []
+
+        def record(self, data, coloring, strict=False, **kwargs):
+            built.append((coloring.values, strict))
+            original(self, data, coloring, strict=strict, **kwargs)
+
+        monkeypatch.setattr(StringNetModel, "__init__", record)
+        code, report, _ = run(capsys, "check", "--family", "M:2:1", *THETA)
+        assert code == 0
+        (base, inclusive), *others = built
+        assert not inclusive and all(strict for _, strict in others)
+        gauge = next(row for row in report["rows"] if row["name"] == "gauge_invariance")
+        # the base's fused twin, each gauge shift, the companion torus
+        assert len(others) == 1 + gauge["shifts"] + 1
 
 
 def strict_json(text):
