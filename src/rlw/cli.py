@@ -9,6 +9,7 @@ pass, 1 a check failed or the run hit an inadmissible/unstable input,
 import argparse
 import collections
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -34,8 +35,6 @@ from .errors import (
     MissingDataError,
     ProbeSearchError,
 )
-from .operators import StringNetModel, probe_candidates
-from .states import _places, count_states
 from .surface import build_torus, coloring_from_holonomy, gauge_shift, is_admissible, parse_surface
 
 _USAGE_ERRORS = (
@@ -186,7 +185,9 @@ def _resolve(args) -> Tuple[RunConfig, LWData, Optional[TextIO]]:
 # -- model construction shared by the surface commands -------------------------
 
 
-def _build_model(config: RunConfig, data: LWData) -> StringNetModel:
+def _build_model(config: RunConfig, data: LWData):
+    from .operators import StringNetModel
+
     graph = parse_surface(config.surface)
     holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
     coloring = coloring_from_holonomy(graph, holonomy)
@@ -212,6 +213,8 @@ def cmd_validate(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
 
 def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
+    from .states import count_states
+
     model = _build_model(config, data)
     dim, residual = model.ground_dim_residual(tol=max(config.tol, 1e-9))
     hilbert = model.space().dim if model.strict else count_states(data, model.coloring)
@@ -231,6 +234,8 @@ def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
 
 def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
+    from .states import _places
+
     model = _build_model(config, data)
     multiplicities = model.spectrum(tol=max(config.tol, 1e-10))
     # H is block diagonal on the invariant blocks: cross-check the splitting
@@ -273,6 +278,8 @@ def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
 
 def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
+    from .operators import StringNetModel, probe_candidates
+
     notes: List[str] = []
     model = _build_model(config, data)
     space = model.space()
@@ -389,9 +396,14 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
         notes.append("triangulation comparison limited to torus graphs; skipped")
     else:
         holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
-        matched = ground_dim_over(coloring_from_holonomy(build_torus(*companion), holonomy))
+        reason = "companion coloring is inadmissible or lacks data"
+        try:
+            matched = ground_dim_over(coloring_from_holonomy(build_torus(*companion), holonomy))
+        except DimensionCapError:
+            name = ":".join(map(str, ("torus", *companion)))
+            matched, reason = None, f"companion {name} exceeds --dim-cap {config.dim_cap}"
         if matched is None:
-            notes.append("companion coloring is inadmissible or lacks data; triangulation skipped")
+            notes.append(f"{reason}; triangulation skipped")
         else:
             rows.append(
                 {
@@ -441,6 +453,9 @@ def main(argv=None) -> int:
         "version": __version__,
         "config": asdict(config),
     }
+    if config.command != "validate":
+        # the surface commands' modules load here, so the timer below sees only the command
+        from . import operators, states  # noqa: F401
     with out or contextlib.nullcontext(sys.stdout) as stream:
         started = time.perf_counter()
         try:
@@ -458,5 +473,15 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
-if __name__ == "__main__":
+def run():
+    """Process entry of ``python -m rlw.cli`` and the ``rlw`` script.
+
+    Freezes the import-time heap first, so the collection at interpreter exit
+    skips it; `main` itself leaves the collector alone for in-process callers.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

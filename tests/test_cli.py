@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -28,6 +29,13 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out else None
     return code, report, captured.err
+
+
+def _child_path():
+    """PYTHONPATH for a child that imports the rlw under test, installed or not."""
+    return os.pathsep.join(
+        filter(None, [str(Path(rlw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    )
 
 
 def write_corrupt_table(path):
@@ -590,6 +598,18 @@ class TestCheck:
         code, ground, _ = run(capsys, "ground-dim", *argv)
         assert code == 0 and ground["ground_dim"] == report["ground_dim"]
 
+    def test_companion_over_cap_skips_triangulation_row(self, capsys):
+        # the strict theta space has 4 states, its grid:2 companion 32
+        argv = ("--family", "P:2:1", "--strict-fusion", *THETA, "--dim-cap", "20")
+        code, report, _ = run(capsys, "check", *argv)
+        assert code == 0 and report["passed"] is True
+        assert "triangulation_invariance" not in {row["name"] for row in report["rows"]}
+        assert report["notes"] == [
+            "companion torus:grid:2 exceeds --dim-cap 20; triangulation skipped"
+        ]
+        code, ground, _ = run(capsys, "ground-dim", *argv)
+        assert code == 0 and ground["ground_dim"] == report["ground_dim"]
+
     def test_other_colorings_get_strict_models(self, capsys, monkeypatch):
         # the gauge and triangulation rows build one strict model per
         # coloring they compare, and no inclusive model besides the base
@@ -846,29 +866,52 @@ class TestPlumbing:
             main(["ground-dim", "--family", "P:2:1", "--surface", "torus:theta"])
         assert info.value.code == 2
 
-    def test_module_entry_point(self):
-        # the child imports the rlw under test, installed or not
-        path = [str(Path(rlw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "rlw.cli", "ground-dim",
-                "--family", "P:2:1", "--surface", "torus:theta",
-                "--holonomy", "1/5,2/5",
-            ],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["ground_dim"] == 4
-        assert "ground dimension" in proc.stderr
+    def test_module_entry_point(self, capsys, tmp_path):
+        # the process entry prints what in-process `main` prints, and its
+        # collector freeze stays out of `main`
+        child_env = {**os.environ, "PYTHONPATH": _child_path()}
+        out = tmp_path / "report.json"
+        for argv in (
+            ["validate", "--family", "P:2:1", "--degrees", "1/5,2/5"],
+            ["ground-dim", "--family", "P:2:1", *THETA],
+            ["spectrum", "--family", "M:2:1", *THETA],
+            ["ground-dim", "--family", "P:2:1", *THETA, "--out", str(out)],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rlw.cli", *argv], capture_output=True, env=child_env,
+            )
+            written = out.read_bytes() if "--out" in argv else None
+            frozen = gc.get_freeze_count()
+            code = main(argv)
+            assert gc.get_freeze_count() == frozen
+            assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
+            if written is not None:
+                assert written == out.read_bytes()
+        assert json.loads(written)["ground_dim"] == 4
+        assert "ground dimension" in proc.stderr.decode()
 
     def test_import_leaves_scipy_out(self):
-        # importing scipy costs every launch about 0.3 s
-        path = [str(Path(rlw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        # importing scipy costs every launch about 0.3 s; `import rlw` loads
+        # no submodule, and only the surface commands load operators and states
+        script = (
+            "import json, sys\n"
+            "import rlw\n"
+            "bare = sorted(m for m in sys.modules if m.startswith('rlw.'))\n"
+            "import rlw.cli\n"
+            "cli = sorted(m for m in sys.modules if m.startswith('rlw.'))\n"
+            "print(json.dumps([bare, cli, 'scipy' in sys.modules]))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, rlw.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": _child_path()},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        bare, cli, scipy = json.loads(proc.stdout)
+        assert bare == [] and not scipy
+        assert "rlw.cli" in cli and not {"rlw.operators", "rlw.states"} & set(cli)
+        namespace = {}
+        exec("from rlw import *", namespace)
+        assert all(namespace[name] is getattr(rlw, name) for name in rlw.__all__)
+        with pytest.raises(AttributeError):
+            getattr(rlw, "no_such_name")
+
