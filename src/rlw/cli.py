@@ -7,7 +7,6 @@ pass, 1 a check failed or the run hit an inadmissible/unstable input,
 """
 
 import argparse
-import collections
 import contextlib
 import gc
 import itertools
@@ -117,7 +116,7 @@ def _parser() -> argparse.ArgumentParser:
             "--tol", type=_at_least(float, 0, "tolerance must be a finite number >= 0"),
             default=RunConfig.tol,
             help="residual tolerance; ground dimensions use at least 1e-9,"
-            " spectrum at least 1e-10 (1e-7 for eigenvalue rounding)",
+            " spectrum at least 1e-7 for its eigenvalue rounding",
         )
         sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -234,34 +233,8 @@ def cmd_ground_dim(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
 
 
 def cmd_spectrum(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
-    from .states import _places
-
     model = _build_model(config, data)
-    multiplicities = model.spectrum(tol=max(config.tol, 1e-10))
-    # H is block diagonal on the invariant blocks: cross-check the splitting
-    # with the eigenvalues of each block, once the blocks hold every entry
-    hamiltonian, parts = model.hamiltonian(), model._invariant_blocks()
-    eigenvalues, inside = [np.zeros(0, complex)], 0
-    for block in hamiltonian.dense_blocks(parts):
-        inside += np.count_nonzero(block)
-        eigenvalues.append(np.linalg.eigvals(block))
-    if inside < len(hamiltonian.vals):
-        part = _places(model.space().dim, parts)[0]
-        at = np.flatnonzero(part[hamiltonian.rows] != part[hamiltonian.cols])[0]
-        raise InstabilityError(
-            f"Hamiltonian entry ({hamiltonian.rows[at]}, {hamiltonian.cols[at]})"
-            " lies outside the invariant blocks"
-        )
-    eigenvalues = np.concatenate(eigenvalues)
-    rounding = float(max((abs(v - round(v.real)) for v in eigenvalues), default=0.0))
-    if rounding > max(config.tol, 1e-7):
-        raise InstabilityError(
-            f"eigenvalue rounding residual {rounding:.3e} exceeds tolerance"
-        )
-    if collections.Counter(int(round(v.real)) for v in eigenvalues) != multiplicities:
-        raise InstabilityError(
-            "dense eigenvalue multiplicities disagree with the projector splitting"
-        )
+    multiplicities, rounding = model.spectrum(tol=max(config.tol, 1e-7))
     positive = sorted(e for e in multiplicities if e > 0)
     body = {
         "hilbert_dim": model.space().dim,

@@ -73,4 +73,4 @@ class ProbeSearchError(RlwError, RuntimeError):
 
 
 class InstabilityError(RlwError, RuntimeError):
-    """Numerical rank/eigenspace splitting failed its consistency check."""
+    """An operator failed a consistency check: walk, projector or spectrum."""

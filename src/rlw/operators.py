@@ -37,13 +37,13 @@ located in the target basis by `StateSpace.rows`, and their
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
 and is a projector independent of the probe.  The Hamiltonian counts
-violated vertex and plaquette projectors, so its spectrum is found by
-jointly splitting the space along the commuting family.
+violated vertex and plaquette projectors; they commute, so its
+eigenvalues are integers and give the spectrum with multiplicities.
 
 The projectors are block diagonal: the connected components of the
 union of the B_p nonzero patterns split the space into blocks that
 every B_p and Q_v keeps.  The ground projector, its idempotency
-residual and the spectrum splitting run on dense sub-blocks cut out of
+residual and the eigenvalues of H run on dense sub-blocks cut out of
 the triplets one block at a time.  B_p itself is the sparse product of
 its two factors, joined on the intermediate states.
 """
@@ -67,13 +67,13 @@ from .errors import (
     ProbeSearchError,
 )
 from .group import GroupElement
-from .states import LinearOperator, StateSpace
+from .states import LinearOperator, StateSpace, _places
 from .surface import Coloring, Plaquette, gauge_shift, is_admissible
 
 __all__ = ["StringNetModel", "probe_candidates", "choose_probe"]
 
 # invariant blocks smaller than this many states are packed together, which
-# bounds the number of dense per-block products and splittings: the inclusive
+# bounds the number of dense per-block products and eigvals calls: the inclusive
 # P:2:1 grid:2 space has 104,708 components in 3,282 packs, while the strict
 # grid:2 (P:3:2, M:3:2) and grid:3 (P:2:1) spaces have no component under 27
 _PACK = 32
@@ -519,24 +519,18 @@ class StringNetModel:
         triplets = ([getattr(t, a) for t in terms] for a in ("rows", "cols", "vals"))
         return LinearOperator.from_triplets(space, space, *map(np.concatenate, triplets))
 
-    def _block_Bs(self) -> Iterator[tuple]:
-        """Per invariant block: its index array, then the dense sub-block
-        of every B_p on it."""
-        parts = self._invariant_blocks()
-        bs = [self.plaquette_B(p).dense_blocks(parts) for p in self.graph.plaquettes]
-        return zip(parts, *bs)
-
     def ground_projector(self) -> LinearOperator:
         """The product of every B_p and Q_v, formed one invariant block at
         a time.  The product of the B_p already vanishes on the rows with
         a slot at 0, so it is the product of the Q_v with them too."""
         space = self.space()
-        parts, products = [], []
-        for part, *mats in self._block_Bs():
+        parts = self._invariant_blocks()
+        bs = [self.plaquette_B(p).dense_blocks(parts) for p in self.graph.plaquettes]
+        products = []
+        for part, *mats in zip(parts, *bs):
             block = np.eye(len(part), dtype=complex)
             for mat in mats:
                 block = mat @ block
-            parts.append(part)
             products.append(block)
         return LinearOperator.from_blocks(space, space, parts, products)
 
@@ -566,37 +560,28 @@ class StringNetModel:
             raise InstabilityError(f"projector trace {trace} is not near an integer")
         return int(dim), residual
 
-    def spectrum(self, tol: float = 1e-8) -> dict:
-        """Energy -> multiplicity by joint splitting along the projectors,
-        one invariant block at a time."""
-        space = self.space()
-        # the Q_v are diagonal: one sector per count of slots at 0, its energy
-        zeros = (space.slot_array < 1).sum(axis=1)
-        out = {}
-        for b, *mats in self._block_Bs():
-            ident = np.eye(len(b), dtype=complex)
-            counts = zeros[b]
-            sectors = [(ident[:, counts == n], n) for n in sorted(set(counts.tolist()))]
-            for proj in mats:
-                updated = []
-                for basis, energy in sectors:
-                    r = basis.conj().T @ (proj @ basis)
-                    k = basis.shape[1]
-                    u, sing, _ = np.linalg.svd(r)
-                    rank = int(np.sum(sing > tol))
-                    u2, sing2, _ = np.linalg.svd(np.eye(k) - r)
-                    corank = int(np.sum(sing2 > tol))
-                    if rank + corank != k:
-                        raise InstabilityError(
-                            "projector eigenspaces do not fill a joint sector"
-                        )
-                    if rank:
-                        updated.append((basis @ u[:, :rank], energy))
-                    if corank:
-                        updated.append((basis @ u2[:, :corank], energy + 1))
-                sectors = updated
-            for basis, energy in sectors:
-                out[energy] = out.get(energy, 0) + basis.shape[1]
-        if sum(out.values()) != space.dim:
-            raise InstabilityError("sector dimensions do not add up")
-        return out
+    def spectrum(self, tol: float = 1e-7) -> Tuple[dict, float]:
+        """Energy -> multiplicity from the eigenvalues of H, one invariant
+        block at a time, and the rounding residual: the largest distance
+        of an eigenvalue from its nearest integer.  H is a sum of
+        commuting projectors, so its eigenvalues are integers."""
+        hamiltonian, parts = self.hamiltonian(), self._invariant_blocks()
+        eigenvalues, inside = [np.zeros(0, complex)], 0
+        for block in hamiltonian.dense_blocks(parts):
+            inside += np.count_nonzero(block)
+            eigenvalues.append(np.linalg.eigvals(block))
+        if inside < len(hamiltonian.vals):
+            part = _places(self.space().dim, parts)[0]
+            at = np.flatnonzero(part[hamiltonian.rows] != part[hamiltonian.cols])[0]
+            raise InstabilityError(
+                f"Hamiltonian entry ({hamiltonian.rows[at]}, {hamiltonian.cols[at]})"
+                " lies outside the invariant blocks"
+            )
+        eigenvalues = np.concatenate(eigenvalues)
+        rounding = float(max((abs(v - round(v.real)) for v in eigenvalues), default=0.0))
+        if rounding > tol:
+            raise InstabilityError(
+                f"eigenvalue rounding residual {rounding:.3e} exceeds tolerance"
+            )
+        counts = collections.Counter(int(round(v.real)) for v in eigenvalues)
+        return dict(sorted(counts.items())), rounding

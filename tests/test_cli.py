@@ -309,7 +309,7 @@ class TestSpectrum:
 
 
     def test_no_dense_hamiltonian(self, capsys, monkeypatch):
-        # the cross-check reads H one invariant block at a time
+        # the eigenvalues read H one invariant block at a time
         def dense(self):
             raise AssertionError(f"dense read of {self!r}")
 
@@ -342,6 +342,24 @@ class TestSpectrum:
         assert code == 1
         assert "spectrum" not in report
         assert report["error"] == message.format(*planted["at"])
+        assert report["error"] in err
+
+    def test_rounding_residual_fails(self, capsys, monkeypatch):
+        # every eigenvalue moved a quarter off its integer
+        original = StringNetModel.hamiltonian
+
+        def hamiltonian(self):
+            op = original(self)
+            diag = np.arange(op.src.dim)
+            rows, cols = np.append(op.rows, diag), np.append(op.cols, diag)
+            vals = np.append(op.vals, np.full(op.src.dim, 0.25))
+            return LinearOperator.from_triplets(op.src, op.dst, rows, cols, vals)
+
+        monkeypatch.setattr(StringNetModel, "hamiltonian", hamiltonian)
+        code, report, err = run(capsys, "spectrum", "--family", "M:3:2", *THETA)
+        assert code == 1
+        assert "spectrum" not in report
+        assert report["error"] == "eigenvalue rounding residual 2.500e-01 exceeds tolerance"
         assert report["error"] in err
 
     @pytest.mark.parametrize("family", ["P:3:2", "M:3:2"])

@@ -1,5 +1,6 @@
 """Plaquette operators, the Hamiltonian, and its spectrum."""
 
+import collections
 import itertools
 import types
 from fractions import Fraction
@@ -442,7 +443,7 @@ class TestVertexSlots:
     def test_spectrum_matches_dense_eigenvalues(self, inclusive):
         values = np.linalg.eigvals(inclusive.hamiltonian().matrix)
         energies, counts = np.unique(np.round(values.real).astype(int), return_counts=True)
-        spectrum = inclusive.spectrum()
+        spectrum = inclusive.spectrum()[0]
         assert spectrum == dict(zip(energies.tolist(), counts.tolist()))
         assert all(type(e) is int for e in spectrum)
 
@@ -475,12 +476,12 @@ class TestFusedGround:
 
 class TestSpectrum:
     def test_theta(self, theta_coloring):
-        assert StringNetModel(FAMILIES["P21"], theta_coloring).spectrum() == {
+        assert StringNetModel(FAMILIES["P21"], theta_coloring).spectrum()[0] == {
             0: 4,
             2: 8,
             3: 8,
         }
-        assert StringNetModel(FAMILIES["P32"], theta_coloring).spectrum() == {
+        assert StringNetModel(FAMILIES["P32"], theta_coloring).spectrum()[0] == {
             0: 9,
             2: 18,
             3: 27,
@@ -488,9 +489,9 @@ class TestSpectrum:
 
     def test_grid_strict(self, grid_coloring):
         model = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
-        assert model.spectrum() == {0: 4, 2: 24, 4: 4}
+        assert model.spectrum()[0] == {0: 4, 2: 24, 4: 4}
         model = StringNetModel(FAMILIES["P32"], grid_coloring, strict=True)
-        assert model.spectrum() == {0: 9, 2: 108, 3: 72, 4: 54}
+        assert model.spectrum()[0] == {0: 9, 2: 108, 3: 72, 4: 54}
 
     def test_ground_dims_torus(self, theta_coloring, grid_coloring):
         assert StringNetModel(FAMILIES["P21"], theta_coloring).ground_dim() == 4
@@ -593,7 +594,7 @@ class TestInvariantBlocks:
     @pytest.mark.parametrize("name", BLOCK_CASES)
     def test_grid_spectrum_matches_dense(self, name, grid_coloring):
         model = block_model(name, grid_coloring, strict=True)
-        assert model.spectrum() == dense_counts(model)
+        assert model.spectrum()[0] == dense_counts(model)
 
     def test_grid3(self):
         coloring = coloring_from_holonomy(build_torus("grid", 3), (q("1/7"), q("2/7")))
@@ -601,7 +602,69 @@ class TestInvariantBlocks:
         assert [len(b) for b in model._invariant_blocks()] == [256] * 4
         assert model.ground_dim() == 4
         spectrum = {0: 4, 2: 144, 4: 504, 6: 336, 8: 36}
-        assert model.spectrum() == dense_counts(model) == spectrum
+        assert model.spectrum()[0] == dense_counts(model) == spectrum
+
+
+def joint_split(model, tol=1e-10):
+    """Energy -> multiplicity by splitting each invariant block jointly
+    along the commuting projectors: first into the Q_v sectors, by the
+    count of slots at 0, then each sector into the ranges of B_p and
+    1 - B_p on it, found by two SVDs, for one B_p after another.  Every
+    sector must be filled by the two ranges."""
+    parts = model._invariant_blocks()
+    bs = [model.plaquette_B(p).dense_blocks(parts) for p in model.graph.plaquettes]
+    zeros = (model.space().slot_array < 1).sum(axis=1)
+    out = collections.Counter()
+    for part, *mats in zip(parts, *bs):
+        ident = np.eye(len(part), dtype=complex)
+        counts = zeros[part]
+        sectors = [(ident[:, counts == n], n) for n in sorted(set(counts.tolist()))]
+        for proj in mats:
+            updated = []
+            for basis, energy in sectors:
+                r = basis.conj().T @ (proj @ basis)
+                u, sing, _ = np.linalg.svd(r)
+                rank = int(np.sum(sing > tol))
+                u2, sing2, _ = np.linalg.svd(np.eye(len(r)) - r)
+                corank = int(np.sum(sing2 > tol))
+                assert rank + corank == len(r), "projector eigenspaces do not fill a sector"
+                if rank:
+                    updated.append((basis @ u[:, :rank], energy))
+                if corank:
+                    updated.append((basis @ u2[:, :corank], energy + 1))
+            sectors = updated
+        for basis, energy in sectors:
+            out[energy] += basis.shape[1]
+    assert sum(out.values()) == model.space().dim
+    return dict(out)
+
+
+class TestJointSplit:
+    """The per-block eigenvalues of H against the joint splitting."""
+
+    @pytest.mark.parametrize("pack", [None, 1], ids=["packed", "components"])
+    @pytest.mark.parametrize(
+        "name, surface",
+        [(n, "grid2") for n in BLOCK_CASES]
+        + [(n, "theta") for n in BLOCK_CASES]
+        + [(n, "genus2") for n in ("M21", "M32", "F212")]
+        + [("P21", "grid3")],
+    )
+    def test_spectrum_matches_joint_split(
+        self, name, surface, pack, monkeypatch, theta_coloring, grid_coloring
+    ):
+        if pack is not None:
+            monkeypatch.setattr(operators, "_PACK", pack)
+        coloring = {
+            "theta": theta_coloring,
+            "grid2": grid_coloring,
+            "grid3": coloring_from_holonomy(build_torus("grid", 3), (q("1/7"), q("2/7"))),
+            "genus2": coloring_from_holonomy(
+                build_genus(2), (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
+            ),
+        }[surface]
+        model = block_model(name, coloring, strict=surface != "theta")
+        assert model.spectrum()[0] == joint_split(model)
 
 
 class TestGaugeInvariance:
