@@ -23,16 +23,18 @@ tuple through the model's `BlockCache` (valued at its nonzero entries
 by the pointwise `sixj`, so stored off-support table entries stay
 zero), with labels as integer indices: duals via `dual_perm`,
 d-weights via `scalar_vectors`.  One walk serves all data: it runs
-breadth-first over every string s of degree g and every source column
-at once.  A frontier of numpy arrays (string, column, chosen label
-indices, amplitude) grows by one walk position per step, contracts in
-the corners whose labels are complete, and sheds its zero amplitudes.
-Each amplitude is a tensor over the branching slots still open: the
-slots chain around the walk and across each vertex's visits, and only
-the output slot of each vertex survives to the end.  For
-multiplicity-free data every slot axis has size 1.  The survivors are
-located in the target basis by `StateSpace.rows`, and their
-(row, column, value) triplets are the operator.
+breadth-first over every string s of degree g and every basis row it is
+given at once, and reads no state space.  A frontier of numpy arrays
+(string, source row, chosen label indices, amplitude) grows by one walk
+position per step, contracts in the corners whose labels are complete,
+and sheds its zero amplitudes.  Each amplitude is a tensor over the
+branching slots still open: the slots chain around the walk and across
+each vertex's visits, and only the output slot of each vertex survives
+to the end.  For multiplicity-free data every slot axis has size 1.
+The walk returns the target labels and slots of each surviving entry,
+its source row and its value; `plaquette_Bg` locates the targets in
+the gauge-shifted basis, and the (row, column, value) triplets are the
+operator.
 
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
@@ -98,19 +100,21 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list:
         if np.array_equal(label, before):
             break
     order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _pack(parts: list) -> list:
     """Consecutive parts joined, sorted, while the union stays within
     `_PACK` elements; a larger part stays alone.  A union of invariant
     blocks is invariant."""
-    packs, run = [], []
+    packs, run, size = [], [], 0
     for part in parts:
-        if run and sum(map(len, run)) + len(part) > _PACK:
+        if run and size + len(part) > _PACK:
             packs.append(np.sort(np.concatenate(run)))
-            run = []
+            run, size = [], 0
         run.append(part)
+        size += len(part)
     if run:
         packs.append(np.sort(np.concatenate(run)))
     return packs
@@ -269,7 +273,13 @@ class StringNetModel:
                 f"gauge shift by {-g} at plaquette {p.index} hits a singular degree"
             )
         dst = self.space(target)
-        op = LinearOperator.from_triplets(src, dst, *self._walk_Bg(p, g, src, dst))
+        labels, slots, cols, vals = self._walk_Bg(
+            p, g, col, src.label_array, src.slot_array
+        )
+        rows = dst.rows(labels, slots)
+        if (rows < 0).any():
+            raise InstabilityError("plaquette move left the target space")
+        op = LinearOperator.from_triplets(src, dst, rows, cols, vals)
         self._bg_cache[key] = op
         return op
 
@@ -301,87 +311,78 @@ class StringNetModel:
 
     # -- the walk algorithm -----------------------------------------------------
 
-    def _walk_Bg(self, p, g, src, dst):
-        """Triplets (rows, cols, vals) that sum to the sum over labels s of
-        degree g of b(s) B_p^s."""
+    def _walk_Bg(self, p, g, coloring, labels, slots):
+        """The sum over labels s of degree g of b(s) B_p^s on the basis rows
+        (`labels`, `slots`) over `coloring`: the target labeling and slots
+        of each nonzero entry, the row it comes from, and its value.
+
+        The walk runs breadth-first over every string and source row at
+        once.  The frontier holds one row per live partial labeling: the
+        string index, the source row, the label index chosen at each
+        position so far, and the amplitude, a tensor over the branching
+        slots still open.  Step j extends every row by each label at
+        position j, contracts in the corners whose labels are then all
+        known, and drops the rows whose tensor vanished.
+        """
         data, blocks = self.data, self.blocks
         add, neg = blocks.add, blocks.neg
         walk = _Walk(self.graph, p)
         n = len(walk.darts)
         data.labels(g)  # first: a singular g stays a DomainError
-        col_ids = [blocks.id(v) for v in src.coloring.values]
-        gid = blocks.id(g)
+        col_ids = [blocks.id(v) for v in coloring.values]
+        g = blocks.id(g)  # degrees from here on are ids of the `BlockCache`
 
-        # degree bookkeeping (interned) is choice-independent: input-at-visit
-        # and output degrees per position, then the old/new call per leg
-        o_deg = [None] * n
-        for i, t in enumerate(walk.darts):
-            if walk.first[i] == i:
-                v = col_ids[t // 2]
-                o_deg[i] = v if t % 2 == 0 else neg(v)
-        for i in range(n):
-            if walk.first[i] != i:
-                o_deg[i] = add(gid, neg(o_deg[walk.first[i]]))
-        n_deg = [add(phi, neg(gid)) for phi in o_deg]
-        try:
-            candidates = [len(data.labels(blocks.element(d))) for d in n_deg]
-        except DomainError as exc:
-            # stored degrees can survive a shift (an edge walked both ways)
-            # while the walk labels still pass through a singular degree
-            raise GaugeAdmissibilityError(str(exc)) from exc
+        def degree(h):  # interned degree read along dart h
+            v = col_ids[h // 2]
+            return v if h % 2 == 0 else neg(v)
 
-        # corner i is ready once the labels it reads are chosen; first[x] <= x,
-        # so only the new labels at i and nxt and the leg's set that step
-        leg_uses_new = [False] * n
-        ready_at = [[] for _ in range(n)]
-        for c in walk.corners:
-            i = c.pos
-            nxt = (i + 1) % n
-            ready = max(i, nxt)
-            if c.leg_pos is not None:
-                m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
-                need = add(o_deg[i], neg(o_deg[nxt]))
-                if need == sign(o_deg[m]):
-                    if walk.first[m] != m:
-                        ready = max(ready, walk.first[m])
-                elif need == sign(n_deg[m]):
-                    leg_uses_new[i] = True
-                    ready = max(ready, m)
-                else:
-                    raise InstabilityError(
-                        "no leg label of the required degree at corner"
-                        f" {i} of plaquette {p.index}"
-                    )
-            ready_at[ready].append(i)
-
-        return self._contract(
-            gid, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
-        )
-
-    def _contract(
-        self, g, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
-    ):
-        """Breadth-first walk over every string and source column at once.
-
-        The frontier holds one row per live partial labeling: the string
-        index, the source column, the label index chosen at each position
-        so far, and the amplitude, a tensor over the branching slots still
-        open.  Step j extends every row by each of the `candidates[j]`
-        labels at position j, contracts in the corners whose labels are
-        then all known, and drops the rows whose tensor vanished.  The
-        degrees g, `o_deg` and `n_deg` are ids of the model's `BlockCache`.
-        """
-        blocks = self.blocks
-        neg = blocks.neg
-        n = len(walk.darts)
-        col_ids = [blocks.id(v) for v in src.coloring.values]
-        labels = src.label_array
-
-        def along(h):  # per source column: label index read along dart h
+        def along(h):  # per source row: label index read along dart h
             x = labels[:, h // 2]
             return x if h % 2 == 0 else blocks.perm(col_ids[h // 2])[x]
 
+        # degree bookkeeping is choice-independent: input-at-visit and
+        # output degrees per position, then the old/new call per leg
+        o_deg = []
+        for i, t in enumerate(walk.darts):
+            f = walk.first[i]
+            o_deg.append(degree(t) if f == i else add(g, neg(o_deg[f])))
+        n_deg = [add(phi, neg(g)) for phi in o_deg]
         try:
+            # stored degrees can survive a shift (an edge walked both ways)
+            # while the walk labels still pass through a singular degree
+            candidates = [len(data.labels(blocks.element(d))) for d in n_deg]
+
+            # corner i is ready once the labels it reads are chosen; first[x]
+            # <= x, so only the new labels at i and nxt and the leg's set that
+            # step.  Each corner reads the 6j block at its six degrees.
+            leg_uses_new = [False] * n
+            ready_at = [[] for _ in range(n)]
+            corner_degs = []
+            for c in walk.corners:
+                i = c.pos
+                nxt = (i + 1) % n
+                ready = max(i, nxt)
+                if c.leg_pos is None:
+                    need = degree(c.leg)
+                else:
+                    m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
+                    need = add(o_deg[i], neg(o_deg[nxt]))
+                    if need == sign(o_deg[m]):
+                        if walk.first[m] != m:
+                            ready = max(ready, walk.first[m])
+                    elif need == sign(n_deg[m]):
+                        leg_uses_new[i] = True
+                        ready = max(ready, m)
+                    else:
+                        raise InstabilityError(
+                            "no leg label of the required degree at corner"
+                            f" {i} of plaquette {p.index}"
+                        )
+                ready_at[ready].append(i)
+                corner_degs.append(
+                    (n_deg[i], g, o_deg[i], neg(o_deg[nxt]), need, neg(n_deg[nxt]))
+                )
+
             first_old = {
                 i: along(t) for i, t in enumerate(walk.darts) if walk.first[i] == i
             }
@@ -390,17 +391,7 @@ class StringNetModel:
             perm_new = [blocks.perm(d) for d in n_deg]
             d_new = [blocks.scalars(d)[0] for d in n_deg]
             b = blocks.scalars(g)[1]
-            tables = []
-            for c in walk.corners:
-                i = c.pos
-                nxt = (i + 1) % n
-                if c.leg_pos is None:
-                    leg_deg = col_ids[c.leg // 2]
-                    leg_deg = leg_deg if c.leg % 2 == 0 else neg(leg_deg)
-                else:  # the degree `leg_uses_new` was chosen to match
-                    leg_deg = blocks.add(o_deg[i], neg(o_deg[nxt]))
-                degs = (n_deg[i], g, o_deg[i], neg(o_deg[nxt]), leg_deg, neg(n_deg[nxt]))
-                tables.append(self._corner_table(degs))
+            tables = [self._corner_table(degs) for degs in corner_degs]
         except DomainError as exc:
             raise GaugeAdmissibilityError(str(exc)) from exc
 
@@ -420,7 +411,7 @@ class StringNetModel:
         for ins in corner_slots:
             uses.update(s for s in ins if s is not None)
 
-        live = np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1))
+        live = np.flatnonzero((slots[:, walk.vertices] > 0).all(axis=1))
         string = np.repeat(np.arange(len(b)), len(live))
         col = np.tile(live, len(b))
         amp = np.ones(len(col), dtype=complex)
@@ -454,7 +445,7 @@ class StringNetModel:
                 if ins[1] is None:
                     # first visit: c_in at the stored slot; the slice splits
                     # the advanced indices, so numpy puts the row axis first
-                    idx += (slice(None), src.slot_array[col, c.vertex] - 1)
+                    idx += (slice(None), slots[col, c.vertex] - 1)
                     ins = ins[:1] + ins[2:]
                 vals = tables[i][idx]
                 d = d_new[i][chosen[i]].reshape((-1,) + (1,) * len(ins))
@@ -480,12 +471,9 @@ class StringNetModel:
         for i, t in enumerate(walk.darts):
             if last[t // 2] == i:
                 out[:, t // 2] = chosen[i] if t % 2 == 0 else perm_new[i][chosen[i]]
-        slots = src.slot_array[col]
-        slots[:, walk.vertices] = np.column_stack(nz[1:]) + 1
-        rows = dst.rows(out, slots)
-        if (rows < 0).any():
-            raise InstabilityError("plaquette move left the target space")
-        return rows, col, b[string] * amp[nz]
+        out_slots = slots[col]
+        out_slots[:, walk.vertices] = np.column_stack(nz[1:]) + 1
+        return out, out_slots, col, b[string] * amp[nz]
 
     def _corner_table(self, degs):
         """6j over the six label axes and four branching axes of one corner.
@@ -578,10 +566,13 @@ class StringNetModel:
                 " lies outside the invariant blocks"
             )
         eigenvalues = np.concatenate(eigenvalues)
-        rounding = float(max((abs(v - round(v.real)) for v in eigenvalues), default=0.0))
-        if rounding > tol:
+        nearest = np.rint(eigenvalues.real)
+        off = eigenvalues - nearest
+        # np.hypot is Python's abs(complex) bit for bit; np.abs is not
+        rounding = float(np.hypot(off.real, off.imag).max(initial=0.0))
+        if not rounding <= tol:
             raise InstabilityError(
                 f"eigenvalue rounding residual {rounding:.3e} exceeds tolerance"
             )
-        counts = collections.Counter(int(round(v.real)) for v in eigenvalues)
-        return dict(sorted(counts.items())), rounding
+        energies, counts = np.unique(nearest.astype(int), return_counts=True)
+        return dict(zip(energies.tolist(), counts.tolist())), rounding

@@ -42,24 +42,25 @@ FAMILIES = {
 }
 
 
-def reference_walk(
-    self, g, src, dst, walk, o_deg, n_deg, candidates, ready_at, leg_uses_new
-):
-    """Depth-first reference for `StringNetModel._contract`, with its
-    signature: one source column and one string at a time, labels, duals
-    and 6j symbols read pointwise, and the branching slots of all corners
-    contracted by one einsum at each leaf.  The entries are summed into a
-    dense matrix, whose nonzero triplets it returns.
+def reference_walk(self, p, g, coloring, labels, slots):
+    """Depth-first reference for `StringNetModel._walk_Bg`, with its
+    signature: one source row and one string at a time, with labels,
+    duals, degrees and 6j symbols read pointwise.  The labels at each
+    position are those of its old label's degree minus g; a leg that is a
+    walk edge takes whichever of its old or new labels has the degree its
+    corner needs.  Each corner is contracted once every label it reads is
+    chosen, and a branch is dropped once a corner's block vanishes; the
+    branching slots of all corners are contracted by one einsum at each
+    leaf, which gives one entry per nonzero output slot.
 
     The A slots chain cyclically around the walk and the C slots chain
     per vertex across its visits; first-visit C slots are sliced at the
     stored value and last-visit ones stay free as the output axes.
     """
     data = self.data
+    walk = operators._Walk(self.graph, p)
     n = len(walk.darts)
     mb = data.mult_bound
-    labels_at = [data.labels(self.blocks.element(d)) for d in n_deg]
-    assert [len(ls) for ls in labels_at] == candidates
     chosen = [None] * n
     pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
     a_letter = [next(pool) for _ in range(n)]
@@ -72,6 +73,7 @@ def reference_walk(
         out_letter[v] = next(pool)
 
     subs, first_visit = [], set()
+    ready_at = [[] for _ in range(n)]
     for c in walk.corners:
         i = c.pos
         seq = walk.visits[c.vertex]
@@ -83,13 +85,14 @@ def reference_walk(
         sub += out_letter[c.vertex] if i == seq[-1] else link_letter[i, "out"]
         sub += a_letter[(i + 1) % n]
         subs.append(sub)
+        # a corner reads the labels at i, i + 1 and its leg, and the ones
+        # they revisit, which come earlier
+        ready_at[max(i, (i + 1) % n, c.leg_pos or 0)].append(c)
     spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
     last = {e: i for i, e in enumerate(walk.edges)}
 
-    values = src.coloring.values
-
-    def along(h, col):  # label read along dart h in source column col
-        lab = data.labels(values[h // 2])[src.label_array[col, h // 2]]
+    def along(h, col):  # label read along dart h in source row col
+        lab = data.labels(coloring.values[h // 2])[labels[col, h // 2]]
         return lab if h % 2 == 0 else data.dual(lab)
 
     def o_label(i, col):
@@ -100,9 +103,12 @@ def reference_walk(
     def leg_label(c, col):
         if c.leg_pos is None:
             return along(c.leg, col)
-        m = c.leg_pos
-        lab = chosen[m] if leg_uses_new[c.pos] else o_label(m, col)
-        return lab if c.leg_direct else data.dual(lab)
+        need = o_label(c.pos, col).degree - o_label((c.pos + 1) % n, col).degree
+        found = (o_label(c.leg_pos, col), chosen[c.leg_pos])
+        if not c.leg_direct:
+            found = [data.dual(lab) for lab in found]
+        (lab,) = [lab for lab in found if lab.degree == need]
+        return lab
 
     def block(s, c, col):
         i = c.pos
@@ -120,52 +126,43 @@ def reference_walk(
             arr[idx] = data.sixj(js, tuple(a + 1 for a in idx))
         arr *= chosen[i].d
         if i in first_visit:
-            arr = arr[:, src.slot_array[col, c.vertex] - 1, :, :]
+            arr = arr[:, slots[col, c.vertex] - 1, :, :]
         return arr
 
     def out_labels(col):
-        labels = src.label_array[col].copy()
+        out = labels[col].copy()
         for i, t in enumerate(walk.darts):
             if last[t // 2] == i:
                 lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
-                labels[t // 2] = data.label_index(lab)
-        return labels
+                out[t // 2] = data.label_index(lab)
+        return out
 
     def rec(s, j, acc, col):
         if j == n:
             ordered = [arr for _, arr in sorted(acc, key=lambda t: t[0])]
             amps = np.einsum(spec, *ordered)
-            labels = out_labels(col)
             for idx in np.ndindex(amps.shape):
-                amp = amps[idx]
-                if amp == 0:
-                    continue
-                out_slots = src.slot_array[col].copy()
-                out_slots[walk.vertices] = np.array(idx) + 1
-                row = dst.rows(labels[None], out_slots[None])[0]
-                if row < 0:
-                    raise InstabilityError("plaquette move left the target space")
-                matrix[row, col] += s.b * amp
+                if amps[idx] != 0:
+                    out_slots = slots[col].copy()
+                    out_slots[walk.vertices] = np.array(idx) + 1
+                    entries.append((out_labels(col), out_slots, col, s.b * amps[idx]))
             return
-        for lab in labels_at[j]:
+        for lab in data.labels(o_label(j, col).degree - g):
             chosen[j] = lab
             grown = acc
-            dead = False
-            for ci in ready_at[j]:
-                arr = block(s, walk.corners[ci], col)
+            for c in ready_at[j]:
+                arr = block(s, c, col)
                 if not arr.any():
-                    dead = True
                     break
-                grown = grown + [(ci, arr)]
-            if not dead:
+                grown = grown + [(c.pos, arr)]
+            else:
                 rec(s, j + 1, grown, col)
 
-    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
-    for s in data.labels(self.blocks.element(g)):
-        for col in np.flatnonzero((src.slot_array[:, walk.vertices] > 0).all(axis=1)):
+    entries = []
+    for s in data.labels(g):
+        for col in np.flatnonzero((slots[:, walk.vertices] > 0).all(axis=1)):
             rec(s, 0, [], col)
-    rows, cols = np.nonzero(matrix)
-    return rows, cols, matrix[rows, cols]
+    return tuple(map(np.array, zip(*entries)))
 
 
 @pytest.fixture
@@ -176,6 +173,11 @@ def theta_coloring():
 @pytest.fixture
 def grid_coloring():
     return coloring_from_holonomy(build_torus("grid", 2), (q("1/7"), q("2/7")))
+
+
+@pytest.fixture
+def genus_coloring():
+    return coloring_from_holonomy(build_genus(2), (q("1/5"), q("2/5"), q("1/7"), q("3/7")))
 
 
 class TestProbe:
@@ -268,7 +270,7 @@ class TestWalkPaths:
         data = DoubledMultiplicity(FAMILIES[name])
         model = StringNetModel(data, theta_coloring)
         ref = StringNetModel(data, theta_coloring, probe=model.probe)
-        ref._contract = types.MethodType(reference_walk, ref)
+        ref._walk_Bg = types.MethodType(reference_walk, ref)
         p = model.graph.plaquettes[0]
         g = model.probe
         for h, col in ((-g, theta_coloring), (g, gauge_shift(theta_coloring, p, g))):
@@ -297,10 +299,9 @@ class TestWalkPaths:
             assert np.array_equal(got.matrix, matrix)
             assert (got.src.slot_array[np.nonzero(matrix)[1]] == 2).any()
 
-    def test_forced_multiplicity_genus_two(self):
+    def test_forced_multiplicity_genus_two(self, genus_coloring):
         # the inclusive genus-2 space, dim 5840, with size-2 slot axes
-        holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
-        col = coloring_from_holonomy(build_genus(2), holonomy)
+        col = genus_coloring
         plain = StringNetModel(FAMILIES["P21"], col)
         forced = StringNetModel(ForcedMultiplicity(FAMILIES["P21"]), col)
         assert plain.space().dim == 5840
@@ -343,27 +344,29 @@ def dense_scatter(model, p, g, coloring):
     fresh = StringNetModel(model.data, model.coloring, strict=model.strict, probe=model.probe)
 
     def catch(*args):
-        caught.append(StringNetModel._contract(fresh, *args))
+        caught.append(StringNetModel._walk_Bg(fresh, *args))
         return caught[-1]
 
-    fresh._contract = catch
+    fresh._walk_Bg = catch
     op = fresh.plaquette_Bg(p, g, coloring)
-    (rows, cols, vals), = caught
+    (labels, slots, cols, vals), = caught
     matrix = np.zeros((op.dst.dim, op.src.dim), dtype=complex)
-    np.add.at(matrix, (rows, cols), vals)
+    np.add.at(matrix, (op.dst.rows(labels, slots), cols), vals)
     return matrix
 
 
 class TestTriplets:
     """B_p^g is stored as the nonzero triplets of the walk's scatter."""
 
-    @pytest.mark.parametrize("surface", ["theta", "grid2"])
+    @pytest.mark.parametrize("surface", ["theta", "grid2", "genus2"])
     @pytest.mark.parametrize("name", ["P21", "P32", "M21", "F212", "forced-P21"])
     def test_walk_triplets_match_dense_scatter(
-        self, name, surface, theta_coloring, grid_coloring
+        self, name, surface, theta_coloring, grid_coloring, genus_coloring
     ):
-        grid = surface == "grid2"
-        model = block_model(name, grid_coloring if grid else theta_coloring, strict=grid)
+        coloring = {
+            "theta": theta_coloring, "grid2": grid_coloring, "genus2": genus_coloring
+        }[surface]
+        model = block_model(name, coloring, strict=surface != "theta")
         g = model.probe
         for p in model.graph.plaquettes:
             for h, col in ((-g, model.coloring), (g, gauge_shift(model.coloring, p, g))):
@@ -373,10 +376,28 @@ class TestTriplets:
                 assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
                 assert op.vals.tobytes() == matrix[rows, cols].tobytes()
 
-    def test_genus_two_inclusive_storage(self):
-        holonomy = (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
-        col = coloring_from_holonomy(build_genus(2), holonomy)
-        model = StringNetModel(FAMILIES["P21"], col)
+    @pytest.mark.parametrize("name", ["P32", "forced-P21"])
+    def test_walk_over_row_subset(self, name, grid_coloring):
+        # the walk from every other basis row gives exactly the entries the
+        # full walk has from those rows, in the same order and bytes
+        model = block_model(name, grid_coloring, strict=True)
+        g = model.probe
+        for p in model.graph.plaquettes:
+            for h, col in ((-g, model.coloring), (g, gauge_shift(model.coloring, p, g))):
+                space = model.space(col)
+                basis = (space.label_array, space.slot_array)
+                half = np.arange(0, space.dim, 2)
+                full = model._walk_Bg(p, h, col, *basis)
+                part = model._walk_Bg(p, h, col, *(x[half] for x in basis))
+                kept = full[2] % 2 == 0
+                assert kept.any() and not kept.all()
+                assert np.array_equal(part[0], full[0][kept])
+                assert np.array_equal(part[1], full[1][kept])
+                assert np.array_equal(half[part[2]], full[2][kept])
+                assert part[3].tobytes() == full[3][kept].tobytes()
+
+    def test_genus_two_inclusive_storage(self, genus_coloring):
+        model = StringNetModel(FAMILIES["P21"], genus_coloring)
         op = model.plaquette_Bg(0, model.probe)
         assert op.src.dim == op.dst.dim == 5840  # 545 MB as a dense complex array
         assert sum(x.nbytes for x in (op.rows, op.cols, op.vals)) < 1e6
@@ -505,6 +526,13 @@ class TestSpectrum:
         fine = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
         coarse = StringNetModel(FAMILIES["P21"], theta)
         assert fine.ground_dim() == coarse.ground_dim() == 4
+
+    def test_nan_eigenvalue_fails(self, theta_coloring, monkeypatch):
+        # a NaN eigenvalue fails the rounding gate rather than being counted
+        model = StringNetModel(FAMILIES["P21"], theta_coloring)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(len(m), np.nan + 0j))
+        with pytest.raises(InstabilityError, match="residual nan exceeds"):
+            model.spectrum()
 
     def test_dense_eigenvalues_integral(self, theta_coloring):
         h = StringNetModel(FAMILIES["P21"], theta_coloring).hamiltonian().matrix
@@ -651,7 +679,8 @@ class TestJointSplit:
         + [("P21", "grid3")],
     )
     def test_spectrum_matches_joint_split(
-        self, name, surface, pack, monkeypatch, theta_coloring, grid_coloring
+        self, name, surface, pack, monkeypatch, theta_coloring, grid_coloring,
+        genus_coloring,
     ):
         if pack is not None:
             monkeypatch.setattr(operators, "_PACK", pack)
@@ -659,9 +688,7 @@ class TestJointSplit:
             "theta": theta_coloring,
             "grid2": grid_coloring,
             "grid3": coloring_from_holonomy(build_torus("grid", 3), (q("1/7"), q("2/7"))),
-            "genus2": coloring_from_holonomy(
-                build_genus(2), (q("1/5"), q("2/5"), q("1/7"), q("3/7"))
-            ),
+            "genus2": genus_coloring,
         }[surface]
         model = block_model(name, coloring, strict=surface != "theta")
         assert model.spectrum()[0] == joint_split(model)
