@@ -594,19 +594,31 @@ class TableData(LWData):
         sizes = [len(self._by_degree[g]) for g in degrees]
         where = {i: (slot[lbl.degree], self._index[i]) for i, lbl in self._by_id.items()}
 
-        def assemble(entries, branching: int, fill) -> dict:
+        def assemble(field: str, entries, branching: int, fill) -> dict:
             blocks: dict = {}
-            for ids, tail, value in entries:
+            seen = set()
+            for row, ids, tail, value in entries:
                 try:
                     key, index = zip(*(where[str(i)] for i in ids))
                 except KeyError as exc:
                     raise MissingDataError(f"unknown label id {exc.args[0]!r}") from None
+                at = (key, index + tail)
+                if at in seen:
+                    raise DataFormatError(f"{field} row {row!r} repeats an earlier entry")
+                seen.add(at)
                 if key not in blocks:
                     blocks[key] = np.full([sizes[s] for s in key] + [m] * branching, fill)
                 blocks[key][index + tail] = value
             return {tuple(degrees[s] for s in key): b for key, b in blocks.items()}
 
+        def integer(field: str, row, value) -> int:
+            # a bool, a float or a string is refused, not converted
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataFormatError(f"{field} row {row!r}: {value!r} is not an integer")
+            return value
+
         def branching(field: str, row, indices) -> tuple:
+            indices = [integer(field, row, n) for n in indices]
             if not all(1 <= n <= m for n in indices):
                 raise DataFormatError(
                     f"{field} row {row!r}: branching index outside 1..{m}"
@@ -615,12 +627,13 @@ class TableData(LWData):
 
         deltas = []
         for row in obj.get("delta", []):
-            deltas.append(((row["i"], row["j"], row["k"]), (), int(row["value"])))
-            if deltas[-1][2] < 0:
+            value = integer("delta", row, row["value"])
+            if value < 0:
                 raise DataFormatError(f"delta row {row!r}: negative value")
-        m = max([1] + [value for _, _, value in deltas])
+            deltas.append((row, (row["i"], row["j"], row["k"]), (), value))
+        m = max([1] + [value for *_, value in deltas])
         gammas = [
-            ((row["i"], row["j"], row["k"]), branching("gamma", row, (int(row["n"]),)),
+            (row, (row["i"], row["j"], row["k"]), branching("gamma", row, (row["n"],)),
              _real(row["value"], "gamma"))
             for row in obj.get("gamma", [])
         ]
@@ -631,9 +644,12 @@ class TableData(LWData):
             value = complex(
                 _real(row.get("re", 0), "sixj re"), _real(row.get("im", 0), "sixj im")
             )
-            a = branching("sixj", row, tuple(map(int, row["a"])))
-            sixjs.append((row["j"], a, value))
-        return assemble(deltas, 0, 0), assemble(gammas, 1, np.nan), assemble(sixjs, 4, 0j)
+            sixjs.append((row, row["j"], branching("sixj", row, row["a"]), value))
+        return (
+            assemble("delta", deltas, 0, 0),
+            assemble("gamma", gammas, 1, np.nan),
+            assemble("sixj", sixjs, 4, 0j),
+        )
 
     def to_dict(self) -> dict:
         labels = [

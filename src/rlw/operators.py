@@ -31,10 +31,11 @@ and sheds its zero amplitudes.  Each amplitude is a tensor over the
 branching slots still open: the slots chain around the walk and across
 each vertex's visits, and only the output slot of each vertex survives
 to the end.  For multiplicity-free data every slot axis has size 1.
-The walk returns the target labels and slots of each surviving entry,
-its source row and its value; `plaquette_Bg` locates the targets in
-the gauge-shifted basis, and the (row, column, value) triplets are the
-operator.
+The corners and visits come from the `Plaquette`, derived once from
+its graph.  The walk returns the target labels and slots of each
+surviving entry, its source row and its value; `plaquette_Bg` locates
+the targets in the gauge-shifted basis, and the (row, column, value)
+triplets are the operator.
 
 B_p^g sums the moves over s with b-weights; B_p = B_p^g B_p^(-g) for
 any probe degree g that keeps every intermediate coloring admissible,
@@ -148,53 +149,6 @@ def choose_probe(data: LWData, coloring: Coloring) -> GroupElement:
     )
 
 
-# One corner of a plaquette walk: corner `pos` sits at the head of dart
-# t_pos, at `vertex`; `leg` is the third dart there, pointing out; `leg_pos`
-# is the walk position m of the leg edge, if any, and `leg_direct` is True
-# when the leg dart is t_m itself.
-_Corner = collections.namedtuple("_Corner", "pos vertex leg leg_pos leg_direct")
-
-
-class _Walk:
-    """Coloring-independent combinatorics of one plaquette boundary."""
-
-    def __init__(self, graph, plaquette: Plaquette):
-        darts = plaquette.darts
-        n = len(darts)
-        pos_of_dart = {h: i for i, h in enumerate(darts)}
-        self.darts = darts
-        self.edges = plaquette.edges
-        self.first = []   # position of the first traversal of this edge
-        seen = {}
-        for i, e in enumerate(self.edges):
-            self.first.append(seen.setdefault(e, i))
-        self.corners = []
-        for i, t in enumerate(darts):
-            arrive = t ^ 1
-            depart = graph.rho(arrive)
-            leg = graph.rho(depart)
-            if darts[(i + 1) % n] != depart:
-                raise InstabilityError("face walk is not rotation-consistent")
-            if leg // 2 in (t // 2, depart // 2):
-                raise DataFormatError(
-                    "plaquette touches a vertex with a repeated edge;"
-                    " such graphs are not supported"
-                )
-            if leg in pos_of_dart:
-                leg_pos, leg_direct = pos_of_dart[leg], True
-            elif leg ^ 1 in pos_of_dart:
-                leg_pos, leg_direct = pos_of_dart[leg ^ 1], False
-            else:
-                leg_pos, leg_direct = None, None
-            self.corners.append(
-                _Corner(i, graph.vertex_of(arrive), leg, leg_pos, leg_direct)
-            )
-        self.vertices = sorted({c.vertex for c in self.corners})
-        self.visits = {v: [] for v in self.vertices}
-        for c in self.corners:
-            self.visits[c.vertex].append(c.pos)
-
-
 class StringNetModel:
     """All operators of one model over a fixed base coloring."""
 
@@ -242,7 +196,14 @@ class StringNetModel:
         return self._spaces[key]
 
     def _plaquette(self, p: Union[int, Plaquette]) -> Plaquette:
-        return self.graph.plaquettes[p] if isinstance(p, int) else p
+        """The model graph's plaquette of index p, or of p's index when p
+        is a Plaquette walking the same darts; any other one is refused."""
+        faces = self.graph.plaquettes
+        if isinstance(p, int):
+            return faces[p]
+        if not (0 <= p.index < len(faces) and faces[p.index].darts == p.darts):
+            raise DataFormatError(f"{p!r} is not plaquette {p.index} of the model's graph")
+        return faces[p.index]
 
     # -- vertex term -----------------------------------------------------------
 
@@ -250,7 +211,7 @@ class StringNetModel:
         """The diagonal projector onto the states fused at v."""
         space = self.space()
         fused = np.flatnonzero(space.slot_array[:, v] >= 1)
-        return LinearOperator.from_triplets(space, space, fused, fused, np.ones(len(fused)))
+        return LinearOperator(space, space, fused, fused, np.ones(len(fused)))
 
     # -- plaquette moves --------------------------------------------------------
 
@@ -279,7 +240,7 @@ class StringNetModel:
         rows = dst.rows(labels, slots)
         if (rows < 0).any():
             raise InstabilityError("plaquette move left the target space")
-        op = LinearOperator.from_triplets(src, dst, rows, cols, vals)
+        op = LinearOperator(src, dst, rows, cols, vals)
         self._bg_cache[key] = op
         return op
 
@@ -326,8 +287,7 @@ class StringNetModel:
         """
         data, blocks = self.data, self.blocks
         add, neg = blocks.add, blocks.neg
-        walk = _Walk(self.graph, p)
-        n = len(walk.darts)
+        n = len(p.darts)
         data.labels(g)  # first: a singular g stays a DomainError
         col_ids = [blocks.id(v) for v in coloring.values]
         g = blocks.id(g)  # degrees from here on are ids of the `BlockCache`
@@ -343,8 +303,8 @@ class StringNetModel:
         # degree bookkeeping is choice-independent: input-at-visit and
         # output degrees per position, then the old/new call per leg
         o_deg = []
-        for i, t in enumerate(walk.darts):
-            f = walk.first[i]
+        for i, t in enumerate(p.darts):
+            f = p.first[i]
             o_deg.append(degree(t) if f == i else add(g, neg(o_deg[f])))
         n_deg = [add(phi, neg(g)) for phi in o_deg]
         try:
@@ -358,7 +318,7 @@ class StringNetModel:
             leg_uses_new = [False] * n
             ready_at = [[] for _ in range(n)]
             corner_degs = []
-            for c in walk.corners:
+            for c in p.corners:
                 i = c.pos
                 nxt = (i + 1) % n
                 ready = max(i, nxt)
@@ -368,8 +328,8 @@ class StringNetModel:
                     m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
                     need = add(o_deg[i], neg(o_deg[nxt]))
                     if need == sign(o_deg[m]):
-                        if walk.first[m] != m:
-                            ready = max(ready, walk.first[m])
+                        if p.first[m] != m:
+                            ready = max(ready, p.first[m])
                     elif need == sign(n_deg[m]):
                         leg_uses_new[i] = True
                         ready = max(ready, m)
@@ -384,9 +344,9 @@ class StringNetModel:
                 )
 
             first_old = {
-                i: along(t) for i, t in enumerate(walk.darts) if walk.first[i] == i
+                i: along(t) for i, t in enumerate(p.darts) if p.first[i] == i
             }
-            fixed_leg = {c.pos: along(c.leg) for c in walk.corners if c.leg_pos is None}
+            fixed_leg = {c.pos: along(c.leg) for c in p.corners if c.leg_pos is None}
             perm_old = [blocks.perm(d) for d in o_deg]
             perm_new = [blocks.perm(d) for d in n_deg]
             d_new = [blocks.scalars(d)[0] for d in n_deg]
@@ -401,17 +361,17 @@ class StringNetModel:
         # its stored slot (None) and its last c_out, (v, visits - 1), is an
         # output; every other slot is shared by two corners.
         corner_slots = []
-        for c in walk.corners:
-            r = walk.visits[c.vertex].index(c.pos)
+        for c in p.corners:
+            r = p.visits[c.vertex].index(c.pos)
             c_in = (c.vertex, r - 1) if r else None
             a_in, a_out = ("a", c.pos), ("a", (c.pos + 1) % n)
             corner_slots.append((a_in, c_in, (c.vertex, r), a_out))
-        outputs = [(v, len(walk.visits[v]) - 1) for v in walk.vertices]
+        outputs = [(v, len(p.visits[v]) - 1) for v in p.vertices]
         uses = collections.Counter(outputs)
         for ins in corner_slots:
             uses.update(s for s in ins if s is not None)
 
-        live = np.flatnonzero((slots[:, walk.vertices] > 0).all(axis=1))
+        live = np.flatnonzero((slots[:, p.vertices] > 0).all(axis=1))
         string = np.repeat(np.arange(len(b)), len(live))
         col = np.tile(live, len(b))
         amp = np.ones(len(col), dtype=complex)
@@ -419,7 +379,7 @@ class StringNetModel:
         chosen = []
 
         def old(i):
-            f = walk.first[i]
+            f = p.first[i]
             return first_old[i][col] if f == i else perm_new[f][chosen[f]]
 
         for j in range(n):
@@ -428,7 +388,7 @@ class StringNetModel:
             chosen = [np.repeat(x, k) for x in chosen]
             chosen.append(np.tile(np.arange(k), len(amp) // k))
             for i in ready_at[j]:
-                c = walk.corners[i]
+                c = p.corners[i]
                 nxt = (i + 1) % n
                 m = c.leg_pos
                 if m is None:
@@ -466,13 +426,13 @@ class StringNetModel:
         string, col = string[nz[0]], col[nz[0]]
         chosen = [x[nz[0]] for x in chosen]
         # an edge's final label comes from its last visit
-        last = {e: i for i, e in enumerate(walk.edges)}
+        last = {e: i for i, e in enumerate(p.edges)}
         out = labels[col]
-        for i, t in enumerate(walk.darts):
+        for i, t in enumerate(p.darts):
             if last[t // 2] == i:
                 out[:, t // 2] = chosen[i] if t % 2 == 0 else perm_new[i][chosen[i]]
         out_slots = slots[col]
-        out_slots[:, walk.vertices] = np.column_stack(nz[1:]) + 1
+        out_slots[:, p.vertices] = np.column_stack(nz[1:]) + 1
         return out, out_slots, col, b[string] * amp[nz]
 
     def _corner_table(self, degs):
@@ -503,9 +463,9 @@ class StringNetModel:
         ident = LinearOperator.identity(space)
         counts = (space.slot_array < 1).sum(axis=1)
         terms = [ident - self.plaquette_B(p) for p in self.graph.plaquettes]
-        terms.append(LinearOperator.from_triplets(space, space, ident.rows, ident.cols, counts))
+        terms.append(LinearOperator(space, space, ident.rows, ident.cols, counts))
         triplets = ([getattr(t, a) for t in terms] for a in ("rows", "cols", "vals"))
-        return LinearOperator.from_triplets(space, space, *map(np.concatenate, triplets))
+        return LinearOperator(space, space, *map(np.concatenate, triplets))
 
     def ground_projector(self) -> LinearOperator:
         """The product of every B_p and Q_v, formed one invariant block at
@@ -515,8 +475,7 @@ class StringNetModel:
         parts = self._invariant_blocks()
         bs = [self.plaquette_B(p).dense_blocks(parts) for p in self.graph.plaquettes]
         products = []
-        for part, *mats in zip(parts, *bs):
-            block = np.eye(len(part), dtype=complex)
+        for block, *mats in zip(*bs):
             for mat in mats:
                 block = mat @ block
             products.append(block)

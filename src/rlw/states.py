@@ -244,31 +244,24 @@ class LinearOperator:
     array on each call; products join the triplets on the inner index.
     """
 
-    def __init__(self, src: StateSpace, dst: StateSpace, matrix: np.ndarray):
-        """The operator of a dense (dst.dim, src.dim) array."""
-        if matrix.shape != (dst.dim, src.dim):
-            raise DataFormatError(
-                f"matrix shape {matrix.shape} does not map"
-                f" dim {src.dim} into dim {dst.dim}"
-            )
-        self.src = src
-        self.dst = dst
-        self.rows, self.cols = np.nonzero(matrix)
-        self.vals = matrix[self.rows, self.cols].astype(complex)
-
-    @classmethod
-    def from_triplets(cls, src, dst, rows, cols, vals) -> "LinearOperator":
+    def __init__(self, src: StateSpace, dst: StateSpace, rows, cols, vals):
         """The sum of the entries vals[i] at (rows[i], cols[i]); each
-        entry is summed in the order given, as `np.add.at` would."""
+        entry is summed in the order given, as `np.add.at` would.  An
+        entry outside dst.dim x src.dim raises `DataFormatError`."""
+        outside = (rows < 0) | (rows >= dst.dim) | (cols < 0) | (cols >= src.dim)
+        if outside.any():
+            at = np.flatnonzero(outside)[0]
+            raise DataFormatError(
+                f"entry ({rows[at]}, {cols[at]}) lies outside an operator"
+                f" from dim {src.dim} into dim {dst.dim}"
+            )
         keys, at = np.unique(rows * src.dim + cols, return_inverse=True)
         summed = np.zeros(len(keys), dtype=complex)
         np.add.at(summed, at, vals)
-        op = cls.__new__(cls)
-        op.src, op.dst = src, dst
         nz = summed != 0
-        op.rows, op.cols = np.divmod(keys[nz], max(src.dim, 1))
-        op.vals = summed[nz]
-        return op
+        self.src, self.dst = src, dst
+        self.rows, self.cols = np.divmod(keys[nz], max(src.dim, 1))
+        self.vals = summed[nz]
 
     @classmethod
     def from_blocks(cls, src, dst, parts, blocks) -> "LinearOperator":
@@ -277,12 +270,12 @@ class LinearOperator:
         rows = [np.zeros(0, np.intp)] + [idx[r] for idx, _, (r, _) in found]
         cols = [np.zeros(0, np.intp)] + [idx[c] for idx, _, (_, c) in found]
         vals = [np.zeros(0, complex)] + [block[nz] for _, block, nz in found]
-        return cls.from_triplets(src, dst, *map(np.concatenate, (rows, cols, vals)))
+        return cls(src, dst, *map(np.concatenate, (rows, cols, vals)))
 
     @classmethod
     def identity(cls, space: StateSpace) -> "LinearOperator":
         diag = np.arange(space.dim)
-        return cls.from_triplets(space, space, diag, diag, np.ones(space.dim))
+        return cls(space, space, diag, diag, np.ones(space.dim))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -309,7 +302,7 @@ class LinearOperator:
         if other.dst is not self.src:
             raise DataFormatError("composition spaces do not match")
         i, j = _join(self.cols, other.rows)
-        return LinearOperator.from_triplets(
+        return LinearOperator(
             other.src, self.dst, self.rows[i], other.cols[j], self.vals[i] * other.vals[j]
         )
 
@@ -320,7 +313,7 @@ class LinearOperator:
         if other.src is not self.src or other.dst is not self.dst:
             raise DataFormatError("operator spaces do not match")
         pairs = ((self.rows, other.rows), (self.cols, other.cols), (self.vals, -other.vals))
-        return LinearOperator.from_triplets(self.src, self.dst, *map(np.concatenate, pairs))
+        return LinearOperator(self.src, self.dst, *map(np.concatenate, pairs))
 
     def norm(self) -> float:
         """The Frobenius norm."""
@@ -335,7 +328,7 @@ class LinearOperator:
     def adjoint(self) -> "LinearOperator":
         """Adjoint for the indefinite pairings of source and target."""
         vals = self.src.eta[self.cols] * self.vals.conj() / self.dst.eta[self.rows]
-        return LinearOperator.from_triplets(self.dst, self.src, self.cols, self.rows, vals)
+        return LinearOperator(self.dst, self.src, self.cols, self.rows, vals)
 
     def __repr__(self):
         return f"LinearOperator({self.src.dim} -> {self.dst.dim}, nnz {len(self.vals)})"

@@ -19,6 +19,8 @@ along them.  `coloring_from_holonomy` builds a cocycle of a given class.
 
 from __future__ import annotations
 
+import collections
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DataFormatError, DomainError
@@ -37,13 +39,56 @@ __all__ = [
 ]
 
 
-class Plaquette:
-    """One face: the cyclic dart walk around it, starting at its least dart."""
+# One corner of a plaquette walk: corner `pos` sits at the head of dart
+# t_pos, at `vertex`; `leg` is the third dart there, pointing out; `leg_pos`
+# is the walk position m of the leg edge, if any, and `leg_direct` is True
+# when the leg dart is t_m itself.
+_Corner = collections.namedtuple("_Corner", "pos vertex leg leg_pos leg_direct")
 
-    def __init__(self, index: int, darts: Sequence[int]):
+
+class Plaquette:
+    """One face of `graph`: the cyclic dart walk around it, starting at
+    its least dart.  Its corners, the first visit of each position's
+    edge and the vertices it visits are derived on first use."""
+
+    def __init__(self, index: int, darts: Sequence[int], graph: RibbonGraph):
         self.index = index
         self.darts = tuple(darts)
         self.edges = tuple(h // 2 for h in self.darts)
+        self.graph = graph
+
+    @cached_property
+    def first(self) -> tuple:
+        """Position of the first traversal of each position's edge."""
+        return tuple(map(self.edges.index, self.edges))
+
+    @cached_property
+    def corners(self) -> tuple:
+        """The `_Corner` at each walk position."""
+        pos = {h: i for i, h in enumerate(self.darts)}
+        corners = []
+        for i, t in enumerate(self.darts):
+            depart = self.darts[(i + 1) % len(self.darts)]
+            leg = self.graph.rho(depart)
+            if leg // 2 in (t // 2, depart // 2):
+                raise DataFormatError(
+                    "plaquette touches a vertex with a repeated edge;"
+                    " such graphs are not supported"
+                )
+            m = pos.get(leg, pos.get(leg ^ 1))
+            direct = None if m is None else leg in pos
+            corners.append(_Corner(i, self.graph.vertex_of(depart), leg, m, direct))
+        return tuple(corners)
+
+    @cached_property
+    def visits(self) -> dict:
+        """Each walk vertex, ascending -> its corner positions in walk order."""
+        vertices = sorted({c.vertex for c in self.corners})
+        return {v: [c.pos for c in self.corners if c.vertex == v] for v in vertices}
+
+    @property
+    def vertices(self) -> list:
+        return list(self.visits)
 
     def __repr__(self):
         return f"Plaquette({self.index}, darts={self.darts})"
@@ -101,7 +146,7 @@ class RibbonGraph:
                     break
             faces.append(walk)
         faces.sort(key=lambda w: w[0])
-        return tuple(Plaquette(i, w) for i, w in enumerate(faces))
+        return tuple(Plaquette(i, w, self) for i, w in enumerate(faces))
 
     def vertex_darts_from(self, h: int) -> tuple:
         """The triple at h's vertex in rotation order starting at h."""

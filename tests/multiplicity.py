@@ -1,4 +1,5 @@
-"""Test providers shared by the operator, state-space and validator tests."""
+"""Test providers shared by the operator, state-space and validator tests,
+and the dense-array form of an operator that the tests plant faults in."""
 
 import itertools
 import zlib
@@ -6,6 +7,13 @@ import zlib
 import numpy as np
 
 from rlw import LWData
+from rlw.states import LinearOperator
+
+
+def dense_operator(src, dst, matrix):
+    """The operator of a dense (dst.dim, src.dim) array."""
+    rows, cols = np.nonzero(matrix)
+    return LinearOperator(src, dst, rows, cols, matrix[rows, cols])
 
 
 class ForcedMultiplicity(LWData):

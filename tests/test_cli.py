@@ -22,6 +22,7 @@ from rlw.operators import StringNetModel
 from rlw.states import LinearOperator
 from rlw.surface import gauge_shift
 from rlw.axioms import validate
+from multiplicity import dense_operator
 
 
 def run(capsys, *argv):
@@ -184,6 +185,25 @@ class TestValidate:
         assert report is None
         assert "sixj row" in err and "outside 1..1" in err
 
+    @pytest.mark.parametrize("fault", ["float delta", "repeated row"])
+    def test_coerced_or_repeated_row_exits_two(self, capsys, tmp_path, fault):
+        recorder = RecordingData(BuiltinFamily("P", 2, 1.0))
+        validate(recorder, [QMODZ.element(Fraction("1/5")), QMODZ.element(Fraction("2/5"))])
+        table = recorder.export_table().to_dict()
+        if fault == "float delta":
+            table["delta"][0]["value"] = 1.5
+        else:
+            table["sixj"].append(dict(table["sixj"][0], re=0.5))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(table))
+        code, report, err = run(
+            capsys, "validate", "--data", str(path), "--degrees", "1/5,2/5",
+        )
+        assert code == 2
+        assert report is None
+        message = "is not an integer" if fault == "float delta" else "repeats an earlier entry"
+        assert message in err
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
@@ -334,7 +354,7 @@ class TestSpectrum:
             rows, cols, vals = (
                 np.append(op.rows, second), np.append(op.cols, first), np.append(op.vals, 0.5)
             )
-            return LinearOperator.from_triplets(op.src, op.dst, rows, cols, vals)
+            return LinearOperator(op.src, op.dst, rows, cols, vals)
 
         monkeypatch.setattr(StringNetModel, "hamiltonian", hamiltonian)
         code, report, err = run(capsys, "spectrum", "--family", "M:3:2", *THETA)
@@ -353,7 +373,7 @@ class TestSpectrum:
             diag = np.arange(op.src.dim)
             rows, cols = np.append(op.rows, diag), np.append(op.cols, diag)
             vals = np.append(op.vals, np.full(op.src.dim, 0.25))
-            return LinearOperator.from_triplets(op.src, op.dst, rows, cols, vals)
+            return LinearOperator(op.src, op.dst, rows, cols, vals)
 
         monkeypatch.setattr(StringNetModel, "hamiltonian", hamiltonian)
         code, report, err = run(capsys, "spectrum", "--family", "M:3:2", *THETA)
@@ -446,7 +466,7 @@ class TestCheck:
                 return op
             matrix = op.matrix.copy()
             matrix[rows[0], cols[0]] += 0.5
-            return LinearOperator(op.src, op.dst, matrix)
+            return dense_operator(op.src, op.dst, matrix)
 
         monkeypatch.setattr(StringNetModel, "plaquette_B", planted)
         code, report, _ = run(
@@ -487,7 +507,7 @@ class TestCheck:
             for b in others:
                 x = x - b @ x
             y = ident[0] - ident[0] @ others[0]
-            return LinearOperator(op.src, op.dst, op.matrix + 0.5 * np.outer(x, y))
+            return dense_operator(op.src, op.dst, op.matrix + 0.5 * np.outer(x, y))
 
         monkeypatch.setattr(StringNetModel, "plaquette_B", planted)
         code, report, _ = run(

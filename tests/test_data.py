@@ -324,23 +324,39 @@ class TestTableData:
         names = {"re": "sixj re", "im": "sixj im", "d": "d", "value": "gamma"}
         assert str(info.value).startswith(names[key])
 
-    @pytest.mark.parametrize(
-        "field, key, value",
-        [("sixj", "a", [0, 1, 1, 1]), ("sixj", "a", [1, 1, 2, 1]),
-         ("gamma", "n", 0), ("gamma", "n", 2), ("delta", "value", -1)],
-    )
-    def test_out_of_range_row_rejected_at_load(self, field, key, value):
-        # n = 0 used to land at index -1, n above every delta was a raw
-        # IndexError on first read, and a negative delta shrank the spaces
+    @staticmethod
+    def recorded_rows():
         rec = RecordingData(BuiltinFamily("P", 2, 1.0))
         rec.sixj_block(_supported_sextuple())
         rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
         rec.delta_block(F15, F15, QMODZ.parse("3/5"))
-        table = rec.export_table().to_dict()
+        return rec.export_table().to_dict()
+
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [("sixj", "a", [0, 1, 1, 1]), ("sixj", "a", [1, 1, 2, 1]),
+         ("gamma", "n", 0), ("gamma", "n", 2), ("delta", "value", -1),
+         ("delta", "value", 1.5), ("delta", "value", 1.0), ("delta", "value", True),
+         ("gamma", "n", 1.9), ("gamma", "n", "1"),
+         ("sixj", "a", [1, 1, True, 1]), ("sixj", "a", [1, 1, 1, 1.2])],
+    )
+    def test_out_of_range_row_rejected_at_load(self, field, key, value):
+        # n = 0 used to land at index -1, n above every delta was a raw
+        # IndexError on first read, a negative delta shrank the spaces,
+        # and int() loaded delta 1.5 and n 1.9 as 1 and a = true as 1
+        table = self.recorded_rows()
         table[field][0][key] = value
         with pytest.raises(DataFormatError, match=f"^{field} row") as info:
             TableData.from_dict(table)
         assert repr(table[field][0]) in str(info.value)
+
+    @pytest.mark.parametrize("field", ["delta", "gamma", "sixj"])
+    def test_repeated_entry_rejected_at_load(self, field):
+        # a later row at the same entry used to overwrite the first
+        table = self.recorded_rows()
+        table[field].append(dict(table[field][0]))
+        with pytest.raises(DataFormatError, match=f"^{field} row .* repeats an earlier entry"):
+            TableData.from_dict(table)
 
     def test_missing_degree(self):
         fam = BuiltinFamily("P", 2, 1.0)

@@ -11,6 +11,7 @@ import pytest
 from rlw import (
     AdmissibilityError,
     BuiltinFamily,
+    DataFormatError,
     DimensionCapError,
     GaugeAdmissibilityError,
     InstabilityError,
@@ -41,6 +42,15 @@ FAMILIES = {
     "F212": BuiltinFamily("F", 2, 1.0, 2.0),
 }
 
+# bases of the real-multiplicity cases: every label of P and F has d = 1,
+# and M:2:2's have d = -2, so only M22 shows the walk's d-weights
+# (theta's one face has 6 corners, so M21's d = -1 cancels)
+DOUBLED = {
+    "P21": FAMILIES["P21"],
+    "F212": FAMILIES["F212"],
+    "M22": BuiltinFamily("M", 2, 2.0),
+}
+
 
 def reference_walk(self, p, g, coloring, labels, slots):
     """Depth-first reference for `StringNetModel._walk_Bg`, with its
@@ -58,25 +68,24 @@ def reference_walk(self, p, g, coloring, labels, slots):
     stored value and last-visit ones stay free as the output axes.
     """
     data = self.data
-    walk = operators._Walk(self.graph, p)
-    n = len(walk.darts)
+    n = len(p.darts)
     mb = data.mult_bound
     chosen = [None] * n
     pool = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
     a_letter = [next(pool) for _ in range(n)]
     link_letter = {}
     out_letter = {}
-    for v in walk.vertices:
-        seq = walk.visits[v]
+    for v in p.vertices:
+        seq = p.visits[v]
         for r in range(len(seq) - 1):
             link_letter[seq[r], "out"] = link_letter[seq[r + 1], "in"] = next(pool)
         out_letter[v] = next(pool)
 
     subs, first_visit = [], set()
     ready_at = [[] for _ in range(n)]
-    for c in walk.corners:
+    for c in p.corners:
         i = c.pos
-        seq = walk.visits[c.vertex]
+        seq = p.visits[c.vertex]
         sub = a_letter[i]
         if i == seq[0]:
             first_visit.add(i)
@@ -88,17 +97,17 @@ def reference_walk(self, p, g, coloring, labels, slots):
         # a corner reads the labels at i, i + 1 and its leg, and the ones
         # they revisit, which come earlier
         ready_at[max(i, (i + 1) % n, c.leg_pos or 0)].append(c)
-    spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in walk.vertices)
-    last = {e: i for i, e in enumerate(walk.edges)}
+    spec = ",".join(subs) + "->" + "".join(out_letter[v] for v in p.vertices)
+    last = {e: i for i, e in enumerate(p.edges)}
 
     def along(h, col):  # label read along dart h in source row col
         lab = data.labels(coloring.values[h // 2])[labels[col, h // 2]]
         return lab if h % 2 == 0 else data.dual(lab)
 
     def o_label(i, col):
-        if walk.first[i] == i:
-            return along(walk.darts[i], col)
-        return data.dual(chosen[walk.first[i]])
+        if p.first[i] == i:
+            return along(p.darts[i], col)
+        return data.dual(chosen[p.first[i]])
 
     def leg_label(c, col):
         if c.leg_pos is None:
@@ -131,7 +140,7 @@ def reference_walk(self, p, g, coloring, labels, slots):
 
     def out_labels(col):
         out = labels[col].copy()
-        for i, t in enumerate(walk.darts):
+        for i, t in enumerate(p.darts):
             if last[t // 2] == i:
                 lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
                 out[t // 2] = data.label_index(lab)
@@ -144,7 +153,7 @@ def reference_walk(self, p, g, coloring, labels, slots):
             for idx in np.ndindex(amps.shape):
                 if amps[idx] != 0:
                     out_slots = slots[col].copy()
-                    out_slots[walk.vertices] = np.array(idx) + 1
+                    out_slots[p.vertices] = np.array(idx) + 1
                     entries.append((out_labels(col), out_slots, col, s.b * amps[idx]))
             return
         for lab in data.labels(o_label(j, col).degree - g):
@@ -160,7 +169,7 @@ def reference_walk(self, p, g, coloring, labels, slots):
 
     entries = []
     for s in data.labels(g):
-        for col in np.flatnonzero((slots[:, walk.vertices] > 0).all(axis=1)):
+        for col in np.flatnonzero((slots[:, p.vertices] > 0).all(axis=1)):
             rec(s, 0, [], col)
     return tuple(map(np.array, zip(*entries)))
 
@@ -265,9 +274,9 @@ class TestWalkPaths:
             assert np.abs(diff).max() <= 1e-12
         assert forced.ground_dim() == plain.ground_dim()
 
-    @pytest.mark.parametrize("name", ["P21", "F212"])
+    @pytest.mark.parametrize("name", DOUBLED)
     def test_real_multiplicity_matches_reference(self, name, theta_coloring):
-        data = DoubledMultiplicity(FAMILIES[name])
+        data = DoubledMultiplicity(DOUBLED[name])
         model = StringNetModel(data, theta_coloring)
         ref = StringNetModel(data, theta_coloring, probe=model.probe)
         ref._walk_Bg = types.MethodType(reference_walk, ref)
@@ -282,9 +291,9 @@ class TestWalkPaths:
             assert (got.dst.slot_array[rows] == 2).any()
             assert (got.src.slot_array[cols] == 2).any()
 
-    @pytest.mark.parametrize("name", ["P21", "F212"])
+    @pytest.mark.parametrize("name", DOUBLED)
     def test_real_multiplicity_record_replay(self, name, theta_coloring):
-        rec = RecordingData(DoubledMultiplicity(FAMILIES[name]))
+        rec = RecordingData(DoubledMultiplicity(DOUBLED[name]))
         model = StringNetModel(rec, theta_coloring)
         p, g = model.graph.plaquettes[0], model.probe
         moves = ((-g, theta_coloring), (g, gauge_shift(theta_coloring, p, g)))
@@ -743,6 +752,26 @@ class TestAdmissibility:
         model = StringNetModel(FAMILIES["P21"], theta_coloring)
         with pytest.raises(GaugeAdmissibilityError):
             model.plaquette_Bg(0, q("1/5"))
+
+
+class TestPlaquetteArgument:
+    """A Plaquette names a face of the model's graph by index and darts."""
+
+    def test_foreign_plaquette_refused(self, grid_coloring):
+        model = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
+        theta, grid3 = build_torus("theta"), build_torus("grid", 3)
+        # other darts at an index the model's graph has, and an index it lacks
+        for face in (theta.plaquettes[0], grid3.plaquettes[1], grid3.plaquettes[8]):
+            with pytest.raises(DataFormatError, match=f"is not plaquette {face.index}"):
+                model.plaquette_Bg(face, model.probe)
+
+    def test_equal_plaquette_accepted(self, grid_coloring):
+        model = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
+        g = model.probe
+        for own, twin in zip(model.graph.plaquettes, build_torus("grid", 2).plaquettes):
+            assert twin is not own and twin.darts == own.darts
+            assert model.plaquette_Bg(twin, g) is model.plaquette_Bg(own, g)
+            assert model.plaquette_B(twin) is model.plaquette_B(own)
 
 
 class TestCaching:

@@ -21,7 +21,7 @@ from rlw import (
 )
 from rlw import states
 from rlw.states import LinearOperator, StateSpace
-from multiplicity import ForcedMultiplicity
+from multiplicity import ForcedMultiplicity, dense_operator
 
 
 def q(value):
@@ -296,9 +296,16 @@ class TestLinearOperator:
     def space(self, theta_coloring):
         return StateSpace(BuiltinFamily("F", 2, 1.0, 2.0), theta_coloring)
 
-    def test_shape_checked(self, space):
-        with pytest.raises(DataFormatError):
-            LinearOperator(space, space, np.zeros((3, space.dim)))
+    def test_shape_checked(self, spaces):
+        # an entry outside dst.dim x src.dim is refused: a column past
+        # src.dim would otherwise land in the next row
+        big, small = spaces
+        one = np.ones(1)
+        for row, col in ((big.dim, 0), (0, small.dim), (-1, 0), (0, -1)):
+            with pytest.raises(DataFormatError, match=rf"entry \({row}, {col}\) lies outside"):
+                LinearOperator(small, big, np.array([row]), np.array([col]), one)
+        last = LinearOperator(small, big, np.array([big.dim - 1]), np.array([small.dim - 1]), one)
+        assert last.matrix[-1, -1] == 1
 
     def test_identity_compose(self, space):
         ident = LinearOperator.identity(space)
@@ -307,15 +314,13 @@ class TestLinearOperator:
     def test_adjoint_involution(self, space):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(space.dim, space.dim))
-        a = LinearOperator(space, space, mat + 1j * rng.normal(size=mat.shape))
+        a = dense_operator(space, space, mat + 1j * rng.normal(size=mat.shape))
         assert np.allclose(a.adjoint().adjoint().matrix, a.matrix)
 
     def test_adjoint_is_pairing_adjoint(self, space):
         rng = np.random.default_rng(5)
         shape = (space.dim, space.dim)
-        a = LinearOperator(
-            space, space, rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        )
+        a = dense_operator(space, space, rng.normal(size=shape) + 1j * rng.normal(size=shape))
         for _ in range(5):
             x = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
             y = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
@@ -326,8 +331,8 @@ class TestLinearOperator:
     def test_adjoint_reverses_composition(self, space):
         rng = np.random.default_rng(9)
         shape = (space.dim, space.dim)
-        a = LinearOperator(space, space, rng.normal(size=shape))
-        b = LinearOperator(space, space, rng.normal(size=shape))
+        a = dense_operator(space, space, rng.normal(size=shape))
+        b = dense_operator(space, space, rng.normal(size=shape))
         assert np.allclose(
             (a @ b).adjoint().matrix, (b.adjoint() @ a.adjoint()).matrix
         )
@@ -357,7 +362,7 @@ class TestLinearOperator:
         vals = np.concatenate([vals, -vals[:5]])
         dense = np.zeros((dst.dim, src.dim), dtype=complex)
         np.add.at(dense, (rows, cols), vals)
-        return LinearOperator.from_triplets(src, dst, rows, cols, vals), dense
+        return LinearOperator(src, dst, rows, cols, vals), dense
 
     @pytest.mark.parametrize("seed", range(4))
     def test_triplets_match_dense(self, spaces, seed):
@@ -371,7 +376,7 @@ class TestLinearOperator:
         rows, cols = np.nonzero(dense_a)
         assert np.array_equal(a.rows, rows) and np.array_equal(a.cols, cols)
         assert a.vals.tobytes() == dense_a[rows, cols].tobytes()
-        assert np.array_equal(LinearOperator(small, big, dense_a).vals, a.vals)
+        assert np.array_equal(dense_operator(small, big, dense_a).vals, a.vals)
         x = rng.normal(size=(small.dim, 3)) + 1j * rng.normal(size=(small.dim, 3))
         assert np.allclose(a.apply(x), dense_a @ x, rtol=0, atol=1e-12)
         assert np.allclose(a.apply(x[:, 0]), dense_a @ x[:, 0], rtol=0, atol=1e-12)

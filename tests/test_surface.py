@@ -74,8 +74,17 @@ class TestBuilders:
 
     def test_theta_face_walk(self):
         g = build_torus("theta")
-        assert g.plaquettes[0].darts == (0, 3, 4, 1, 2, 5)
-        assert g.plaquettes[0].edges == (0, 1, 2, 0, 1, 2)
+        face = g.plaquettes[0]
+        assert face.darts == (0, 3, 4, 1, 2, 5)
+        assert face.edges == (0, 1, 2, 0, 1, 2)
+        # the corner after dart t_i sits at the head of t_i; its leg is the
+        # third dart there, and every leg is itself a walk dart
+        assert face.first == (0, 1, 2, 0, 1, 2)
+        assert face.visits == {0: [1, 3, 5], 1: [0, 2, 4]}
+        assert [(c.vertex, c.leg, c.leg_pos) for c in face.corners] == [
+            (1, 5, 5), (0, 0, 0), (1, 3, 1), (0, 4, 2), (1, 1, 3), (0, 2, 4)
+        ]
+        assert all(c.leg_direct for c in face.corners)
 
     def test_grid_counts(self):
         g = build_torus("grid", 2)
@@ -129,6 +138,15 @@ class TestRibbonGraph:
             RibbonGraph([(0, 1, 2, 3)])  # not trivalent
         with pytest.raises(DataFormatError):
             RibbonGraph([(0, 2, 7), (1, 3, 5)])  # darts not 0..2E-1
+
+    def test_repeated_edge_fails_when_walked(self):
+        # two loops joined by a bridge: the graph builds, but the face along
+        # the bridge turns at a corner whose leg is the loop it arrived on
+        graph = RibbonGraph([(0, 1, 2), (3, 4, 5)])
+        face = graph.plaquettes[0]
+        assert face.darts == (0, 2, 4, 3)
+        with pytest.raises(DataFormatError, match="repeated edge"):
+            face.corners
 
     def test_parse_surface(self):
         assert parse_surface("torus:theta").kind == ("theta",)
