@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -196,11 +197,11 @@ class StringNetModel:
         return self._spaces[key]
 
     def _plaquette(self, p: Union[int, Plaquette]) -> Plaquette:
-        """The model graph's plaquette of index p, or of p's index when p
-        is a Plaquette walking the same darts; any other one is refused."""
+        """The model graph's plaquette of integer index p, or of p's index
+        when p is a Plaquette walking the same darts; any other is refused."""
         faces = self.graph.plaquettes
-        if isinstance(p, int):
-            return faces[p]
+        if not isinstance(p, Plaquette):
+            return faces[operator.index(p)]
         if not (0 <= p.index < len(faces) and faces[p.index].darts == p.darts):
             raise DataFormatError(f"{p!r} is not plaquette {p.index} of the model's graph")
         return faces[p.index]

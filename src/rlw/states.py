@@ -12,8 +12,8 @@ it, by contracting the vertex branching numbers over the edge labels.
 
 The basis is integer arrays, one row per state: `label_array[r, e]`
 indexes labels(Phi(e)) and `slot_array[r, v]` is the slot at v.  Rows
-run in lexicographic order of (labels, slots), which `rows` searches
-as byte strings.
+run in lexicographic order of (labels, slots), as do their int64 codes,
+which `rows` searches: each column a digit over its range in the basis.
 Enumeration grows the labelings breadth-first over the edges in order,
 reading the branching number of each vertex from one delta block per
 inward-degree triple as soon as its last edge is labeled (inward labels
@@ -47,31 +47,8 @@ _CHUNK = 1024
 # default einsum's greedy path admits none larger than its largest
 # operand, which on a one-face surface leaves only the exponential sum
 _CONTRACT_LIMIT = 1 << 20
-# counts bounded below this are contracted in int64, others on Python ints
+# int64 holds row codes and counts below this (larger counts use Python ints)
 _INT64_BOUND = 2**63
-
-
-def _lookup(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each row of `keys` in `basis`, a sorted array of
-    distinct nonnegative integer rows; -1 where absent.
-
-    Each row is searched as one fixed-width byte string of big-endian
-    unsigned entries, as wide as the basis maximum needs, whose bytes
-    order as the rows do.  numpy drops trailing NULs when it compares
-    such strings, which keeps that order between strings of one width.
-    A key entry the width cannot hold is in no basis row, so its row is
-    absent rather than wrapped."""
-    top = int(basis.max(initial=0))
-    size = next(n for n in (1, 2, 4, 8) if top < 1 << 8 * n)
-    dtype = np.dtype(f">u{size}")
-    width = np.dtype(f"S{basis.shape[1] * size}")
-    fits = ((keys >= 0) & (keys < 1 << 8 * size)).all(axis=1)
-    table = np.ascontiguousarray(basis, dtype=dtype).view(width).reshape(len(basis))
-    query = np.ascontiguousarray(keys, dtype=dtype).view(width).reshape(len(keys))
-    pos = np.searchsorted(table, query)
-    hit = fits & (pos < len(table))
-    hit[hit] = table[pos[hit]] == query[hit]
-    return np.where(hit, pos, -1)
 
 
 class _Labelings:
@@ -184,14 +161,14 @@ class StateSpace:
         lab = np.concatenate(labs)
         nslots = np.concatenate(degs) + (not strict)
 
-        # slots vary fastest, vertex 0 slowest: expand one vertex at a time
-        rep = np.arange(len(lab))
-        slots = np.zeros((len(lab), 0), np.intp)
-        for v in range(nv):
-            n = nslots[rep, v]
-            start = np.repeat(np.cumsum(n) - n, n)
-            rep, slots = np.repeat(rep, n), np.repeat(slots, n, axis=0)
-            slots = np.column_stack([slots, np.arange(len(rep)) - start + strict])
+        # a row's slots: the digits of its offset in its labeling's run, vertex 0 slowest
+        runs = np.prod(nslots, axis=1)
+        rep = np.repeat(np.arange(len(lab)), runs)
+        offset = np.arange(len(rep)) - np.repeat(np.cumsum(runs) - runs, runs)
+        slots = np.empty((len(rep), nv), np.intp)
+        for v in reversed(range(nv)):
+            offset, slots[:, v] = np.divmod(offset, nslots[rep, v])
+        slots += strict
 
         blocks = labelings.blocks
         weight = np.ones(len(lab))
@@ -206,16 +183,37 @@ class StateSpace:
             gamma = gamma * np.where(s > 0, fused, 1.0)
 
         self.dim = len(lab)
-        self._basis = np.hstack([lab, slots])
-        self.label_array = self._basis[:, : lab.shape[1]]
-        self.slot_array = self._basis[:, lab.shape[1] :]
+        self.label_array, self.slot_array = lab, slots
         self.eta = weight[rep] / gamma
         if not (np.isfinite(self.eta) & (self.eta != 0)).all():
             raise DataFormatError("eta is singular: some d, beta or gamma is zero")
 
+        # each column a digit over its range in the basis, slots after labels
+        parts = (lab, slots)
+        self._low = [a.min(axis=0) if self.dim else 0 for a in parts]
+        self._radix = [a.max(axis=0, initial=0) - lo + 1 for a, lo in zip(parts, self._low)]
+        radix = np.concatenate(self._radix)
+        size = math.prod(radix.tolist())
+        if size >= _INT64_BOUND:
+            raise DimensionCapError(
+                f"cannot code {self.dim} states in int64: their column ranges multiply past 2^63"
+            )
+        place = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
+        self._place = np.split(place, [lab.shape[1]])
+        # the sorted row codes, then one past them all for a search to stop at
+        codes = sum((a - lo) @ w for a, lo, w in zip(parts, self._low, self._place))
+        self._codes = np.append(codes, size)
+
     def rows(self, labels: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Basis row of each state (labels[r], slots[r]); -1 where absent."""
-        return _lookup(self._basis, np.hstack([labels, slots]))
+        """Basis row of each state (labels[r], slots[r]); -1 where absent,
+        as a state with a digit out of its column's range always is."""
+        inside, code = True, 0
+        for keys, low, radix, place in zip((labels, slots), self._low, self._radix, self._place):
+            digits = keys - low
+            inside = inside & ((digits >= 0) & (digits < radix)).all(axis=1)
+            code = code + digits @ place
+        pos = np.searchsorted(self._codes, code).clip(max=self.dim)
+        return np.where(inside & (self._codes[pos] == code), pos, -1)
 
     # -- pairing -------------------------------------------------------------
 

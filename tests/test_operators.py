@@ -773,6 +773,14 @@ class TestPlaquetteArgument:
             assert model.plaquette_Bg(twin, g) is model.plaquette_Bg(own, g)
             assert model.plaquette_B(twin) is model.plaquette_B(own)
 
+    def test_integer_of_any_type(self, grid_coloring):
+        model = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
+        g = model.probe
+        assert model.plaquette_B(np.int64(0)) is model.plaquette_B(0)
+        assert model.plaquette_Bg(np.int64(0), g) is model.plaquette_Bg(0, g)
+        with pytest.raises(TypeError):
+            model.plaquette_B(0.0)
+
 
 class TestCaching:
     def test_operators_are_reused(self, theta_coloring):

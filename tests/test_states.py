@@ -1,10 +1,13 @@
 """State-space enumeration, eta weights, and indefinite adjoints."""
 
+import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlw import (
     BuiltinFamily,
@@ -21,7 +24,7 @@ from rlw import (
 )
 from rlw import states
 from rlw.states import LinearOperator, StateSpace
-from multiplicity import ForcedMultiplicity, dense_operator
+from multiplicity import DoubledMultiplicity, ForcedMultiplicity, dense_operator
 
 
 def q(value):
@@ -117,6 +120,96 @@ def _oracle_cases():
 ORACLE_CASES = _oracle_cases()
 
 
+def expanded_space(data, coloring, strict=False):
+    """(label_array, slot_array, eta) with the slot tuples of each labeling
+    expanded one vertex at a time, vertex 0 slowest: one `column_stack`
+    of the whole slot array per vertex."""
+    labelings = states._Labelings(data, coloring)
+    labs, degs = zip(*labelings.chunks(strict))
+    lab = np.concatenate(labs)
+    nslots = np.concatenate(degs) + (not strict)
+    rep = np.arange(len(lab))
+    slots = np.zeros((len(lab), 0), np.intp)
+    for v in range(nslots.shape[1]):
+        n = nslots[rep, v]
+        start = np.repeat(np.cumsum(n) - n, n)
+        rep, slots = np.repeat(rep, n), np.repeat(slots, n, axis=0)
+        slots = np.column_stack([slots, np.arange(len(rep)) - start + strict])
+    blocks = labelings.blocks
+    weight = np.ones(len(lab))
+    for e, val in enumerate(labelings.ids):
+        d, _, beta = blocks.scalars(val)
+        weight = weight * (d / beta)[lab[:, e]]
+    lab = lab[rep]
+    gamma = np.ones(len(lab))
+    for v in range(slots.shape[1]):
+        s = slots[:, v]
+        fused = labelings.at_vertex(blocks.gamma, lab, v)[np.arange(len(s)), s - 1]
+        gamma = gamma * np.where(s > 0, fused, 1.0)
+    return lab, slots, weight[rep] / gamma
+
+
+def _slot_fill_cases():
+    theta = coloring_from_holonomy(build_torus("theta"), (q("1/5"), q("2/5")))
+    grid = coloring_from_holonomy(build_torus("grid", 2), (q("1/7"), q("2/7")))
+    p21 = BuiltinFamily("P", 2, 1.0)
+    return {
+        "theta-P21-inclusive": (p21, theta, False),
+        "grid2-P21-inclusive": (p21, grid, False),
+        "grid2-P32-strict": (BuiltinFamily("P", 3, 2.0), grid, True),
+        "theta-doubled-P21-inclusive": (DoubledMultiplicity(p21), theta, False),
+    }
+
+
+SLOT_FILL_CASES = _slot_fill_cases()
+
+
+def _row_spaces():
+    """Spaces `rows` is checked on, each built on first use."""
+    theta = coloring_from_holonomy(build_torus("theta"), (q("1/5"), q("2/5")))
+    grid = coloring_from_holonomy(build_torus("grid", 2), (q("1/7"), q("2/7")))
+    p21 = BuiltinFamily("P", 2, 1.0)
+    cases = {
+        "theta-P21": (p21, theta, False),
+        "grid2-P21": (p21, grid, True),
+        "grid2-P32": (BuiltinFamily("P", 3, 2.0), grid, True),
+        "theta-doubled-P21": (DoubledMultiplicity(p21), theta, True),
+    }
+    return {
+        name: functools.cache(functools.partial(StateSpace, *case))
+        for name, case in cases.items()
+    }
+
+
+ROW_SPACES = _row_spaces()
+
+
+class NoBranching(BuiltinFamily):
+    """`BuiltinFamily` whose every delta is 0: its strict spaces are empty."""
+
+    def delta_block(self, g1, g2, g3):
+        return np.zeros_like(super().delta_block(g1, g2, g3))
+
+
+class DiagonalFamily(BuiltinFamily):
+    """`BuiltinFamily` with the duals (g, a)* = (-g, a), and delta and gamma
+    nonzero only where the three label indices are equal."""
+
+    def labels(self, g):
+        return tuple(
+            dataclasses.replace(lbl, dual_id=f"{a}@{-g}")
+            for a, lbl in enumerate(super().labels(g))
+        )
+
+    def delta_block(self, g1, g2, g3):
+        diagonal = np.zeros((self.N,) * 3, int)
+        diagonal[(np.arange(self.N),) * 3] = 1
+        return diagonal * super().delta_block(g1, g2, g3).any()
+
+    def gamma_block(self, g1, g2, g3):
+        return self.delta_block(g1, g2, g3).astype(float)[..., None]
+
+
 class TestEnumeration:
     def test_theta_dimensions(self, theta_coloring):
         # 8 labelings; 4 admissible ones carry 2 slots per vertex
@@ -169,35 +262,78 @@ class TestEnumeration:
         assert space.rows(labels, slots).tolist() == [-1, -1, -1]
 
     def test_rows_ending_in_zeros(self, theta_coloring):
-        # numpy drops trailing NULs when it compares byte strings
         space = StateSpace(BuiltinFamily("P", 2, 1.0), theta_coloring)
         assert (space.slot_array[:, -1] == 0).any()
         everything = space.rows(space.label_array, space.slot_array)
         assert np.array_equal(everything, np.arange(space.dim))
-        basis = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0]])
-        keys = np.array([[1, 0, 0], [1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0]])
-        assert states._lookup(basis, keys).tolist() == [1, 2, -1, 3, -1]
 
-    def test_rows_of_a_wide_basis(self):
-        # entries >= 256 take two big-endian bytes each, and keep the order
-        values = [0, 1, 2, 255, 256, 257, 511, 513, 70000]
-        basis = np.array(list(itertools.product(values, repeat=3)))
-        rng = np.random.default_rng(0)
-        order = rng.permutation(len(basis))
-        assert np.array_equal(states._lookup(basis, basis[order]), order)
-        keys = np.array([[1, 1, 3], [0, 258, 0], [257, 1, -1], [1 << 40, 0, 0]])
-        assert states._lookup(basis, keys).tolist() == [-1, -1, -1, -1]
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_rows_of_doubled_slots(self, theta_coloring, strict):
+        data = DoubledMultiplicity(BuiltinFamily("P", 2, 1.0))
+        space = StateSpace(data, theta_coloring, strict=strict)
+        assert (space.slot_array == 2).any()
+        everything = space.rows(space.label_array, space.slot_array)
+        assert np.array_equal(everything, np.arange(space.dim))
 
-    def test_rows_out_of_byte_range(self, theta_coloring):
-        # 256 and -1 do not wrap to 0 and 255 against a one-byte basis
-        basis = np.array([[0, 0], [0, 255], [255, 0]])
-        keys = np.array([[256, 0], [-1, 0], [0, -1], [0, 256], [255, 0], [0, 0]])
-        assert states._lookup(basis, keys).tolist() == [-1, -1, -1, -1, 2, 0]
-        space = StateSpace(BuiltinFamily("P", 2, 1.0), theta_coloring, strict=True)
-        labels = space.label_array[[0, 0]]
-        assert (labels[:, 0] == 0).all()
-        labels[0, 0], labels[1, 0] = 256, -256
-        assert space.rows(labels, space.slot_array[[0, 0]]).tolist() == [-1, -1]
+    @pytest.mark.parametrize("case", ["grid2-P21", "theta-doubled-P21"])
+    def test_rows_out_of_range_digits(self, case):
+        # a digit one past its column's range would carry into the column
+        # before it and a negative one would borrow from it, either landing
+        # on another row's code: both find no row, nor do digits past int32
+        space = ROW_SPACES[case]()
+        data = space.data
+        for e, g in enumerate(space.coloring.values):
+            for value in (-1, len(data.labels(g)), 2**32, -(2**32)):
+                labels = space.label_array.copy()
+                labels[:, e] = value
+                assert (space.rows(labels, space.slot_array) == -1).all()
+        for v in range(space.graph.num_vertices):
+            for value in (0, data.mult_bound + 1, -1, 2**32):
+                slots = space.slot_array.copy()
+                slots[:, v] = value
+                assert (space.rows(space.label_array, slots) == -1).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(ROW_SPACES)), st.data())
+    def test_rows_match_dict_oracle(self, case, draw):
+        space = ROW_SPACES[case]()
+        basis = np.hstack([space.label_array, space.slot_array])
+        where = {tuple(row): r for r, row in enumerate(basis.tolist())}
+        width = basis.shape[1]
+        entry = st.one_of(st.integers(-2, 4), st.integers(-(2**62), 2**62))
+        perturbed = st.tuples(
+            st.integers(0, space.dim - 1),
+            st.lists(st.tuples(st.integers(0, width - 1), entry), max_size=3),
+        )
+        keys = []
+        for r, changes in draw.draw(st.lists(perturbed, min_size=1, max_size=20)):
+            keys.append(basis[r].tolist())
+            for c, value in changes:
+                keys[-1][c] = value
+        keys += draw.draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=5))
+        keys = np.array(keys, dtype=np.int64)
+        found = space.rows(keys[:, : space.label_array.shape[1]], keys[:, space.label_array.shape[1] :])
+        assert found.tolist() == [where.get(tuple(row), -1) for row in keys.tolist()]
+
+    def test_empty_strict_space(self, theta_coloring):
+        space = StateSpace(NoBranching("P", 2, 1.0), theta_coloring, strict=True)
+        assert space.dim == 0
+        assert space.label_array.shape == (0, 3) and space.slot_array.shape == (0, 2)
+        labels = np.array([[0, 0, 0], [1, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        slots = np.array([[1, 1], [0, 0], [1, 1], [2, 1]])
+        assert space.rows(labels, slots).tolist() == [-1, -1, -1, -1]
+
+    def test_codes_past_int64_refused(self):
+        # each strict state carries one label index on all 12 edges of the
+        # 2x2 grid, so the 40 states span 40 labels per edge column: their
+        # codes would need 40^12 > 2^63 values; 30^12 still fit
+        col = coloring_from_holonomy(build_torus("grid", 2), (q("1/7"), q("2/7")))
+        with pytest.raises(DimensionCapError, match=r"multiply past 2\^63"):
+            StateSpace(DiagonalFamily("P", 40, 1.0), col, strict=True)
+        space = StateSpace(DiagonalFamily("P", 30, 1.0), col, strict=True)
+        assert space.dim == 30
+        everything = space.rows(space.label_array, space.slot_array)
+        assert np.array_equal(everything, np.arange(space.dim))
 
     @pytest.mark.parametrize("family", ["P:2:1", "P:3:2", "F:2:1:2"])
     def test_rows_match_dict_of_tuples(self, family):
@@ -246,6 +382,15 @@ class TestOracle:
     def test_count_matches_built_dim(self, case):
         data, coloring, _ = ORACLE_CASES[case]
         assert states.count_states(data, coloring) == StateSpace(data, coloring).dim
+
+    @pytest.mark.parametrize("case", SLOT_FILL_CASES)
+    def test_slot_fill_matches_vertex_expansion(self, case):
+        data, coloring, strict = SLOT_FILL_CASES[case]
+        space = StateSpace(data, coloring, strict=strict, dim_cap=10**6)
+        labels, slots, eta = expanded_space(data, coloring, strict)
+        assert np.array_equal(space.label_array, labels)
+        assert np.array_equal(space.slot_array, slots)
+        assert np.array_equal(space.eta, eta)
 
     def test_chunked_growth_keeps_order(self, monkeypatch):
         data, coloring, strict = ORACLE_CASES["genus2-P21-inclusive"]
