@@ -81,7 +81,8 @@ class ValidationReport:
 
 
 class _Slice(BlockCache):
-    """The block cache of one validation run and its closed degree sample."""
+    """One validation run's own block cache, not `data.blocks`: it carries
+    the run's closed degree sample and tuple cap, and tests build it alone."""
 
     def __init__(self, data: LWData, degrees: Sequence[GroupElement], cap: int):
         super().__init__(data)

@@ -181,6 +181,18 @@ def _resolve(args) -> Tuple[RunConfig, LWData, Optional[TextIO]]:
     return config, data, out
 
 
+def _degrees(data: LWData, option: str, texts) -> tuple:
+    """The degrees given to `--option`; one that does not parse is a usage
+    error naming the option and its text."""
+    degrees = []
+    for text in texts:
+        try:
+            degrees.append(data.signature.parse(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DataFormatError(f"--{option} {text}: {exc}") from None
+    return tuple(degrees)
+
+
 # -- model construction shared by the surface commands -------------------------
 
 
@@ -188,9 +200,8 @@ def _build_model(config: RunConfig, data: LWData):
     from .operators import StringNetModel
 
     graph = parse_surface(config.surface)
-    holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
-    coloring = coloring_from_holonomy(graph, holonomy)
-    probe = data.signature.parse(config.probe) if config.probe else None
+    coloring = coloring_from_holonomy(graph, _degrees(data, "holonomy", config.holonomy))
+    probe = _degrees(data, "probe", [config.probe])[0] if config.probe else None
     return StringNetModel(
         data, coloring, strict=config.strict_fusion, dim_cap=config.dim_cap, probe=probe
     )
@@ -200,7 +211,7 @@ def _build_model(config: RunConfig, data: LWData):
 
 
 def cmd_validate(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
-    samples = [data.signature.parse(d) for d in config.degrees]
+    samples = _degrees(data, "degrees", config.degrees)
     report = validate(data, samples, tol=config.tol, max_tuples=config.max_tuples)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
@@ -314,9 +325,14 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     else:
         residual_row("degree_composition", [deviation])
 
-    if len(candidates) >= 2:
-        first, second = (model.plaquette_B(plaquettes[0], g=h) for h in candidates[:2])
-        residual_row("probe_independence", [(first - second).norm()])
+    def probe_B(h):
+        """B_p at probe h on the first plaquette; None where the table lacks data."""
+        with contextlib.suppress(MissingDataError):
+            return model.plaquette_B(plaquettes[0], g=h)
+
+    pair = list(itertools.islice((b for b in map(probe_B, candidates) if b is not None), 2))
+    if len(pair) == 2:
+        residual_row("probe_independence", [(pair[0] - pair[1]).norm()])
     else:
         notes.append("fewer than two probe candidates; independence skipped")
 
@@ -368,7 +384,7 @@ def cmd_check(config: RunConfig, data: LWData) -> Tuple[dict, bool]:
     if companion is None:
         notes.append("triangulation comparison limited to torus graphs; skipped")
     else:
-        holonomy = tuple(data.signature.parse(h) for h in config.holonomy)
+        holonomy = _degrees(data, "holonomy", config.holonomy)
         reason = "companion coloring is inadmissible or lacks data"
         try:
             matched = ground_dim_over(coloring_from_holonomy(build_torus(*companion), holonomy))

@@ -11,8 +11,8 @@ families compute their blocks; finite tables store them, read once
 from a file.  A recording wrapper keeps the blocks a computation was
 served, so the slice can be exported as a table and replayed bit for
 bit.  `BlockCache` is the one cached, degree-blocked read path
-(interned degrees, blocks interned by content and read-only) that the
-validator, the plaquette walk and the state spaces share.
+(interned degrees, blocks interned by content and read-only): each data
+object keeps one, which its models and state spaces share.
 
 Conventions baked into the interface:
 
@@ -32,6 +32,7 @@ import numbers
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,21 +70,185 @@ class Label:
     beta: float
 
 
+# delta-support conditions (j1 j2 j3* a1), (j3 j4 j5* a2), (j5 j6* j1* a3),
+# (j6 j4* j2* a4) over the 6j block axes j1..j6, a1..a4
+_SUPPORT_SPEC = "abcd,cefg,fhai,hebj->abcefhdgij"
+
+
+class BlockCache:
+    """Degree blocks of one provider, each fetched once, interned and kept
+    read-only.
+
+    Degrees are interned as small ints: `id(g)` and `element(i)` map
+    between them, `add` and `neg` are memoized and `generic[i]` is the
+    singular-set test of id i, made once.  Block accessors take ids; the
+    provider's `*_block`, `dual_perm` and `scalar_vectors` are called with
+    the degrees once per distinct key.  Every array they return is
+    interned by content: arrays equal in dtype, shape and every byte
+    become one read-only object, found by a digest of the bytes and
+    confirmed byte for byte, so equal blocks, perms and scalar vectors of
+    different degrees are the same object.  `dualized` and `support` are
+    memoized on the identities of the arrays they read, `corner` on its
+    degree ids; what they derive is read-only but not interned.  Every
+    array the cache hands out stays alive as long as the cache, so its
+    `id` can key a memo.  Each data object makes one, `data.blocks`, on
+    first use, and every model, state space and count over it shares it.
+    """
+
+    def __init__(self, data: LWData):
+        self.data = data
+        self._ids: dict = {}
+        self._elements: list = []
+        self.generic: list = []
+        self._add: dict = {}
+        self._neg: dict = {}
+        # per accessor: ids -> the interned arrays
+        self._delta, self._gamma, self._sixj, self._perm, self._scalars = (
+            {}, {}, {}, {}, {}
+        )
+        self._interned: dict = {}  # id -> each interned array
+        self._digests: dict = {}  # (dtype, shape, digest) -> interned arrays
+        self._derived: dict = {}  # dualized, support and corner tables
+
+    def id(self, g: GroupElement) -> int:
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self._elements)
+            self._elements.append(g)
+            self.generic.append(self.data.singular.is_generic(g))
+        return i
+
+    def element(self, i: int) -> GroupElement:
+        return self._elements[i]
+
+    def add(self, i: int, j: int) -> int:
+        k = self._add.get((i, j))
+        if k is None:
+            k = self._add[i, j] = self.id(self._elements[i] + self._elements[j])
+        return k
+
+    def neg(self, i: int) -> int:
+        k = self._neg.get(i)
+        if k is None:
+            k = self._neg[i] = self.id(-self._elements[i])
+        return k
+
+    def _intern(self, arr: np.ndarray) -> np.ndarray:
+        """The one read-only array equal to `arr` in dtype, shape and bytes."""
+        if id(arr) in self._interned:
+            return arr
+        data = arr.tobytes()
+        same = self._digests.setdefault((arr.dtype, arr.shape, hash(data)), [])
+        for known in same:
+            if known.tobytes() == data:
+                return known
+        arr.flags.writeable = False
+        same.append(arr)
+        self._interned[id(arr)] = arr
+        return arr
+
+    def _fetch(self, cache: dict, ids: tuple, read):
+        value = cache.get(ids)
+        if value is None:
+            value = read(*map(self._elements.__getitem__, ids))
+            if isinstance(value, tuple):
+                value = tuple(map(self._intern, value))
+            else:
+                value = self._intern(value)
+            cache[ids] = value
+        return value
+
+    def delta(self, i: int, j: int, k: int) -> np.ndarray:
+        return self._fetch(self._delta, (i, j, k), self.data.delta_block)
+
+    def gamma(self, i: int, j: int, k: int) -> np.ndarray:
+        return self._fetch(self._gamma, (i, j, k), self.data.gamma_block)
+
+    def sixj(self, *ids: int) -> np.ndarray:
+        return self._fetch(self._sixj, ids, self._sixj_block)
+
+    def _sixj_block(self, *degs) -> np.ndarray:
+        return self.data.sixj_block(degs)
+
+    def perm(self, i: int) -> np.ndarray:
+        return self._fetch(self._perm, (i,), self.data.dual_perm)
+
+    def scalars(self, i: int):
+        return self._fetch(self._scalars, (i,), self.data.scalar_vectors)
+
+    def dualized(self, read, ids: Sequence[int], dual: Sequence[int]) -> np.ndarray:
+        """Block `read` (delta, gamma or sixj) at the degrees `ids`, those
+        at the positions in `dual` negated: a dual axis is re-indexed by
+        labels(g) through `perm`, so its index x reads the dual of label x.
+        One array per raw block, dual positions and perms read."""
+        at = list(ids)
+        for k in dual:
+            at[k] = self.neg(at[k])
+        block = read(*at)
+        perms = [self.perm(ids[k]) for k in dual]
+        key = (id(block), tuple(dual), *map(id, perms))
+        out = self._derived.get(key)
+        if out is None:
+            out = block
+            for k, perm in zip(dual, perms):
+                out = np.take(out, perm, axis=k)
+            out.flags.writeable = False
+            self._derived[key] = out
+        return out
+
+    def support(self, ids: Sequence[int]) -> np.ndarray:
+        """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4:
+        one array per set of the four dualized delta blocks it reads."""
+        g1, g2, g3, g4, g5, g6 = ids
+        triples = ((g1, g2, g3), (g3, g4, g5), (g5, g6, g1), (g6, g4, g2))
+        deltas = [
+            self.dualized(self.delta, t, dual)
+            for t, dual in zip(triples, ((2,), (2,), (1, 2), (1, 2)))
+        ]
+        key = ("support", *map(id, deltas))
+        mask = self._derived.get(key)
+        if mask is None:
+            rng = np.arange(1, self.data.mult_bound + 1)
+            conds = [(rng <= delta[..., None]).astype(int) for delta in deltas]
+            mask = np.einsum(_SUPPORT_SPEC, *conds) > 0
+            mask.flags.writeable = False
+            self._derived[key] = mask
+        return mask
+
+    def corner(self, *ids: int) -> np.ndarray:
+        """The 6j block at `ids` with each nonzero entry valued by pointwise
+        `sixj`, so an entry a table stores outside the delta support reads
+        as zero here, as it does pointwise: one plaquette-walk corner."""
+        table = self._derived.get(("corner", *ids))
+        if table is None:
+            block = self.sixj(*ids)
+            labels = [self.data.labels(self.element(d)) for d in ids]
+            table = np.zeros_like(block)
+            for idx in zip(*np.nonzero(block)):
+                js = [ls[x] for ls, x in zip(labels, idx)]
+                table[idx] = self.data.sixj(js, tuple(int(a) + 1 for a in idx[6:]))
+            table.flags.writeable = False
+            self._derived["corner", *ids] = table
+        return table
+
+
 class LWData:
     """Query interface for one set of graded string-net data.
 
-    Immutable after construction; all methods are safe for concurrent
-    reads.  A provider supplies `labels`, `mult_bound`, `probe_degrees`
-    and the three degree blocks `delta_block`, `gamma_block` and
-    `sixj_block`.  Everything else is derived here from those, the same
-    way for every provider: duals and scalar vectors from the labels, and
-    the per-entry `delta`, `gamma` and `sixj` (index-range rule included)
-    read off the blocks.  A provider may override a derived query with
-    an equal closed form, as `BuiltinFamily` does.
+    Its answers are fixed at construction; `blocks`, its one `BlockCache`,
+    fills its memos as it is read, without locks.  A provider supplies
+    `labels`, `mult_bound`, `probe_degrees` and the three degree blocks
+    `delta_block`, `gamma_block` and `sixj_block`.  Everything else is
+    derived here from those, the same way for every provider: duals and
+    scalar vectors from the labels, and the per-entry `delta`, `gamma` and
+    `sixj` (index-range rule included) read off the blocks.  A provider
+    may override a derived query with an equal closed form, as
+    `BuiltinFamily` does.
     """
 
     signature: GroupSignature
     singular: SingularSet
+    blocks = cached_property(BlockCache)
 
     # -- the provider interface --------------------------------------------
 
@@ -117,7 +282,7 @@ class LWData:
         Table blocks are unmasked: `TableData` returns a stored entry
         even outside the delta support, where `sixj` reads 0, so that the
         validator can see it.  Readers that need pointwise semantics
-        mask with `BlockCache.support` or, like the plaquette walk, read
+        mask with `BlockCache.support` or, like `BlockCache.corner`, read
         the values at the block's nonzero entries through `sixj`."""
         raise NotImplementedError
 
@@ -775,152 +940,6 @@ def _join(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     i = np.repeat(np.arange(len(a)), counts)
     start = np.repeat(lo - np.cumsum(counts) + counts, counts)
     return i, order[start + np.arange(len(i))]
-
-
-# delta-support conditions (j1 j2 j3* a1), (j3 j4 j5* a2), (j5 j6* j1* a3),
-# (j6 j4* j2* a4) over the 6j block axes j1..j6, a1..a4
-_SUPPORT_SPEC = "abcd,cefg,fhai,hebj->abcefhdgij"
-
-
-class BlockCache:
-    """Degree blocks of one provider, each fetched once, interned and kept
-    read-only.
-
-    Degrees are interned as small ints: `id(g)` and `element(i)` map
-    between them, `add` and `neg` are memoized and `generic[i]` is the
-    singular-set test of id i, made once.  Block accessors take ids; the
-    provider's `*_block`, `dual_perm` and `scalar_vectors` are called with
-    the degrees once per distinct key.  Every array they return is
-    interned by content: arrays equal in dtype, shape and every byte
-    become one read-only object, found by a digest of the bytes and
-    confirmed byte for byte, so equal blocks, perms and scalar vectors of
-    different degrees are the same object.  `dualized` and `support` are
-    memoized on the identities of the arrays they read; what they derive
-    is read-only but not interned.  Every array the cache hands out stays
-    alive as long as the cache, so its `id` can key a memo.  The
-    validator, the plaquette walk and the state spaces all read the data
-    through one of these.
-    """
-
-    def __init__(self, data: LWData):
-        self.data = data
-        self._ids: dict = {}
-        self._elements: list = []
-        self.generic: list = []
-        self._add: dict = {}
-        self._neg: dict = {}
-        # per accessor: ids -> the interned arrays
-        self._delta, self._gamma, self._sixj, self._perm, self._scalars = (
-            {}, {}, {}, {}, {}
-        )
-        self._interned: dict = {}  # id -> each interned array
-        self._digests: dict = {}  # (dtype, shape, digest) -> interned arrays
-        self._derived: dict = {}  # dualized and support, on operand identities
-
-    def id(self, g: GroupElement) -> int:
-        i = self._ids.get(g)
-        if i is None:
-            i = self._ids[g] = len(self._elements)
-            self._elements.append(g)
-            self.generic.append(self.data.singular.is_generic(g))
-        return i
-
-    def element(self, i: int) -> GroupElement:
-        return self._elements[i]
-
-    def add(self, i: int, j: int) -> int:
-        k = self._add.get((i, j))
-        if k is None:
-            k = self._add[i, j] = self.id(self._elements[i] + self._elements[j])
-        return k
-
-    def neg(self, i: int) -> int:
-        k = self._neg.get(i)
-        if k is None:
-            k = self._neg[i] = self.id(-self._elements[i])
-        return k
-
-    def _intern(self, arr: np.ndarray) -> np.ndarray:
-        """The one read-only array equal to `arr` in dtype, shape and bytes."""
-        if id(arr) in self._interned:
-            return arr
-        data = arr.tobytes()
-        same = self._digests.setdefault((arr.dtype, arr.shape, hash(data)), [])
-        for known in same:
-            if known.tobytes() == data:
-                return known
-        arr.flags.writeable = False
-        same.append(arr)
-        self._interned[id(arr)] = arr
-        return arr
-
-    def _fetch(self, cache: dict, ids: tuple, read):
-        value = cache.get(ids)
-        if value is None:
-            value = read(*map(self._elements.__getitem__, ids))
-            if isinstance(value, tuple):
-                value = tuple(map(self._intern, value))
-            else:
-                value = self._intern(value)
-            cache[ids] = value
-        return value
-
-    def delta(self, i: int, j: int, k: int) -> np.ndarray:
-        return self._fetch(self._delta, (i, j, k), self.data.delta_block)
-
-    def gamma(self, i: int, j: int, k: int) -> np.ndarray:
-        return self._fetch(self._gamma, (i, j, k), self.data.gamma_block)
-
-    def sixj(self, *ids: int) -> np.ndarray:
-        return self._fetch(self._sixj, ids, self._sixj_block)
-
-    def _sixj_block(self, *degs) -> np.ndarray:
-        return self.data.sixj_block(degs)
-
-    def perm(self, i: int) -> np.ndarray:
-        return self._fetch(self._perm, (i,), self.data.dual_perm)
-
-    def scalars(self, i: int):
-        return self._fetch(self._scalars, (i,), self.data.scalar_vectors)
-
-    def dualized(self, read, ids: Sequence[int], dual: Sequence[int]) -> np.ndarray:
-        """Block `read` (delta, gamma or sixj) at the degrees `ids`, those
-        at the positions in `dual` negated: a dual axis is re-indexed by
-        labels(g) through `perm`, so its index x reads the dual of label x.
-        One array per raw block, dual positions and perms read."""
-        at = list(ids)
-        for k in dual:
-            at[k] = self.neg(at[k])
-        block = read(*at)
-        perms = [self.perm(ids[k]) for k in dual]
-        key = (id(block), tuple(dual), *map(id, perms))
-        out = self._derived.get(key)
-        if out is None:
-            out = block
-            for k, perm in zip(dual, perms):
-                out = np.take(out, perm, axis=k)
-            out.flags.writeable = False
-            self._derived[key] = out
-        return out
-
-    def support(self, ids: Sequence[int]) -> np.ndarray:
-        """Boolean index-range tensor over labels(g1)..labels(g6), a1..a4:
-        one array per set of the four dualized delta blocks it reads."""
-        g1, g2, g3, g4, g5, g6 = ids
-        triples = ((g1, g2, g3), (g3, g4, g5), (g5, g6, g1), (g6, g4, g2))
-        deltas = [
-            self.dualized(self.delta, t, dual)
-            for t, dual in zip(triples, ((2,), (2,), (1, 2), (1, 2)))
-        ]
-        key = ("support", *map(id, deltas))
-        mask = self._derived.get(key)
-        if mask is None:
-            rng = np.arange(1, self.data.mult_bound + 1)
-            conds = [(rng <= delta[..., None]).astype(int) for delta in deltas]
-            mask = np.einsum(_SUPPORT_SPEC, *conds) > 0
-            mask.flags.writeable = False
-            self._derived[key] = mask
-        return mask
 
 
 def parse_family_spec(spec: str) -> BuiltinFamily:

@@ -19,9 +19,9 @@ for generic s) makes the choice unambiguous.
 
 The six label degrees at every corner depend on the coloring and g,
 not on the basis state, so each corner reads one 6j block per degree
-tuple through the model's `BlockCache` (valued at its nonzero entries
-by the pointwise `sixj`, so stored off-support table entries stay
-zero), with labels as integer indices: duals via `dual_perm`,
+tuple through the data's shared `BlockCache` (`corner`: valued at its
+nonzero entries by the pointwise `sixj`, so stored off-support table
+entries stay zero), with labels as integer indices: duals via `dual_perm`,
 d-weights via `scalar_vectors`.  One walk serves all data: it runs
 breadth-first over every string s of degree g and every basis row it is
 given at once, and reads no state space.  A frontier of numpy arrays
@@ -60,7 +60,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .data import BlockCache, LWData, _subscripts
+from .data import LWData, _subscripts
 from .errors import (
     AdmissibilityError,
     DataFormatError,
@@ -122,24 +122,33 @@ def _pack(parts: list) -> list:
     return packs
 
 
+def _probe_fault(data: LWData, coloring: Coloring, g: GroupElement):
+    """Why g cannot probe `coloring`, as the error to raise, or None: g
+    and every edge degree +-g must be generic and labeled."""
+    if g.is_zero or not data.singular.is_generic(g):
+        return GaugeAdmissibilityError(f"probe {g} is not a generic nonzero degree")
+    try:
+        data.labels(g), data.labels(-g)
+        for phi in dict.fromkeys(coloring.values):
+            for shifted in (phi + g, phi - g):
+                if not data.singular.is_generic(shifted):
+                    return GaugeAdmissibilityError(
+                        f"probe {g} shifts edge {coloring.values.index(phi)}"
+                        f" of degree {phi} to the singular degree {shifted}"
+                    )
+                data.labels(shifted)
+    except MissingDataError as exc:
+        return MissingDataError(f"probe {g} needs data the table lacks: {exc}")
+    return None
+
+
 def probe_candidates(
     data: LWData, coloring: Coloring, limit: int = 64
 ) -> Iterator[GroupElement]:
     """Degrees g keeping g and every edge degree +-g generic and labeled."""
-    degrees = set(coloring.values)
     for g in itertools.islice(data.probe_degrees(), limit):
-        if g.is_zero or not data.singular.is_generic(g):
-            continue
-        try:
-            data.labels(g), data.labels(-g)
-            for shifted in (s for phi in degrees for s in (phi + g, phi - g)):
-                if not data.singular.is_generic(shifted):
-                    break
-                data.labels(shifted)
-            else:
-                yield g
-        except MissingDataError:
-            continue
+        if _probe_fault(data, coloring, g) is None:
+            yield g
 
 
 def choose_probe(data: LWData, coloring: Coloring) -> GroupElement:
@@ -166,6 +175,8 @@ class StringNetModel:
         for edge, value in enumerate(coloring.values):
             if not data.singular.is_generic(value):
                 raise AdmissibilityError(f"edge {edge} carries singular degree {value}")
+        if probe is not None and (fault := _probe_fault(data, coloring, probe)):
+            raise fault
         self.data = data
         self.coloring = coloring
         self.graph = coloring.graph
@@ -173,8 +184,6 @@ class StringNetModel:
         self.dim_cap = dim_cap
         self._probe = probe
         self._spaces = {}
-        self.blocks = BlockCache(data)
-        self._tables = {}
         self._bg_cache = {}
         self._b_cache = {}
         self._invariant = None
@@ -286,7 +295,7 @@ class StringNetModel:
         position j, contracts in the corners whose labels are then all
         known, and drops the rows whose tensor vanished.
         """
-        data, blocks = self.data, self.blocks
+        data, blocks = self.data, self.data.blocks
         add, neg = blocks.add, blocks.neg
         n = len(p.darts)
         data.labels(g)  # first: a singular g stays a DomainError
@@ -352,7 +361,7 @@ class StringNetModel:
             perm_new = [blocks.perm(d) for d in n_deg]
             d_new = [blocks.scalars(d)[0] for d in n_deg]
             b = blocks.scalars(g)[1]
-            tables = [self._corner_table(degs) for degs in corner_degs]
+            tables = [blocks.corner(*degs) for degs in corner_degs]
         except DomainError as exc:
             raise GaugeAdmissibilityError(str(exc)) from exc
 
@@ -435,24 +444,6 @@ class StringNetModel:
         out_slots = slots[col]
         out_slots[:, p.vertices] = np.column_stack(nz[1:]) + 1
         return out, out_slots, col, b[string] * amp[nz]
-
-    def _corner_table(self, degs):
-        """6j over the six label axes and four branching axes of one corner.
-
-        The block gives the nonzero pattern and pointwise `sixj` gives the
-        values, so an entry a table stores outside the delta support
-        reads as zero here, as it does pointwise.
-        """
-        table = self._tables.get(degs)
-        if table is None:
-            block = self.blocks.sixj(*degs)
-            labels = [self.data.labels(self.blocks.element(d)) for d in degs]
-            table = np.zeros_like(block)
-            for idx in zip(*np.nonzero(block)):
-                js = [ls[x] for ls, x in zip(labels, idx)]
-                table[idx] = self.data.sixj(js, tuple(int(a) + 1 for a in idx[6:]))
-            self._tables[degs] = table
-        return table
 
     # -- assembled model ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ inward-degree triple as soon as its last edge is labeled (inward labels
 on even darts are dualized with `dual_perm`).  It grows a chunk of rows
 at a time, so a space far over its cap fails before its frontier is
 built.  eta is read from the `scalar_vectors` and `gamma` blocks; a
-space queries its data only through its own `BlockCache`.
+space queries its data only through the data's shared `BlockCache`.
 
 The natural pairing is indefinite: <psi|phi> = <psi| eta^{-1} |phi>_+
 with eta the diagonal operator built from edge d/beta weights and
@@ -35,7 +35,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .data import BlockCache, LWData, _join
+from .data import LWData, _join
 from .errors import DataFormatError, DimensionCapError
 from .surface import Coloring
 
@@ -55,7 +55,7 @@ class _Labelings:
     """Edge labelings over one coloring, and vertex blocks read at them."""
 
     def __init__(self, data: LWData, coloring: Coloring):
-        self.blocks = blocks = BlockCache(data)
+        self.blocks = blocks = data.blocks
         self.counts = [len(data.labels(v)) for v in coloring.values]
         self.ids = [blocks.id(v) for v in coloring.values]
         graph = coloring.graph

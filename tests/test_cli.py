@@ -19,7 +19,7 @@ from rlw import BuiltinFamily, QMODZ, RecordingData, build_torus, coloring_from_
 from rlw.cli import RunConfig, _parser, main
 from rlw.errors import MissingDataError
 from rlw.operators import StringNetModel
-from rlw.states import LinearOperator
+from rlw.states import LinearOperator, StateSpace
 from rlw.surface import gauge_shift
 from rlw.axioms import validate
 from multiplicity import dense_operator
@@ -274,16 +274,18 @@ class TestAbsentSixjBlocks:
         assert code == 0
         assert report["ground_dim"] == 9
 
-    def test_check_exits_two_naming_block(self, capsys, tmp_path):
+    def test_check_skips_probe_the_table_lacks(self, capsys, tmp_path):
+        # the first two candidates are 1/20 and 1/4; the recording holds no
+        # 6j block of the 1/20 walk, so independence has one usable probe
         path = tmp_path / "p21.json"
         theta_recording("P:2:1", path)
-        code, report, err = run(
+        code, report, _ = run(
             capsys, "check", "--data", str(path), *THETA, "--probe", "1/4"
         )
-        assert code == 2
-        assert report["error"].startswith("6j block at degrees (")
-        assert report["error"].endswith(") is not in the table")
-        assert report["error"] in err
+        assert code == 0
+        assert report["ground_dim"] == 4
+        assert "probe_independence" not in [row["name"] for row in report["rows"]]
+        assert "fewer than two probe candidates; independence skipped" in report["notes"]
 
     def test_stored_zero_block_ends_the_walk(self, capsys, tmp_path):
         # a block stored as zeros is data, not a gap: the walk's frontier
@@ -301,6 +303,39 @@ class TestAbsentSixjBlocks:
         )
         assert code == 0
         assert report["ground_dim"] == 0
+
+
+class TestArguments:
+    @pytest.mark.parametrize("command", ["ground-dim", "spectrum", "check"])
+    def test_probe_off_the_rule_builds_nothing(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state space was built")
+
+        monkeypatch.setattr(StateSpace, "__init__", refuse)
+        code, report, err = run(
+            capsys, command, "--family", "P:2:1", *THETA, "--probe", "3/5"
+        )
+        message = "probe 3/5 shifts edge 1 of degree 2/5 to the singular degree 0"
+        assert code == 1
+        assert report["error"] == message
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("ground-dim", "--surface", "torus:theta", "--holonomy", "1/x,2/5"),
+             "--holonomy 1/x"),
+            (("validate", "--degrees", "1/5,abc"), "--degrees abc"),
+            (("spectrum", *THETA, "--probe", "abc"), "--probe abc"),
+            (("check", "--surface", "torus:theta", "--holonomy", "1/0,2/5"),
+             "--holonomy 1/0"),
+        ],
+    )
+    def test_degree_errors_name_their_option(self, capsys, argv, option):
+        code, report, err = run(capsys, *argv, "--family", "P:2:1")
+        assert code == 2
+        assert report["error"].startswith(f"{option}: ")
+        assert f"error: {report['error']}" in err
 
 
 class TestSpectrum:

@@ -15,6 +15,7 @@ from rlw import (
     DimensionCapError,
     GaugeAdmissibilityError,
     InstabilityError,
+    MissingDataError,
     ProbeSearchError,
     QMODZ,
     RecordingData,
@@ -26,6 +27,8 @@ from rlw import (
     is_admissible,
 )
 from rlw import operators
+from rlw.axioms import _Slice, validate
+from rlw.data import BlockCache
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
 from rlw.states import LinearOperator, StateSpace
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity
@@ -189,6 +192,15 @@ def genus_coloring():
     return coloring_from_holonomy(build_genus(2), (q("1/5"), q("2/5"), q("1/7"), q("3/7")))
 
 
+def refuse_spaces(monkeypatch):
+    """Make building any `StateSpace` fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state space was built")
+
+    monkeypatch.setattr(StateSpace, "__init__", refuse)
+
+
 class TestProbe:
     def test_first_candidate(self, theta_coloring, grid_coloring):
         fam = FAMILIES["P21"]
@@ -206,6 +218,41 @@ class TestProbe:
         StateSpace(rec, theta_coloring)
         with pytest.raises(ProbeSearchError):
             choose_probe(rec.export_table(), theta_coloring)
+
+    @pytest.fixture
+    def no_spaces(self, monkeypatch):
+        refuse_spaces(monkeypatch)
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [
+            ("3/5", "probe 3/5 shifts edge 1 of degree 2/5 to the singular degree 0"),
+            ("4/5", "probe 4/5 shifts edge 0 of degree 1/5 to the singular degree 0"),
+            ("0", "probe 0 is not a generic nonzero degree"),
+            ("1/2", "probe 1/2 is not a generic nonzero degree"),
+        ],
+    )
+    def test_given_probe_follows_the_candidate_rule(
+        self, probe, message, theta_coloring, no_spaces
+    ):
+        fam = FAMILIES["P21"]
+        assert q(probe) not in set(probe_candidates(fam, theta_coloring))
+        with pytest.raises(GaugeAdmissibilityError) as err:
+            StringNetModel(fam, theta_coloring, probe=q(probe))
+        assert str(err.value) == message
+
+    def test_given_probe_needs_labels(self, theta_coloring, monkeypatch):
+        # a table holding only the state-space degrees has no labels at 1/4
+        rec = RecordingData(FAMILIES["P21"])
+        StateSpace(rec, theta_coloring)
+        table = rec.export_table()
+        refuse_spaces(monkeypatch)
+        with pytest.raises(MissingDataError, match="probe 1/4 needs data the table lacks"):
+            StringNetModel(table, theta_coloring, probe=q("1/4"))
+
+    def test_usable_probe_builds_no_space(self, theta_coloring, no_spaces):
+        model = StringNetModel(FAMILIES["P21"], theta_coloring, probe=q("1/4"))
+        assert model.probe == q("1/4")
 
 
 class TestPlaquetteAlgebra:
@@ -788,3 +835,100 @@ class TestCaching:
         assert model.plaquette_B(0) is model.plaquette_B(0)
         assert model.plaquette_Bg(0, q("1/4")) is model.plaquette_Bg(0, q("1/4"))
         assert model.space() is model.space(theta_coloring)
+
+
+def fresh_data(name):
+    """A new data object for an acceptance case name, with a cold cache."""
+    kinds = {
+        "P21": ("P", 2, 1.0), "P32": ("P", 3, 2.0), "M21": ("M", 2, 1.0),
+        "M32": ("M", 3, 2.0), "F212": ("F", 2, 1.0, 2.0),
+    }
+    wrap = {"forced": ForcedMultiplicity, "doubled": DoubledMultiplicity}
+    *prefix, base = name.split("-")
+    data = BuiltinFamily(*kinds[base])
+    return wrap[prefix[0]](data) if prefix else data
+
+
+# (holonomy, graph, strict) of the surfaces the shared-cache cases run on
+CACHE_SURFACES = {
+    "theta": (("1/5", "2/5"), ("theta",), False),
+    "grid2": (("1/7", "2/7"), ("grid", 2), True),
+    "genus2-strict": (("1/5", "2/5", "1/7", "3/7"), 2, True),
+    "genus2-inclusive": (("1/5", "2/5", "1/7", "3/7"), 2, False),
+}
+CACHE_CASES = [
+    (name, surface)
+    for name in ("P21", "P32", "M21", "M32", "F212", "forced-P21")
+    for surface in CACHE_SURFACES
+] + [("doubled-P21", "theta")]
+
+
+def cache_model(data, surface):
+    holonomy, graph, strict = CACHE_SURFACES[surface]
+    graph = build_genus(graph) if isinstance(graph, int) else build_torus(*graph)
+    coloring = coloring_from_holonomy(graph, tuple(map(q, holonomy)))
+    return StringNetModel(data, coloring, strict=strict, dim_cap=1 << 18)
+
+
+class TestSharedCache:
+    """Every model, state space and count over one data object reads its
+    one `data.blocks`; the validator keeps its own per run."""
+
+    def test_one_cache_per_data(self, theta_coloring, grid_coloring, monkeypatch):
+        made, read = [], []
+        init, corner = BlockCache.__init__, BlockCache.corner
+
+        def counted_init(self, data):
+            made.append(self)
+            init(self, data)
+
+        def counted_corner(self, *ids):
+            read.append(self)
+            return corner(self, *ids)
+
+        monkeypatch.setattr(BlockCache, "__init__", counted_init)
+        monkeypatch.setattr(BlockCache, "corner", counted_corner)
+        data = BuiltinFamily("P", 2, 1.0)
+        model = StringNetModel(data, theta_coloring)
+        assert model.ground_dim() == 4  # on the model's fused twin
+        assert model.spectrum()[0][0] == 4  # on the model's own space
+        assert StringNetModel(data, grid_coloring, strict=True).ground_dim() == 4
+        assert made == [data.blocks]
+        assert read and all(cache is data.blocks for cache in read)
+        assert not hasattr(model, "_tables") and not hasattr(model, "blocks")
+        assert not hasattr(StringNetModel, "_corner_table")
+
+        validate(data, [q("1/5"), q("2/5")])
+        assert len(made) == 2 and type(made[1]) is _Slice
+
+    @pytest.mark.parametrize("name, surface", CACHE_CASES)
+    def test_warm_cache_triplets_match_cold(self, name, surface):
+        # warm a cache with a model on another coloring, so the case's
+        # degrees get other ids than in a cold cache
+        warm = fresh_data(name)
+        other = "theta" if name.startswith("doubled") else "grid2"
+        holonomy = {"theta": ("1/7", "3/7"), "grid2": ("1/11", "3/11")}[other]
+        _, graph, strict = CACHE_SURFACES[other]
+        coloring = coloring_from_holonomy(build_torus(*graph), tuple(map(q, holonomy)))
+        first = StringNetModel(warm, coloring, strict=strict)
+        for p in first.graph.plaquettes:
+            first.plaquette_B(p)
+        cold = fresh_data(name)
+        models = [cache_model(data, surface) for data in (warm, cold)]
+        g = models[1].probe
+        factors = []
+        for model in models:
+            coloring = model.coloring
+            factors.append([
+                op
+                for p in model.graph.plaquettes
+                for op in (
+                    model.plaquette_Bg(p, -g),
+                    model.plaquette_Bg(p, g, gauge_shift(coloring, p, g)),
+                )
+            ])
+        values = models[1].coloring.values
+        assert [warm.blocks.id(v) for v in values] != [cold.blocks.id(v) for v in values]
+        for hot, fresh in zip(*factors):
+            for attr in ("rows", "cols", "vals"):
+                assert getattr(hot, attr).tobytes() == getattr(fresh, attr).tobytes()

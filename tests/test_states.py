@@ -23,6 +23,7 @@ from rlw import (
     parse_family_spec,
 )
 from rlw import states
+from rlw.data import BlockCache
 from rlw.states import LinearOperator, StateSpace
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity, dense_operator
 
@@ -606,3 +607,32 @@ class TestCount:
         coloring = coloring_from_holonomy(build_genus(10), holonomy)  # 57 edges
         with pytest.raises(DimensionCapError, match="57 edges"):
             states.count_states(BuiltinFamily("P", 2, 1.0), coloring)
+
+
+class TestSharedCache:
+    def test_spaces_and_counts_read_the_data_cache(self, theta_coloring, monkeypatch):
+        made = []
+        init = BlockCache.__init__
+
+        def counted(self, data):
+            made.append(self)
+            init(self, data)
+
+        monkeypatch.setattr(BlockCache, "__init__", counted)
+        data = BuiltinFamily("P", 3, 2.0)
+        grid = coloring_from_holonomy(build_torus("grid", 2), (q("1/7"), q("2/7")))
+        StateSpace(data, theta_coloring)
+        StateSpace(data, theta_coloring, strict=True)
+        StateSpace(data, grid, strict=True)
+        assert states.count_states(data, grid) == labeling_count(data, grid)
+        assert states._Labelings(data, grid).blocks is data.blocks
+        assert made == [data.blocks]
+
+    def test_a_recording_reads_through_its_own_cache(self, theta_coloring):
+        # a recording must see every block read, so it shares no cache with its base
+        base = BuiltinFamily("P", 2, 1.0)
+        StateSpace(base, theta_coloring)
+        recorder = RecordingData(base)
+        space = StateSpace(recorder, theta_coloring)
+        assert recorder.blocks is not base.blocks
+        assert StateSpace(recorder.export_table(), theta_coloring).dim == space.dim
