@@ -177,10 +177,12 @@ class BlockCache:
         return self._fetch(self._scalars, (i,), self.data.scalar_vectors)
 
     def dualized(self, read, ids: Sequence[int], dual: Sequence[int]) -> np.ndarray:
-        """Block `read` (delta, gamma or sixj) at the degrees `ids`, those
-        at the positions in `dual` negated: a dual axis is re-indexed by
-        labels(g) through `perm`, so its index x reads the dual of label x.
-        One array per raw block, dual positions and perms read."""
+        """Array `read` at the degrees `ids`, those at the positions in
+        `dual` negated: a dual axis is re-indexed by labels(g) through
+        `perm`, so its index x reads the dual of label x.  `read` is any
+        accessor taking ids and returning an array with one axis per id:
+        a delta, gamma or 6j block, a `corner` table or a scalar vector.
+        One array per raw array, dual positions and perms read."""
         at = list(ids)
         for k in dual:
             at[k] = self.neg(at[k])

@@ -10,10 +10,12 @@ output slot on the last.  Summing over all new labelings with degrees
 lowered by deg(s) gives a map from the space over Phi to the space over
 the gauge-shifted coloring.
 
+Every label index in the walk is stored: it indexes the labels of its
+edge's degree read along the even dart, whichever way the walk runs.
 Edges the walk traverses twice (both darts on one face) are reprocessed:
-the second visit reads the label produced by the first, dualized, and
-its own output sets the final edge label.  A leg that is itself a walk
-edge contributes whichever of its old or new labels has the degree the
+the second visit reads the label produced by the first, and its own
+output sets the final edge label.  A leg that is itself a walk edge
+contributes whichever of its old or new labels has the degree the
 corner needs; the mismatch of old and new degrees (by deg(s), nonzero
 for generic s) makes the choice unambiguous.
 
@@ -21,16 +23,17 @@ The six label degrees at every corner depend on the coloring and g,
 not on the basis state, so each corner reads one 6j block per degree
 tuple through the data's shared `BlockCache` (`corner`: valued at its
 nonzero entries by the pointwise `sixj`, so stored off-support table
-entries stay zero), with labels as integer indices: duals via `dual_perm`,
-d-weights via `scalar_vectors`.  One walk serves all data: it runs
-breadth-first over every string s of degree g and every basis row it is
-given at once, and reads no state space.  A frontier of numpy arrays
-(string, source row, chosen label indices, amplitude) grows by one walk
-position per step, contracts in the corners whose labels are complete,
-and sheds its zero amplitudes.  Each amplitude is a tensor over the
-branching slots still open: the slots chain around the walk and across
-each vertex's visits, and only the output slot of each vertex survives
-to the end.  For multiplicity-free data every slot axis has size 1.
+entries stay zero).  An axis whose label is read against its stored
+orientation takes the dual once per table, not once per row: the corner
+tables and the d-weight vectors are read through `BlockCache.dualized`.
+One walk serves all data: it runs breadth-first over every string s of
+degree g and every basis row it is given at once, and reads no state
+space.  A frontier of numpy arrays (string, source row, chosen label
+indices, amplitude) grows by one walk position per step, contracts in
+the corners whose labels are complete, and sheds its zero amplitudes.
+Each amplitude is a tensor over the branching slots still open: the
+slots chain around the walk and across each vertex's visits, and only
+the output slot of each vertex survives to the end.  For multiplicity-free data every slot axis has size 1.
 The corners and visits come from the `Plaquette`, derived once from
 its graph.  The walk returns the target labels and slots of each
 surviving entry, its source row and its value; `plaquette_Bg` locates
@@ -302,20 +305,15 @@ class StringNetModel:
         col_ids = [blocks.id(v) for v in coloring.values]
         g = blocks.id(g)  # degrees from here on are ids of the `BlockCache`
 
-        def degree(h):  # interned degree read along dart h
-            v = col_ids[h // 2]
-            return v if h % 2 == 0 else neg(v)
-
-        def along(h):  # per source row: label index read along dart h
-            x = labels[:, h // 2]
-            return x if h % 2 == 0 else blocks.perm(col_ids[h // 2])[x]
+        def turn(h, d):  # degree d along dart h <-> along the even dart of h's edge
+            return d if h % 2 == 0 else neg(d)
 
         # degree bookkeeping is choice-independent: input-at-visit and
         # output degrees per position, then the old/new call per leg
         o_deg = []
         for i, t in enumerate(p.darts):
             f = p.first[i]
-            o_deg.append(degree(t) if f == i else add(g, neg(o_deg[f])))
+            o_deg.append(turn(t, col_ids[t // 2]) if f == i else add(g, neg(o_deg[f])))
         n_deg = [add(phi, neg(g)) for phi in o_deg]
         try:
             # stored degrees can survive a shift (an edge walked both ways)
@@ -327,20 +325,20 @@ class StringNetModel:
             # step.  Each corner reads the 6j block at its six degrees.
             leg_uses_new = [False] * n
             ready_at = [[] for _ in range(n)]
-            corner_degs = []
+            tables = []
             for c in p.corners:
                 i = c.pos
                 nxt = (i + 1) % n
                 ready = max(i, nxt)
                 if c.leg_pos is None:
-                    need = degree(c.leg)
+                    need = turn(c.leg, col_ids[c.leg // 2])
                 else:
-                    m, sign = c.leg_pos, (lambda x: x) if c.leg_direct else neg
+                    m, t = c.leg_pos, p.darts[c.leg_pos]
                     need = add(o_deg[i], neg(o_deg[nxt]))
-                    if need == sign(o_deg[m]):
+                    if turn(c.leg, need) == turn(t, o_deg[m]):
                         if p.first[m] != m:
                             ready = max(ready, p.first[m])
-                    elif need == sign(n_deg[m]):
+                    elif turn(c.leg, need) == turn(t, n_deg[m]):
                         leg_uses_new[i] = True
                         ready = max(ready, m)
                     else:
@@ -349,19 +347,17 @@ class StringNetModel:
                             f" {i} of plaquette {p.index}"
                         )
                 ready_at[ready].append(i)
-                corner_degs.append(
-                    (n_deg[i], g, o_deg[i], neg(o_deg[nxt]), need, neg(n_deg[nxt]))
-                )
-
-            first_old = {
-                i: along(t) for i, t in enumerate(p.darts) if p.first[i] == i
-            }
-            fixed_leg = {c.pos: along(c.leg) for c in p.corners if c.leg_pos is None}
-            perm_old = [blocks.perm(d) for d in o_deg]
-            perm_new = [blocks.perm(d) for d in n_deg]
-            d_new = [blocks.scalars(d)[0] for d in n_deg]
+                # each axis reads its label along a dart (g's counts as even)
+                # and is indexed by stored labels: the odd ones are dualized
+                darts = (p.darts[i], 0, p.darts[i], p.darts[nxt] ^ 1, c.leg, p.darts[nxt] ^ 1)
+                degs = (n_deg[i], g, o_deg[i], neg(o_deg[nxt]), need, neg(n_deg[nxt]))
+                odd = [k for k, h in enumerate(darts) if h % 2]
+                tables.append(blocks.dualized(blocks.corner, list(map(turn, darts, degs)), odd))
+            d_new = [
+                blocks.dualized(lambda i: blocks.scalars(i)[0], [turn(t, d)], [0] * (t % 2))
+                for t, d in zip(p.darts, n_deg)
+            ]
             b = blocks.scalars(g)[1]
-            tables = [blocks.corner(*degs) for degs in corner_degs]
         except DomainError as exc:
             raise GaugeAdmissibilityError(str(exc)) from exc
 
@@ -386,11 +382,12 @@ class StringNetModel:
         col = np.tile(live, len(b))
         amp = np.ones(len(col), dtype=complex)
         axes = []  # the open slot of each amplitude axis after the row axis
-        chosen = []
+        chosen = []  # the stored label index chosen at each position
+        columns = labels.T.copy()  # each edge's stored labels, contiguous
 
         def old(i):
             f = p.first[i]
-            return first_old[i][col] if f == i else perm_new[f][chosen[f]]
+            return columns[p.edges[i]][col] if f == i else chosen[f]
 
         for j in range(n):
             k = candidates[j]
@@ -402,15 +399,10 @@ class StringNetModel:
                 nxt = (i + 1) % n
                 m = c.leg_pos
                 if m is None:
-                    leg = fixed_leg[i][col]
-                elif leg_uses_new[i]:
-                    leg = chosen[m] if c.leg_direct else perm_new[m][chosen[m]]
+                    leg = columns[c.leg // 2][col]
                 else:
-                    leg = old(m) if c.leg_direct else perm_old[m][old(m)]
-                idx = (
-                    chosen[i], string, old(i), perm_old[nxt][old(nxt)], leg,
-                    perm_new[nxt][chosen[nxt]],
-                )
+                    leg = chosen[m] if leg_uses_new[i] else old(m)
+                idx = (chosen[i], string, old(i), old(nxt), leg, chosen[nxt])
                 ins = corner_slots[i]
                 if ins[1] is None:
                     # first visit: c_in at the stored slot; the slice splits
@@ -436,11 +428,9 @@ class StringNetModel:
         string, col = string[nz[0]], col[nz[0]]
         chosen = [x[nz[0]] for x in chosen]
         # an edge's final label comes from its last visit
-        last = {e: i for i, e in enumerate(p.edges)}
         out = labels[col]
-        for i, t in enumerate(p.darts):
-            if last[t // 2] == i:
-                out[:, t // 2] = chosen[i] if t % 2 == 0 else perm_new[i][chosen[i]]
+        for e, i in {e: i for i, e in enumerate(p.edges)}.items():
+            out[:, e] = chosen[i]
         out_slots = slots[col]
         out_slots[:, p.vertices] = np.column_stack(nz[1:]) + 1
         return out, out_slots, col, b[string] * amp[nz]

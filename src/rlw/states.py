@@ -15,9 +15,10 @@ indexes labels(Phi(e)) and `slot_array[r, v]` is the slot at v.  Rows
 run in lexicographic order of (labels, slots), as do their int64 codes,
 which `rows` searches: each column a digit over its range in the basis.
 Enumeration grows the labelings breadth-first over the edges in order,
-reading the branching number of each vertex from one delta block per
-inward-degree triple as soon as its last edge is labeled (inward labels
-on even darts are dualized with `dual_perm`).  It grows a chunk of rows
+reading the branching number of each vertex as soon as its last edge is
+labeled.  Every vertex block is read at the stored label columns: its
+axis for an even dart, which carries the label away from the vertex, is
+dualized once per block by `BlockCache.dualized`.  It grows a chunk of rows
 at a time, so a space far over its cap fails before its frontier is
 built.  eta is read from the `scalar_vectors` and `gamma` blocks; a
 space queries its data only through the data's shared `BlockCache`.
@@ -52,7 +53,8 @@ _INT64_BOUND = 2**63
 
 
 class _Labelings:
-    """Edge labelings over one coloring, and vertex blocks read at them."""
+    """Edge labelings over one coloring, as stored label indices, and the
+    vertex blocks indexed by them."""
 
     def __init__(self, data: LWData, coloring: Coloring):
         self.blocks = blocks = data.blocks
@@ -61,19 +63,17 @@ class _Labelings:
         graph = coloring.graph
         self.triples = list(map(graph.canonical_vertex_triple, range(graph.num_vertices)))
 
-    def inward(self, h: int, x: np.ndarray):
-        """Degree id and label indices carried toward h's vertex by the
-        labels of index x on h's edge."""
-        val = self.ids[h // 2]
-        return (val, x) if h % 2 else (self.blocks.neg(val), self.blocks.perm(val)[x])
+    def block(self, read, v: int) -> np.ndarray:
+        """`read` at the inward degrees of v, each axis indexed by its
+        edge's stored label: an even dart points its label away from v,
+        so that axis is dualized."""
+        triple = self.triples[v]
+        dual = [k for k, h in enumerate(triple) if h % 2 == 0]
+        return self.blocks.dualized(read, [self.ids[h // 2] for h in triple], dual)
 
-    def at_vertex(self, block, lab: np.ndarray, v: int) -> np.ndarray:
-        """`block` of the inward degrees at v, read at the inward label
-        indices of each row of `lab`."""
-        (g1, x1), (g2, x2), (g3, x3) = (
-            self.inward(h, lab[:, h // 2]) for h in self.triples[v]
-        )
-        return block(g1, g2, g3)[x1, x2, x3]
+    def at_vertex(self, read, lab: np.ndarray, v: int) -> np.ndarray:
+        """`block(read, v)` read at the label columns of each row of `lab`."""
+        return self.block(read, v)[tuple(lab[:, h // 2] for h in self.triples[v])]
 
     def chunks(self, strict: bool):
         """(labels, deltas) a chunk at a time, labelings in order: one row
@@ -108,9 +108,9 @@ class _Labelings:
 def count_states(data: LWData, coloring: Coloring) -> int:
     """Dimension of the inclusive space over `coloring`, without building
     it: the contraction over the edge labels of one tensor delta + 1 per
-    vertex, read at the inward label indices.  The count is exact: the
-    contraction runs in int64 when a bound on every partial sum fits, and
-    on Python integers otherwise."""
+    vertex, each axis indexed by its edge's stored label.  The count is
+    exact: the contraction runs in int64 when a bound on every partial sum
+    fits, and on Python integers otherwise."""
     labelings = _Labelings(data, coloring)
     if len(labelings.counts) > 52:  # einsum names axes with 52 letters
         raise DimensionCapError(
@@ -118,11 +118,8 @@ def count_states(data: LWData, coloring: Coloring) -> int:
             " (at most 52); use a strict space (--strict-fusion)"
         )
     operands, bound = [], math.prod(labelings.counts)
-    for triple in labelings.triples:
-        (g1, x1), (g2, x2), (g3, x3) = (
-            labelings.inward(h, np.arange(labelings.counts[h // 2])) for h in triple
-        )
-        tensor = labelings.blocks.delta(g1, g2, g3)[np.ix_(x1, x2, x3)].astype(np.int64) + 1
+    for v, triple in enumerate(labelings.triples):
+        tensor = labelings.block(labelings.blocks.delta, v).astype(np.int64) + 1
         bound *= int(tensor.max())
         operands += [tensor, [h // 2 for h in triple]]
     if bound >= _INT64_BOUND:

@@ -263,13 +263,13 @@ def build_genus(g: int) -> RibbonGraph:
     Start from the one-vertex rose whose rotation word interleaves the
     standard handle pairs, then blow the 4g-valent vertex up into a path
     of trivalent vertices joined by connector edges; the blow-up keeps
-    the single face.
+    the single face.  Genus 1 is the theta graph of `build_torus`.
     """
     if g < 1:
         raise DomainError("genus must be at least 1 (the sphere has no "
                           "admissible colorings on these graphs)")
     if g == 1:
-        return RibbonGraph([(0, 2, 4), (1, 3, 5)], kind=("theta",))
+        return build_torus("theta")
     # loop edge k owns darts (2k, 2k+1); the rose rotation runs through all
     # first darts then all second darts, so no proper partial degree sum
     # along the walk is forced to vanish and connectors can stay generic

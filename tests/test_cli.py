@@ -137,6 +137,19 @@ class TestGroundDim:
         assert code == 0
         assert report["ground_dim"] == 2 ** len(holonomy.split(","))  # N^(2g)
 
+    @pytest.mark.parametrize("command", ["ground-dim", "spectrum"])
+    def test_genus_one_is_theta(self, capsys, command):
+        bodies = []
+        for surface in ("genus:1", "torus:theta"):
+            code, report, _ = run(
+                capsys, command, "--family", "M:3:2",
+                "--surface", surface, "--holonomy", "1/5,2/5",
+            )
+            assert code == 0
+            assert report.pop("config")["surface"] == surface
+            bodies.append(report)
+        assert bodies[0] == bodies[1]
+
     def test_file_surface_is_not_a_form(self, capsys):
         with pytest.raises(SystemExit):
             main(["ground-dim", "--help"])

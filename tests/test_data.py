@@ -484,6 +484,46 @@ class TestBlockCache:
                 with pytest.raises(ValueError):
                     block[(0,) * block.ndim] = 7
 
+    # the axes the plaquette walk dualizes at a corner: the new and old
+    # labels of a position walked along an odd dart, the next position's
+    # when walked along an even one, both, and each with the leg
+    WALK_DUALS = [(0, 2), (3, 5), (0, 2, 3, 5)]
+
+    @pytest.mark.parametrize(
+        "fam",
+        [BuiltinFamily("P", 3, 2.0), ForcedMultiplicity(BuiltinFamily("P", 2, 1.0))],
+        ids=["P32", "forced-P21"],
+    )
+    @pytest.mark.parametrize("dual", WALK_DUALS + [d + (4,) for d in WALK_DUALS])
+    def test_dualized_corner_table(self, fam, dual):
+        blocks = BlockCache(fam)
+        table_ids = [blocks.id(g) for g in _supported_sextuple()]
+        ids = [blocks.neg(d) if k in dual else d for k, d in enumerate(table_ids)]
+        got = blocks.dualized(blocks.corner, ids, dual)
+        want = blocks.corner(*table_ids)
+        for k in dual:
+            want = np.take(want, blocks.perm(ids[k]), axis=k)
+        assert want.any()
+        assert np.array_equal(got, want)
+        assert blocks.dualized(blocks.corner, ids, dual) is got
+
+    @pytest.mark.parametrize(
+        "fam",
+        [BuiltinFamily("P", 3, 2.0), ForcedMultiplicity(BuiltinFamily("P", 2, 1.0))],
+        ids=["P32", "forced-P21"],
+    )
+    def test_dualized_scalar_vector(self, fam):
+        blocks = BlockCache(fam)
+        i = blocks.id(F25)
+        got = blocks.dualized(lambda d: blocks.scalars(d)[0], [i], [0])
+        d = blocks.scalars(blocks.neg(i))[0]
+        assert np.array_equal(got, d[blocks.perm(i)])
+        assert blocks.dualized(lambda d: blocks.scalars(d)[0], [i], [0]) is got
+        assert blocks.dualized(lambda d: blocks.scalars(d)[0], [i], []) is blocks.scalars(i)[0]
+        # every builtin d vector is constant, so read one whose entries differ
+        position = np.arange(len(fam.labels(-F25)))
+        assert np.array_equal(blocks.dualized(lambda d: position, [i], [0]), blocks.perm(i))
+
     def test_builtin_blocks_are_shared(self):
         fam = BuiltinFamily("P", 3, 2.0)
         other = (F25, F15, F25 + F15, F17, F25 + F15 + F17, F15 + F17)

@@ -1,6 +1,7 @@
 """Plaquette operators, the Hamiltonian, and its spectrum."""
 
 import collections
+import functools
 import itertools
 import types
 from fractions import Fraction
@@ -32,6 +33,7 @@ from rlw.data import BlockCache
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
 from rlw.states import LinearOperator, StateSpace
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity
+from surfaces import reversed_leg_coloring
 
 
 def q(value):
@@ -58,7 +60,8 @@ DOUBLED = {
 def reference_walk(self, p, g, coloring, labels, slots):
     """Depth-first reference for `StringNetModel._walk_Bg`, with its
     signature: one source row and one string at a time, with labels,
-    duals, degrees and 6j symbols read pointwise.  The labels at each
+    duals, degrees and 6j symbols read pointwise (each dual and each
+    label sextuple's 6j symbols read once).  The labels at each
     position are those of its old label's degree minus g; a leg that is a
     walk edge takes whichever of its old or new labels has the degree its
     corner needs.  Each corner is contracted once every label it reads is
@@ -71,6 +74,7 @@ def reference_walk(self, p, g, coloring, labels, slots):
     stored value and last-visit ones stay free as the output axes.
     """
     data = self.data
+    dual = functools.lru_cache(maxsize=None)(data.dual)  # pointwise, each label once
     n = len(p.darts)
     mb = data.mult_bound
     chosen = [None] * n
@@ -105,12 +109,12 @@ def reference_walk(self, p, g, coloring, labels, slots):
 
     def along(h, col):  # label read along dart h in source row col
         lab = data.labels(coloring.values[h // 2])[labels[col, h // 2]]
-        return lab if h % 2 == 0 else data.dual(lab)
+        return lab if h % 2 == 0 else dual(lab)
 
     def o_label(i, col):
         if p.first[i] == i:
             return along(p.darts[i], col)
-        return data.dual(chosen[p.first[i]])
+        return dual(chosen[p.first[i]])
 
     def leg_label(c, col):
         if c.leg_pos is None:
@@ -118,9 +122,11 @@ def reference_walk(self, p, g, coloring, labels, slots):
         need = o_label(c.pos, col).degree - o_label((c.pos + 1) % n, col).degree
         found = (o_label(c.leg_pos, col), chosen[c.leg_pos])
         if not c.leg_direct:
-            found = [data.dual(lab) for lab in found]
+            found = [dual(lab) for lab in found]
         (lab,) = [lab for lab in found if lab.degree == need]
         return lab
+
+    sixj = {}  # label sextuple -> its 6j symbols
 
     def block(s, c, col):
         i = c.pos
@@ -129,14 +135,15 @@ def reference_walk(self, p, g, coloring, labels, slots):
             chosen[i],
             s,
             o_label(i, col),
-            data.dual(o_label(nxt, col)),
+            dual(o_label(nxt, col)),
             leg_label(c, col),
-            data.dual(chosen[nxt]),
+            dual(chosen[nxt]),
         )
-        arr = np.zeros((mb,) * 4, dtype=complex)
-        for idx in np.ndindex(arr.shape):
-            arr[idx] = data.sixj(js, tuple(a + 1 for a in idx))
-        arr *= chosen[i].d
+        if js not in sixj:
+            sixj[js] = np.zeros((mb,) * 4, dtype=complex)
+            for idx in np.ndindex(sixj[js].shape):
+                sixj[js][idx] = data.sixj(js, tuple(a + 1 for a in idx))
+        arr = sixj[js] * chosen[i].d
         if i in first_visit:
             arr = arr[:, slots[col, c.vertex] - 1, :, :]
         return arr
@@ -145,14 +152,14 @@ def reference_walk(self, p, g, coloring, labels, slots):
         out = labels[col].copy()
         for i, t in enumerate(p.darts):
             if last[t // 2] == i:
-                lab = chosen[i] if t % 2 == 0 else data.dual(chosen[i])
+                lab = chosen[i] if t % 2 == 0 else dual(chosen[i])
                 out[t // 2] = data.label_index(lab)
         return out
 
     def rec(s, j, acc, col):
         if j == n:
             ordered = [arr for _, arr in sorted(acc, key=lambda t: t[0])]
-            amps = np.einsum(spec, *ordered)
+            amps = np.einsum(spec, *ordered, optimize="greedy")
             for idx in np.ndindex(amps.shape):
                 if amps[idx] != 0:
                     out_slots = slots[col].copy()
@@ -391,6 +398,52 @@ class TestWalkPaths:
             replay = StringNetModel(data, theta_coloring, probe=model.probe)
             for p, matrix in zip(replay.graph.plaquettes, want):
                 assert np.array_equal(replay.plaquette_B(p).matrix, matrix)
+
+
+class TestReversedLegs:
+    """The walk on a surface where a corner's leg is a walk edge walked
+    the other way: the only corners whose leg label is read against the
+    dart the walk takes along it."""
+
+    WALK_CASES = {
+        **{name: FAMILIES[name] for name in ("P21", "P32", "M21", "F212")},
+        "forced-P21": ForcedMultiplicity(FAMILIES["P21"]),
+        "doubled-M22": DoubledMultiplicity(DOUBLED["M22"]),
+    }
+
+    def test_corners(self):
+        face, gon = reversed_leg_coloring().graph.plaquettes
+        assert [c.pos for c in face.corners if c.leg_direct is False] == [2, 7]
+        assert len(gon.darts) == 2
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "inclusive"])
+    @pytest.mark.parametrize("name", WALK_CASES)
+    def test_walk_matches_reference(self, name, strict):
+        data, col = self.WALK_CASES[name], reversed_leg_coloring()
+        model = StringNetModel(data, col, strict=strict)
+        ref = StringNetModel(data, col, strict=strict, probe=model.probe)
+        ref._walk_Bg = types.MethodType(reference_walk, ref)
+        g = model.probe
+        for p in model.graph.plaquettes:
+            for h, shifted in ((-g, col), (g, gauge_shift(col, p, g))):
+                got = model.plaquette_Bg(p, h, shifted).matrix
+                want = ref.plaquette_Bg(p, h, shifted).matrix
+                assert np.abs(want).max() > 0
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "name, ground", [("P21", 4), ("P32", 9), ("M21", 4), ("F212", 4)]
+    )
+    def test_projector_algebra(self, name, ground):
+        # no law for DoubledMultiplicity: it fails the validator, and its
+        # B_p is not idempotent even on theta
+        model = StringNetModel(FAMILIES[name], reversed_leg_coloring())
+        bs = [model.plaquette_B(p) for p in model.graph.plaquettes]
+        for b in bs:
+            assert (b @ b - b).norm() <= 1e-12 * b.norm()
+        first, second = bs
+        assert (first @ second - second @ first).norm() <= 1e-12 * first.norm()
+        assert model.ground_dim() == ground
 
 
 def dense_scatter(model, p, g, coloring):

@@ -26,6 +26,7 @@ from rlw import states
 from rlw.data import BlockCache
 from rlw.states import LinearOperator, StateSpace
 from multiplicity import DoubledMultiplicity, ForcedMultiplicity, dense_operator
+from surfaces import reversed_leg_coloring
 
 
 def q(value):
@@ -113,6 +114,9 @@ def _oracle_cases():
     cases["forced-P32-inclusive"] = (ForcedMultiplicity(families["P32"]), theta, False)
     cases["forced-P32-strict"] = (ForcedMultiplicity(families["P32"]), theta, True)
     cases["grid2-forced-P21-strict"] = (ForcedMultiplicity(families["P21"]), grid, True)
+    reversed_leg = reversed_leg_coloring()
+    cases["reversed-leg-P32-inclusive"] = (families["P32"], reversed_leg, False)
+    cases["reversed-leg-F212-strict"] = (families["F212"], reversed_leg, True)
     table = TableData.from_dict(_recorded_f212_table(theta))
     cases["table-F212-inclusive"] = (table, theta, False)
     return cases

@@ -102,6 +102,10 @@ class TestBuilders:
         assert (g1.num_vertices, g1.num_edges) == (th.num_vertices, th.num_edges)
         assert len(g1.plaquettes) == len(th.plaquettes)
 
+    def test_genus_one_is_theta(self):
+        genus, theta = build_genus(1), build_torus("theta")
+        assert (genus.vertices, genus.kind) == (theta.vertices, theta.kind)
+
     def test_genus_builders(self):
         for g in (2, 3):
             graph = build_genus(g)
