@@ -20,8 +20,8 @@ _EXPORTS = {
          " MissingDataError IndexRangeError AdmissibilityError GaugeAdmissibilityError"
          " DimensionCapError ProbeSearchError InstabilityError"),
         ("group", "GroupSignature GroupElement SingularSet QMODZ"),
-        ("data", "Label LWData BuiltinFamily TableData RecordingData parse_family_spec"
-         " data_from_config load_data"),
+        ("data", "Label LWData BuiltinFamily parse_family_spec data_from_config load_data"),
+        ("tables", "TableData RecordingData"),
         ("surface", "RibbonGraph Plaquette Coloring build_torus build_genus parse_surface"
          " coloring_from_holonomy gauge_shift is_admissible"),
         ("states", "StateSpace LinearOperator"),

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -248,13 +249,13 @@ class TestValidate:
         assert report["passed"] is True
 
 
-def theta_recording(spec, path):
+def theta_recording(spec, path, strict=False):
     """The table a theta `ground-dim` at holonomy 1/5,2/5 was served."""
     recorder = RecordingData(rlw.parse_family_spec(spec))
     coloring = coloring_from_holonomy(
         build_torus("theta"), (QMODZ.element(Fraction("1/5")), QMODZ.element(Fraction("2/5")))
     )
-    StringNetModel(recorder, coloring).ground_dim()  # probe 1/4
+    StringNetModel(recorder, coloring, strict=strict).ground_dim()  # probe 1/4
     table = recorder.export_table().to_dict()
     path.write_text(json.dumps(table))
     return table
@@ -267,12 +268,13 @@ class TestAbsentSixjBlocks:
     # by orthogonality a 6j block at degrees meeting the constraint is
     # never all zero, so its absence from a table is missing data
 
-    def test_default_probe_exits_two_naming_block(self, capsys, tmp_path):
-        # the table's first degree, 1/20, is the default probe; its walk
-        # reads blocks the recording never stored
+    def test_unrecorded_probe_exits_two_naming_block(self, capsys, tmp_path):
+        # the table holds the labels of 1/20 but no block of its walk
         path = tmp_path / "p32.json"
         theta_recording("P:3:2", path)
-        code, report, err = run(capsys, "ground-dim", "--data", str(path), *THETA)
+        code, report, err = run(
+            capsys, "ground-dim", "--data", str(path), *THETA, "--probe", "1/20"
+        )
         message = "6j block at degrees (1/4,19/20,1/5,2/5,3/5,7/20) is not in the table"
         assert code == 2
         assert report["error"] == message
@@ -287,9 +289,21 @@ class TestAbsentSixjBlocks:
         assert code == 0
         assert report["ground_dim"] == 9
 
+    def test_default_probe_is_the_recorded_one(self, capsys, tmp_path):
+        # the strict recording walked at probe 1/4; its stored 6j blocks hold
+        # 1/4 and 3/4 on the probe axis, and those degrees are offered first
+        path = tmp_path / "p21.json"
+        theta_recording("P:2:1", path, strict=True)
+        table = rlw.load_data(str(path))
+        assert [str(g) for g in itertools.islice(table.probe_degrees(), 2)] == ["1/4", "3/4"]
+        code, report, _ = run(capsys, "ground-dim", "--data", str(path), *THETA)
+        assert code == 0
+        assert report["ground_dim"] == 4
+
     def test_check_skips_probe_the_table_lacks(self, capsys, tmp_path):
-        # the first two candidates are 1/20 and 1/4; the recording holds no
-        # 6j block of the 1/20 walk, so independence has one usable probe
+        # the candidates are the recording's 1/4 and 3/4, then 1/20, whose
+        # walk the recording never stored: independence compares the first
+        # two, and every composition pair is singular or lacks data
         path = tmp_path / "p21.json"
         theta_recording("P:2:1", path)
         code, report, _ = run(
@@ -297,8 +311,10 @@ class TestAbsentSixjBlocks:
         )
         assert code == 0
         assert report["ground_dim"] == 4
-        assert "probe_independence" not in [row["name"] for row in report["rows"]]
-        assert "fewer than two probe candidates; independence skipped" in report["notes"]
+        rows = {row["name"]: row for row in report["rows"]}
+        assert rows["probe_independence"]["passed"]
+        assert rows["gauge_invariance"] == {"name": "gauge_invariance", "passed": True, "shifts": 5}
+        assert "no probe pair admits the composition test; skipped" in report["notes"]
 
     def test_stored_zero_block_ends_the_walk(self, capsys, tmp_path):
         # a block stored as zeros is data, not a gap: the walk's frontier
@@ -976,25 +992,87 @@ class TestPlumbing:
         assert json.loads(written)["ground_dim"] == 4
         assert "ground dimension" in proc.stderr.decode()
 
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (("validate", "--family", "P:2:1", "--degrees", "1/5,2/5"), {"rlw.axioms"}),
+            (("ground-dim", "--family", "P:2:1", *THETA), {"rlw.operators"}),
+            (("ground-dim", "--data", "{table}", *THETA), {"rlw.operators", "rlw.tables"}),
+            (("check", "--family", "P:2:1", *THETA), {"rlw.axioms", "rlw.operators"}),
+            (("spectrum", "--family", "P:2:1", *THETA), {"rlw.operators"}),
+        ],
+        ids=["validate", "ground-dim", "ground-dim-table", "check", "spectrum"],
+    )
+    def test_timer_sees_only_the_command(self, tmp_path, argv, modules):
+        # each command's modules load before `main` starts its timer, so the
+        # elapsed time a report gives (and the launch cost outside it) does
+        # not depend on what an earlier command in the process imported
+        table = tmp_path / "p21.json"
+        if "{table}" in argv:
+            theta_recording("P:2:1", table)
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import rlw.cli as cli\n"
+            "inside = []\n"
+            "def watch(command):\n"
+            "    def timed(config, data):\n"
+            "        before = set(sys.modules)\n"
+            "        try:\n"
+            "            return command(config, data)\n"
+            "        finally:\n"
+            "            inside.extend(m for m in set(sys.modules) - before if m.startswith('rlw.'))\n"
+            "    return timed\n"
+            "cli._COMMANDS = {n: (watch(c), m) for n, (c, m) in cli._COMMANDS.items()}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "loaded = [m for m in sys.modules if m.startswith('rlw.')]\n"
+            "print(json.dumps([code, sorted(inside), loaded]))\n"
+        )
+        args = [a.format(table=table) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": _child_path()},
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, inside, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert inside == []
+        wanted = {"rlw.axioms", "rlw.operators", "rlw.tables"}
+        assert wanted & set(loaded) == modules
+
     def test_import_leaves_scipy_out(self):
         # importing scipy costs every launch about 0.3 s; `import rlw` loads
-        # no submodule, and only the surface commands load operators and states
+        # no submodule, and a launch compiles its modules from source when no
+        # bytecode is cached, so `rlw.cli` leaves out the validator, the table
+        # providers and the surface commands' operators and states
         script = (
             "import json, sys\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('rlw.'))\n"
             "import rlw\n"
-            "bare = sorted(m for m in sys.modules if m.startswith('rlw.'))\n"
+            "bare = loaded()\n"
+            "import rlw.data\n"
+            "data = loaded()\n"
             "import rlw.cli\n"
-            "cli = sorted(m for m in sys.modules if m.startswith('rlw.'))\n"
-            "print(json.dumps([bare, cli, 'scipy' in sys.modules]))\n"
+            "cli = loaded()\n"
+            "from rlw.data import TableData, RecordingData\n"
+            "import rlw.tables\n"
+            "same = (TableData, RecordingData) == (rlw.tables.TableData, rlw.tables.RecordingData)\n"
+            "print(json.dumps([bare, data, cli, same, 'scipy' in sys.modules]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": _child_path()},
         )
         assert proc.returncode == 0, proc.stderr
-        bare, cli, scipy = json.loads(proc.stdout)
+        bare, data, cli, same, scipy = json.loads(proc.stdout)
         assert bare == [] and not scipy
-        assert "rlw.cli" in cli and not {"rlw.operators", "rlw.states"} & set(cli)
+        assert "rlw.data" in data and "rlw.tables" not in data
+        assert "rlw.cli" in cli
+        assert not {"rlw.axioms", "rlw.tables", "rlw.operators", "rlw.states"} & set(cli)
+        assert same
+        assert rlw.TableData is rlw.data.TableData and rlw.RecordingData is rlw.data.RecordingData
+        with pytest.raises(AttributeError):
+            getattr(rlw.data, "no_such_name")
         namespace = {}
         exec("from rlw import *", namespace)
         assert all(namespace[name] is getattr(rlw, name) for name in rlw.__all__)
