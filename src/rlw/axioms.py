@@ -81,11 +81,11 @@ class ValidationReport:
 
 
 class _Slice(BlockCache):
-    """One validation run's own block cache, not `data.blocks`: it carries
-    the run's closed degree sample and tuple cap, and tests build it alone."""
+    """One validation run over the shared memos of `data.blocks`, with the
+    run's closed degree sample and tuple cap.  Tests build it alone."""
 
     def __init__(self, data: LWData, degrees: Sequence[GroupElement], cap: int):
-        super().__init__(data)
+        vars(self).update(vars(data.blocks))  # the same memo objects, never rebound
         self.degrees = [self.id(g) for g in degrees]
         self.cap = cap
 

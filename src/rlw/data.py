@@ -11,7 +11,7 @@ families compute their blocks; finite tables and the recording wrapper
 live in `rlw.tables`, loaded on first use of `TableData` or
 `RecordingData` here.  `BlockCache` is the one cached, degree-blocked
 read path (interned degrees, blocks interned by content and read-only):
-each data object keeps one, which its models and state spaces share.
+each data object keeps one, which every reader of its blocks shares.
 
 Conventions baked into the interface:
 
@@ -89,7 +89,8 @@ class BlockCache:
     degree ids; what they derive is read-only but not interned.  Every
     array the cache hands out stays alive as long as the cache, so its
     `id` can key a memo.  Each data object makes one, `data.blocks`, on
-    first use, and every model, state space and count over it shares it.
+    first use, and every reader of the data shares it, a validation run
+    too: `__init__` binds each memo once and nothing rebinds one.
     """
 
     def __init__(self, data: LWData):
@@ -227,7 +228,7 @@ class BlockCache:
                 js = [ls[x] for ls, x in zip(labels, idx)]
                 table[idx] = self.data.sixj(js, tuple(int(a) + 1 for a in idx[6:]))
             table.flags.writeable = False
-            self._derived["corner", *ids] = table
+            self._derived[("corner", *ids)] = table
         return table
 
 
@@ -235,13 +236,13 @@ class LWData:
     """Query interface for one set of graded string-net data.
 
     Its answers are fixed at construction; `blocks`, its one `BlockCache`,
-    fills its memos as it is read, without locks.  A provider supplies
-    `labels`, `mult_bound`, `probe_degrees` and the three degree blocks
-    `delta_block`, `gamma_block` and `sixj_block`.  Everything else is
-    derived here from those, the same way for every provider: duals and
-    scalar vectors from the labels, and the per-entry `delta`, `gamma` and
-    `sixj` (index-range rule included) read off the blocks.  A provider
-    may override a derived query with an equal closed form, as
+    the only memo of its blocks, fills as it is read, without locks.  A
+    provider supplies `labels`, `mult_bound`, `probe_degrees` and the
+    three degree blocks `delta_block`, `gamma_block` and `sixj_block`.
+    Everything else is derived here, the same way for every provider:
+    duals and scalar vectors from the labels, and the per-entry `delta`,
+    `gamma` and `sixj` (index-range rule included) read off `blocks`.  A
+    provider may override a derived query with an equal closed form, as
     `BuiltinFamily` does.
     """
 
@@ -327,18 +328,19 @@ class LWData:
 
     # -- per-entry reads off the blocks --------------------------------------
 
-    def _at(self, labels: Sequence[Label]) -> tuple:
-        return tuple(self.label_index(lbl) for lbl in labels)
+    def _entry(self, read, labels: Sequence[Label], branching: tuple = ()):
+        """Entry of the cache block `read` at labels and 0-based branching."""
+        block = read(*[self.blocks.id(lbl.degree) for lbl in labels])
+        return block[tuple(map(self.label_index, labels)) + branching]
 
     def delta(self, i: Label, j: Label, k: Label) -> int:
-        return int(self.delta_block(i.degree, j.degree, k.degree)[self._at((i, j, k))])
+        return int(self._entry(self.blocks.delta, (i, j, k)))
 
     def gamma(self, i: Label, j: Label, k: Label, n: int) -> float:
         d = self.delta(i, j, k)
         if not 1 <= n <= d:
             raise IndexRangeError(f"branching index {n} outside 1..{d}")
-        block = self.gamma_block(i.degree, j.degree, k.degree)
-        return float(block[self._at((i, j, k)) + (n - 1,)])
+        return float(self._entry(self.blocks.gamma, (i, j, k), (n - 1,)))
 
     def sixj(self, js: Sequence[Label], a: Sequence[int]) -> complex:
         """N^{j1 j2 j3}_{j4 j5 j6} at branching indices (a1, a2; a3, a4):
@@ -346,8 +348,7 @@ class LWData:
         self._check_branching(a)
         if not self.sixj_support(js, a):
             return 0j
-        block = self.sixj_block(tuple(j.degree for j in js))
-        return complex(block[self._at(js) + tuple(n - 1 for n in a)])
+        return complex(self._entry(self.blocks.sixj, js, tuple(n - 1 for n in a)))
 
     def _check_branching(self, a: Sequence[int]):
         for n in a:

@@ -41,9 +41,8 @@ __all__ = [
 
 # One corner of a plaquette walk: corner `pos` sits at the head of dart
 # t_pos, at `vertex`; `leg` is the third dart there, pointing out; `leg_pos`
-# is the walk position m of the leg edge, if any, and `leg_direct` is True
-# when the leg dart is t_m itself.
-_Corner = collections.namedtuple("_Corner", "pos vertex leg leg_pos leg_direct")
+# is the walk position m of the leg edge, if any.
+_Corner = collections.namedtuple("_Corner", "pos vertex leg leg_pos")
 
 
 class Plaquette:
@@ -76,8 +75,7 @@ class Plaquette:
                     " such graphs are not supported"
                 )
             m = pos.get(leg, pos.get(leg ^ 1))
-            direct = None if m is None else leg in pos
-            corners.append(_Corner(i, self.graph.vertex_of(depart), leg, m, direct))
+            corners.append(_Corner(i, self.graph.vertex_of(depart), leg, m))
         return tuple(corners)
 
     @cached_property

@@ -322,14 +322,13 @@ class TableData(LWData):
 class RecordingData(LWData):
     """Pass-through wrapper that records the slice of `base` it serves.
 
-    It keeps, by reference, every degree block it serves, and notes the
-    degree of every label set it hands out.  Duals and the per-entry
-    `delta`, `gamma` and `sixj` are read off those by `LWData`, so a
-    per-entry query records the blocks it reads.  `export_table` hands
-    the blocks, with the labels of their degrees closed under duals, to
-    a `TableData`.  Replaying the same computation against the export
-    reproduces every answer bit for bit: entries absent from the export
-    were zero in the base data.
+    Its provider methods pass straight to `base`, and it notes the degree
+    of every label set it hands out.  Every reader takes its blocks
+    through `blocks`, so that cache's memo is the slice served.
+    `export_table` hands its delta, gamma and 6j blocks, with the labels
+    of their degrees closed under duals, to a `TableData`.  Replaying the
+    same computation against the export reproduces every answer bit for
+    bit: entries absent from the export were zero in the base data.
     """
 
     def __init__(self, base: LWData):
@@ -337,7 +336,6 @@ class RecordingData(LWData):
         self.signature = base.signature
         self.singular = base.singular
         self._degrees: set = set()
-        self._served: tuple = ({}, {}, {})  # delta, gamma, sixj by degrees
 
     @property
     def mult_bound(self) -> int:
@@ -351,23 +349,20 @@ class RecordingData(LWData):
     def probe_degrees(self) -> Iterator[GroupElement]:
         return self.base.probe_degrees()
 
-    def _serve(self, kind: int, degs: tuple, read) -> np.ndarray:
-        block = self._served[kind].get(degs)
-        if block is None:
-            block = self._served[kind][degs] = read(*degs)
-            self._degrees.update(degs)
-        return block
-
     def delta_block(self, g1, g2, g3) -> np.ndarray:
-        return self._serve(0, (g1, g2, g3), self.base.delta_block)
+        return self.base.delta_block(g1, g2, g3)
 
     def gamma_block(self, g1, g2, g3) -> np.ndarray:
-        return self._serve(1, (g1, g2, g3), self.base.gamma_block)
+        return self.base.gamma_block(g1, g2, g3)
 
     def sixj_block(self, degs: Sequence[GroupElement]) -> np.ndarray:
-        return self._serve(2, tuple(degs), lambda *d: self.base.sixj_block(d))
+        return self.base.sixj_block(degs)
 
     def export_table(self) -> TableData:
-        degrees = self._degrees | {-g for g in self._degrees}
+        blocks = self.blocks
+        served = [{tuple(map(blocks.element, ids)): b for ids, b in memo.items()}
+                  for memo in (blocks._delta, blocks._gamma, blocks._sixj)]
+        degrees = self._degrees.union(*itertools.chain(*served))
+        degrees |= {-g for g in degrees}
         labels = [lbl for g in sorted(degrees, key=str) for lbl in self.base.labels(g)]
-        return TableData(self.signature, self.singular, labels, *self._served)
+        return TableData(self.signature, self.singular, labels, *served)

@@ -5,8 +5,8 @@ Every check but the pentagon is an evaluator of one degree tuple that
 fetches its blocks, dualizes them with a fresh `np.take` and yields its
 (residual, witness) pairs; `run_per_tuple` records them in tuple order.
 The pentagon's oracle is `dense_pentagon`, the dense einsum it was first
-written as.  `reference_report` runs all ten on a block cache of their
-own and returns every check's `to_dict()`.
+written as.  `reference_report` runs all ten through a `_Slice` of
+`data.blocks` and returns every check's `to_dict()`.
 """
 
 from typing import Callable, Iterable

@@ -199,15 +199,17 @@ class TestValidate:
         assert report is None
         assert "sixj row" in err and "outside 1..1" in err
 
-    @pytest.mark.parametrize("fault", ["float delta", "repeated row"])
+    @pytest.mark.parametrize("fault", ["float delta", "repeated row", "short sixj row"])
     def test_coerced_or_repeated_row_exits_two(self, capsys, tmp_path, fault):
         recorder = RecordingData(BuiltinFamily("P", 2, 1.0))
         validate(recorder, [QMODZ.element(Fraction("1/5")), QMODZ.element(Fraction("2/5"))])
         table = recorder.export_table().to_dict()
         if fault == "float delta":
             table["delta"][0]["value"] = 1.5
-        else:
+        elif fault == "repeated row":
             table["sixj"].append(dict(table["sixj"][0], re=0.5))
+        else:
+            table["sixj"][0]["j"] = table["sixj"][0]["j"][:5]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(table))
         code, report, err = run(
@@ -215,8 +217,20 @@ class TestValidate:
         )
         assert code == 2
         assert report is None
-        message = "is not an integer" if fault == "float delta" else "repeats an earlier entry"
+        message = {
+            "float delta": "is not an integer",
+            "repeated row": "repeats an earlier entry",
+            "short sixj row": f"malformed sixj row {table['sixj'][0]!r}",
+        }[fault]
         assert message in err
+
+    def test_empty_degree_entry_exits_two(self, capsys):
+        code, report, err = run(
+            capsys, "validate", "--family", "P:2:1", "--degrees", "1/5,,2/5",
+        )
+        assert code == 2
+        assert report is None
+        assert "empty entry in list '1/5,,2/5'" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"

@@ -19,6 +19,7 @@ from rlw import (
 from rlw.data import (
     BlockCache,
     BuiltinFamily,
+    Label,
     RecordingData,
     TableData,
     data_from_config,
@@ -223,6 +224,13 @@ def _supported_sextuple():
     return (g1, g2, g3, g4, g5, g6)
 
 
+def _read(data, kind, *degs):
+    """Block `kind` ("delta", "gamma" or "sixj") of `data` at `degs`, read
+    through `data.blocks` as every computation reads it."""
+    blocks = data.blocks
+    return getattr(blocks, kind)(*map(blocks.id, degs))
+
+
 def _sixj_args(fam):
     degs = _supported_sextuple()
     js = [fam.labels(g)[0] for g in degs]
@@ -261,9 +269,9 @@ class TestTableData:
         fam = BuiltinFamily("P", 2, 2.0)
         rec = RecordingData(fam)
         degs = _supported_sextuple()
-        b1 = rec.sixj_block(degs)
-        rec.delta_block(F15, F15, QMODZ.parse("3/5"))
-        rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
+        b1 = _read(rec, "sixj", *degs)
+        _read(rec, "delta", F15, F15, QMODZ.parse("3/5"))
+        _read(rec, "gamma", F15, F15, QMODZ.parse("3/5"))
         table = rec.export_table()
         b2 = table.sixj_block(degs)
         assert np.array_equal(b1, b2)
@@ -275,8 +283,8 @@ class TestTableData:
     def test_json_file_roundtrip(self, tmp_path):
         fam = BuiltinFamily("F", 2, 1.0, 2.0)
         rec = RecordingData(fam)
-        rec.sixj_block(_supported_sextuple())
-        rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
+        _read(rec, "sixj", *_supported_sextuple())
+        _read(rec, "gamma", F15, F15, QMODZ.parse("3/5"))
         table = rec.export_table()
         path = tmp_path / "slice.json"
         table.to_file(str(path))
@@ -313,8 +321,8 @@ class TestTableData:
     )
     def test_non_finite_entry_rejected_at_load(self, tmp_path, field, key, value):
         rec = RecordingData(BuiltinFamily("P", 2, 1.0))
-        rec.sixj_block(_supported_sextuple())
-        rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
+        _read(rec, "sixj", *_supported_sextuple())
+        _read(rec, "gamma", F15, F15, QMODZ.parse("3/5"))
         table = rec.export_table().to_dict()
         table[field][0][key] = value
         path = tmp_path / "slice.json"
@@ -327,9 +335,9 @@ class TestTableData:
     @staticmethod
     def recorded_rows():
         rec = RecordingData(BuiltinFamily("P", 2, 1.0))
-        rec.sixj_block(_supported_sextuple())
-        rec.gamma_block(F15, F15, QMODZ.parse("3/5"))
-        rec.delta_block(F15, F15, QMODZ.parse("3/5"))
+        _read(rec, "sixj", *_supported_sextuple())
+        _read(rec, "gamma", F15, F15, QMODZ.parse("3/5"))
+        _read(rec, "delta", F15, F15, QMODZ.parse("3/5"))
         return rec.export_table().to_dict()
 
     @pytest.mark.parametrize(
@@ -378,6 +386,48 @@ class TestTableData:
         assert table.delta(i2, j2, k2) == 1
         with pytest.raises(MissingDataError):
             table.gamma(i2, j2, k2, 1)
+
+    def test_per_entry_reads_are_checked(self):
+        fam = BuiltinFamily("P", 2, 1.0)
+        rec = RecordingData(fam)
+        validate(rec, [F15, F25])
+        table = rec.export_table()
+        i, j, k = (table.labels(l.degree)[fam.label_index(l)] for l in _triple(fam))
+        assert table.delta(i, j, k) == 1
+        for n in (0, 2):
+            with pytest.raises(IndexRangeError, match=f"branching index {n} outside 1..1"):
+                table.gamma(i, j, k, n)
+        stranger = Label("9@1/5", F15, "9@4/5", 1.0, 1.0, 1.0)
+        with pytest.raises(MissingDataError, match="unknown label id '9@1/5'"):
+            table.label_index(stranger)
+        for data in (fam, rec):
+            with pytest.raises(MissingDataError, match="^label '9@1/5' not found at degree 1/5$"):
+                data.label_index(stranger)
+        lost = Label("0@1/5", F15, "9@4/5", 1.0, 1.0, 1.0)
+        for data in (fam, rec, table):
+            with pytest.raises(MissingDataError, match="^dual label '9@4/5' not found at"):
+                data.dual(lost)
+
+    def test_warm_per_entry_reads_call_no_provider_block(self, monkeypatch):
+        fam = BuiltinFamily("P", 2, 1.0)
+        rec = RecordingData(fam)
+        validate(rec, [F15, F25, F17])
+        table = rec.export_table()
+        js = [table.labels(g)[0] for g in _supported_sextuple()]
+        ijk = [table.labels(l.degree)[fam.label_index(l)] for l in _triple(fam)]
+
+        def reads():
+            return table.delta(*ijk), table.gamma(*ijk, 1), table.sixj(js, (1, 1, 1, 1))
+
+        cold = reads()
+        assert cold == (1, 1.0, 1.0)
+
+        def refuse(*args):
+            raise AssertionError("a provider block was read")
+
+        for name in ("delta_block", "gamma_block", "sixj_block"):
+            monkeypatch.setattr(table, name, refuse)
+        assert reads() == cold
 
     def test_gamma_block_missing_in_range(self):
         # the block keeps gamma's contract instead of zero-filling
@@ -466,7 +516,7 @@ class TestBlockCache:
     def test_blocks_are_read_only(self):
         fam = BuiltinFamily("P", 3, 2.0)
         rec = RecordingData(fam)
-        rec.sixj_block(_supported_sextuple())
+        _read(rec, "sixj", *_supported_sextuple())
         table = rec.export_table()
         for data in (fam, table):
             blocks = BlockCache(data)

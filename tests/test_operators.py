@@ -12,6 +12,7 @@ import pytest
 from rlw import (
     AdmissibilityError,
     BuiltinFamily,
+    Coloring,
     DataFormatError,
     DimensionCapError,
     GaugeAdmissibilityError,
@@ -28,7 +29,7 @@ from rlw import (
     is_admissible,
 )
 from rlw import operators
-from rlw.axioms import _Slice, validate
+from rlw.axioms import validate
 from rlw.data import BlockCache
 from rlw.operators import StringNetModel, choose_probe, probe_candidates
 from rlw.states import LinearOperator, StateSpace
@@ -121,7 +122,7 @@ def reference_walk(self, p, g, coloring, labels, slots):
             return along(c.leg, col)
         need = o_label(c.pos, col).degree - o_label((c.pos + 1) % n, col).degree
         found = (o_label(c.leg_pos, col), chosen[c.leg_pos])
-        if not c.leg_direct:
+        if c.leg not in p.darts:
             found = [dual(lab) for lab in found]
         (lab,) = [lab for lab in found if lab.degree == need]
         return lab
@@ -413,7 +414,9 @@ class TestReversedLegs:
 
     def test_corners(self):
         face, gon = reversed_leg_coloring().graph.plaquettes
-        assert [c.pos for c in face.corners if c.leg_direct is False] == [2, 7]
+        darts = face.darts  # a reversed leg: its edge is walked against it
+        reversed_legs = [c.pos for c in face.corners if c.leg not in darts and c.leg ^ 1 in darts]
+        assert reversed_legs == [2, 7]
         assert len(gon.darts) == 2
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "inclusive"])
@@ -595,6 +598,26 @@ class TestFusedGround:
         trace = np.trace(model.ground_projector().matrix)
         assert abs(trace - round(trace.real)) <= 1e-9
         assert model.ground_dim() == round(trace.real) > 0
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(2.0, "ground projector is not idempotent"),
+         (1 + 5e-4, "projector trace .* is not near an integer")],
+        ids=["doubled", "trace-off"],
+    )
+    def test_unstable_projector_rejected(self, theta_coloring, monkeypatch, scale, message):
+        # 2 P is far from idempotent; (1 + tol/2) P passes the idempotency
+        # gate at tol = 1e-3 but its trace, 4 (1 + tol/2), misses 4 by 2 tol
+        projector = StringNetModel.ground_projector
+
+        def scaled(self):
+            p = projector(self)
+            return LinearOperator(p.src, p.dst, p.rows, p.cols, p.vals * scale)
+
+        monkeypatch.setattr(StringNetModel, "ground_projector", scaled)
+        model = StringNetModel(FAMILIES["P21"], theta_coloring, strict=True)
+        with pytest.raises(InstabilityError, match=message):
+            model.ground_dim_residual(tol=1e-3)
 
     def test_grid_forced_multiplicity(self, grid_coloring):
         # the inclusive space is over the cap: the closed form N^(2g) is the oracle
@@ -840,6 +863,20 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError):
             StringNetModel(FAMILIES["P21"], col)
 
+    def test_non_cocycle_rejected(self, theta_coloring):
+        values = list(theta_coloring.values)
+        values[0] += q("1/7")  # generic, but no longer closed at its vertices
+        col = Coloring(theta_coloring.graph, values)
+        with pytest.raises(AdmissibilityError, match="violates a vertex condition"):
+            StringNetModel(FAMILIES["P21"], col)
+
+    def test_walk_target_outside_space_rejected(self, theta_coloring, monkeypatch):
+        model = StringNetModel(FAMILIES["P21"], theta_coloring, strict=True)
+        lost = lambda self, labels, slots: np.full(len(labels), -1)
+        monkeypatch.setattr(StateSpace, "rows", lost)
+        with pytest.raises(InstabilityError, match="plaquette move left the target space"):
+            model.plaquette_Bg(0, model.probe)
+
     def test_stored_target_rejected(self, grid_coloring):
         # 1/14 - 4/7 lands on -1/2, killed by the six-torsion test
         model = StringNetModel(FAMILIES["P21"], grid_coloring, strict=True)
@@ -924,8 +961,8 @@ def cache_model(data, surface):
 
 
 class TestSharedCache:
-    """Every model, state space and count over one data object reads its
-    one `data.blocks`; the validator keeps its own per run."""
+    """Every model, state space, count and validation run over one data
+    object reads its one `data.blocks`."""
 
     def test_one_cache_per_data(self, theta_coloring, grid_coloring, monkeypatch):
         made, read = [], []
@@ -952,7 +989,10 @@ class TestSharedCache:
         assert not hasattr(StringNetModel, "_corner_table")
 
         validate(data, [q("1/5"), q("2/5")])
-        assert len(made) == 2 and type(made[1]) is _Slice
+        assert made == [data.blocks]
+        fresh = BuiltinFamily("P", 2, 1.0)
+        validate(fresh, [q("1/5"), q("2/5")])
+        assert made == [data.blocks, fresh.blocks]
 
     @pytest.mark.parametrize("name, surface", CACHE_CASES)
     def test_warm_cache_triplets_match_cold(self, name, surface):

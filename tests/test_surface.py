@@ -84,7 +84,7 @@ class TestBuilders:
         assert [(c.vertex, c.leg, c.leg_pos) for c in face.corners] == [
             (1, 5, 5), (0, 0, 0), (1, 3, 1), (0, 4, 2), (1, 1, 3), (0, 2, 4)
         ]
-        assert all(c.leg_direct for c in face.corners)
+        assert all(c.leg in face.darts for c in face.corners)
 
     def test_grid_counts(self):
         g = build_torus("grid", 2)

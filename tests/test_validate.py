@@ -399,6 +399,10 @@ class TestPreconditions:
         with pytest.raises(DomainError):
             validate(BuiltinFamily("P", 2, 1.0), [])
 
+    def test_max_tuples_below_one_rejected(self):
+        with pytest.raises(DomainError, match="^max_tuples must be at least 1, got 0$"):
+            validate(BuiltinFamily("P", 2, 1.0), samples("1/5"), max_tuples=0)
+
     def test_singular_set_must_be_small(self):
         signature = GroupSignature([_Factor("Zmod", 6)])
         table = TableData(signature, SingularSet.torsion_dividing(2), [], {}, {}, {})
@@ -442,7 +446,7 @@ class TestReport:
 
 def pentagons(data, values, max_tuples=4096):
     """The sparse and the dense pentagon over the closure of the samples,
-    each on its own block cache."""
+    each through its own `_Slice` of `data.blocks`."""
     return [
         check(_Slice(data, closure(samples(*values)), max_tuples), 1e-9).to_dict()
         for check in (_check_pentagon, dense_pentagon)
